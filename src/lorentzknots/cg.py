@@ -20,7 +20,6 @@ forms for spin-1/2 columns certify the convention end to end.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -28,12 +27,15 @@ from .errors import InternalConsistencyError
 from .scalars import GaussianRational, to_big
 from .series import (
     TruncatedSeries,
+    clear_caches,
     constant_series,
     exp_scaled,
+    memoized,
     q_dim,
     q_factorial,
     q_integer,
     q_power,
+    register_memo,
     series_to_big,
     sqrt_series,
 )
@@ -61,11 +63,8 @@ def _triangle(da: int, db: int, dc: int) -> bool:
 
 _CG_CACHE = {}
 _LAMBDA_CACHE = {}
-
-
-def clear_caches():
-    _CG_CACHE.clear()
-    _LAMBDA_CACHE.clear()
+register_memo(_CG_CACHE.clear)
+register_memo(_LAMBDA_CACHE.clear)
 
 
 def cache_state():
@@ -175,7 +174,7 @@ def _series_matrix_inverse(M, order):
     ]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _decoupling_block(dJ, dK, dx, order, dps):
     """Inverse of the coupling block at total weight x for J (x) K.
 

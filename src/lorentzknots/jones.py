@@ -21,7 +21,6 @@ denominator; Fractions appear only at the boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import lcm
 
@@ -34,7 +33,16 @@ from .polynomials import (
     poly_constant,
 )
 from .scalars import GaussianRational
-from .series import TruncatedSeries, constant_series, q_dim, q_factorial, q_integer, q_power
+from .series import (
+    TruncatedSeries,
+    constant_series,
+    memoized,
+    q_dim,
+    q_factorial,
+    q_integer,
+    q_power,
+    register_memo,
+)
 from .weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
 __all__ = [
@@ -151,7 +159,7 @@ def _invert_cells(pos, dim, order):
     return out
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _braiding_table(two_alpha: int, order: int, sign: int):
     """Sparse braiding matrix on V (x) V as integer jets over a common den.
 
@@ -198,7 +206,7 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
     return table, den
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _group_like_table(order: int):
     """Integer jets of q^{S} for integer S, over the shared denominator 2^N N!."""
     den = 1
@@ -207,7 +215,7 @@ def _group_like_table(order: int):
     return den
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _group_like_coeffs(s_exponent: int, order: int):
     den = _group_like_table(order)
     series = _series_fractions(q_power(Fraction(s_exponent), order))
@@ -328,7 +336,7 @@ def _require_knot(b: BraidWord):
         raise ValueError("closure of the braid is not a knot")
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     """Scalar of the (1,1)-tangle closure, as a tuple of Fractions.
 
@@ -428,8 +436,13 @@ def _sample_task(task):
     return [(c.re.numerator, c.re.denominator) for c in series.coeffs]
 
 
-@lru_cache(maxsize=None)
-def _interpolated_cached(strands: int, letters: tuple, order: int, workers: int) -> PolySeries:
+# (strands, letters, order) -> expansion; ``workers`` only changes how the
+# samples are computed, never the result, so it is not part of the key.
+_INTERPOLATED = {}
+register_memo(_INTERPOLATED.clear)
+
+
+def _interpolate(strands: int, letters: tuple, order: int, workers: int) -> PolySeries:
     b = BraidWord(strands, letters)
     sample_count = 2 * order + 3
     nodes = [Fraction(k, 2) for k in range(sample_count)]
@@ -457,4 +470,8 @@ def jones_z_interpolated(b: BraidWord, order: int, workers: int = 1) -> PolySeri
     independent jobs; ``workers`` > 1 computes them in parallel and joins
     deterministically."""
     _require_knot(b)
-    return _interpolated_cached(b.strands, b.letters, order, max(1, int(workers)))
+    key = (b.strands, b.letters, order)
+    hit = _INTERPOLATED.get(key)
+    if hit is None:
+        hit = _INTERPOLATED[key] = _interpolate(*key, max(1, int(workers)))
+    return hit

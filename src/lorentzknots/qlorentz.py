@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -38,7 +37,15 @@ from .cg import (
 )
 from .errors import InternalConsistencyError, ResourceGuardError
 from .scalars import GaussianRational, to_big
-from .series import TruncatedSeries, constant_series, exp_scaled, q_dim, series_to_big
+from .series import (
+    TruncatedSeries,
+    constant_series,
+    memoized,
+    q_dim,
+    q_power,
+    register_memo,
+    series_to_big,
+)
 
 __all__ = [
     "tangle_word",
@@ -114,6 +121,7 @@ def _p_key(p):
 
 
 _G_COLUMN_CACHE = {}
+register_memo(_G_COLUMN_CACHE.clear)
 
 
 def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
@@ -181,16 +189,20 @@ def x_action(d_alpha, d_i, d_j, d_beta, d_ibeta):
     return ()
 
 
-@lru_cache(maxsize=None)
 def group_like_action(d_idx: int, order: int):
     """Diagonal weight q^{2 i} = e^{i h} of the group-like element."""
-    return tuple(series_to_big(exp_scaled(Fraction(d_idx, 2), order)).coeffs)
+    return _group_like_weight(d_idx, order, mpmath.mp.dps)
 
 
-@lru_cache(maxsize=None)
-def _antipode_factor(d_i: int, d_j: int, order: int):
-    """Scalar q^{j - i} (-1)^{i - j} from the inverse antipode."""
-    series = exp_scaled(Fraction(d_j - d_i, 4), order)
+@memoized
+def _group_like_weight(d_idx: int, order: int, dps: int):
+    return tuple(series_to_big(q_power(d_idx, order)).coeffs)
+
+
+@memoized
+def _antipode_factor(d_i: int, d_j: int, order: int, dps: int):
+    """Scalar q^{j - i} (-1)^{i - j} from the inverse antipode, at ``dps``."""
+    series = q_power(Fraction(d_j - d_i, 2), order)
     if ((d_i - d_j) // 2) % 2:
         series = -series
     return tuple(series_to_big(series).coeffs)
@@ -281,7 +293,8 @@ def braid_sum(
     if label_cutoff is None:
         label_cutoff = order
     d_cut = int(2 * label_cutoff)
-    eps = mpmath.mpf(10) ** (-(mpmath.mp.dps - 8))
+    dps = mpmath.mp.dps
+    eps = mpmath.mpf(10) ** (-(dps - 8))
 
     forward = True
     if _open_g_count(_transpose_ops(ops)) < _open_g_count(ops):
@@ -367,7 +380,8 @@ def braid_sum(
                     ai, aj = djj, dii
                     base = coeffs
                     if sign < 0:
-                        base = _conv(coeffs, _antipode_factor(dii, djj, order), order)
+                        antipode = _antipode_factor(dii, djj, order, dps)
+                        base = _conv(coeffs, antipode, order)
                         ai, aj = -dii, -djj
                     for (ds2, di2), entry in g_action(
                         da, ai, aj, ds, di, p, order, forward=forward
@@ -417,7 +431,7 @@ def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
 # Structure-constant cache persistence
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 1
+_CACHE_FORMAT_VERSION = 2
 
 
 def _mpc_to_json(z):
@@ -432,6 +446,16 @@ def _mpc_to_json(z):
 def _mpc_from_json(data):
     re, im = data
     return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
+
+
+def _entries_digest(entries):
+    """SHA-256 of the entries in canonical JSON (sorted keys, no spaces)."""
+    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
+    # that braid sums which never touch a cache file should not pay.
+    import hashlib
+
+    canonical = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def save_lambda_cache(path):
@@ -455,6 +479,7 @@ def save_lambda_cache(path):
             "format_version": _CACHE_FORMAT_VERSION,
             "kind": "balanced-structure-constants",
             "entries": len(entries),
+            "sha256": _entries_digest(entries),
         },
         "entries": entries,
     }
@@ -463,19 +488,52 @@ def save_lambda_cache(path):
     return len(entries)
 
 
+def _check_recomputed(path, key, series):
+    """Recompute one loaded entry at its own precision; raise on mismatch."""
+    _, dA, dB, dC, dD, p, order, dps = key
+    with mpmath.workdps(dps):
+        fresh = lambda_coeff(dA, dB, dC, dD, p, order)
+        tol = mpmath.mpf(10) ** (8 - dps)
+        if any(
+            abs(a - b) > tol * max(1, abs(b))
+            for a, b in zip(series.coeffs, fresh.coeffs)
+        ):
+            raise ValueError(
+                f"{path}: cache entry with labels {[dA, dB, dC, dD]} "
+                f"(p={p}, order {order}, dps {dps}) disagrees with its "
+                "recomputation"
+            )
+
+
 def load_lambda_cache(path):
-    """Load a dumped cache; entries at other precisions are kept distinct."""
+    """Load a dumped cache; entries at other precisions are kept distinct.
+
+    Nothing is loaded unless the manifest's SHA-256 matches the entries and
+    the first entry, recomputed at its own (labels, p, order, dps), agrees
+    within 10^-(dps-8); otherwise ValueError names the file (and the entry).
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    manifest = doc.get("manifest", {})
-    if manifest.get("format_version") != _CACHE_FORMAT_VERSION:
-        raise ValueError("unrecognized cache format version")
-    count = 0
-    for entry in doc["entries"]:
-        dA, dB, dC, dD = entry["labels"]
-        p = GaussianRational.from_json(entry["p"])
-        key = ("lam", dA, dB, dC, dD, p, entry["order"], entry["dps"])
-        coeffs = [_mpc_from_json(c) for c in entry["coeffs"]]
-        _LAMBDA_CACHE[key] = TruncatedSeries(entry["order"], coeffs)
-        count += 1
-    return count
+    manifest = doc.get("manifest") if isinstance(doc, dict) else None
+    if not isinstance(manifest, dict) or (
+        manifest.get("format_version") != _CACHE_FORMAT_VERSION
+    ):
+        raise ValueError(f"{path}: unrecognized cache format version")
+    entries = doc.get("entries", [])
+    if manifest.get("sha256") != _entries_digest(entries):
+        raise ValueError(f"{path}: entries do not match the manifest's SHA-256")
+    loaded = {}
+    try:
+        for entry in entries:
+            dA, dB, dC, dD = entry["labels"]
+            p = GaussianRational.from_json(entry["p"])
+            order, dps = int(entry["order"]), int(entry["dps"])
+            coeffs = [_mpc_from_json(c) for c in entry["coeffs"]]
+            key = ("lam", dA, dB, dC, dD, p, order, dps)
+            loaded[key] = TruncatedSeries(order, coeffs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed cache entry: {exc}") from exc
+    if loaded:
+        _check_recomputed(path, *next(iter(loaded.items())))
+    _LAMBDA_CACHE.update(loaded)
+    return len(loaded)

@@ -14,6 +14,7 @@ braid engines all have exact Gaussian-rational jets.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, upper_half_sqrt, to_big
@@ -28,6 +29,9 @@ __all__ = [
     "q_dim",
     "sqrt_series",
     "series_to_big",
+    "memoized",
+    "register_memo",
+    "clear_caches",
 ]
 
 
@@ -215,10 +219,64 @@ def exp_scaled(rate, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
+# ---------------------------------------------------------------------------
+# Memo tables
+# ---------------------------------------------------------------------------
+
+_MEMO_CLEARERS = []
+
+
+def register_memo(clear):
+    """Add a memo table's clear function to those :func:`clear_caches` runs."""
+    _MEMO_CLEARERS.append(clear)
+
+
+def memoized(fn):
+    """An unbounded ``lru_cache`` whose table :func:`clear_caches` empties."""
+    cached = lru_cache(maxsize=None)(fn)
+    register_memo(cached.cache_clear)
+    return cached
+
+
+def clear_caches():
+    """Empty every memo table of every imported ``lorentzknots`` module."""
+    for clear in _MEMO_CLEARERS:
+        clear()
+
+
+# ---------------------------------------------------------------------------
+# The q-jet kernel.  Jets are exact and do not depend on the mpmath precision,
+# so each is computed once per (argument, order) and shared (TruncatedSeries
+# and GaussianRational are immutable).  The public functions normalize and
+# validate their arguments; the recursion stays inside the memoized jets.
+# ---------------------------------------------------------------------------
+
+
+@memoized
+def _q_power_jet(r: GaussianRational, order: int) -> TruncatedSeries:
+    return exp_scaled(r / 2, order)
+
+
+@memoized
+def _q_integer_jet(n: int, order: int) -> TruncatedSeries:
+    if n < 0:
+        return -_q_integer_jet(-n, order)
+    total = constant_series(0, order)
+    for j in range(n):
+        total = total + _q_power_jet(GaussianRational(n - 1 - 2 * j), order)
+    return total
+
+
+@memoized
+def _q_factorial_jet(n: int, order: int) -> TruncatedSeries:
+    if n == 0:
+        return constant_series(1, order)
+    return _q_factorial_jet(n - 1, order) * _q_integer_jet(n, order)
+
+
 def q_power(r, order: int) -> TruncatedSeries:
     """q^r with q = e^{h/2}, i.e. the jet of e^{r h / 2}."""
-    r = GaussianRational.coerce(r)
-    return exp_scaled(r / 2, order)
+    return _q_power_jet(GaussianRational.coerce(r), order)
 
 
 def q_integer(n: int, order: int) -> TruncatedSeries:
@@ -227,24 +285,14 @@ def q_integer(n: int, order: int) -> TruncatedSeries:
     Computed through the exact geometric form [n] = q^{n-1} + q^{n-3} +
     ... + q^{1-n}, which avoids dividing jets with vanishing constant term.
     """
-    if n == 0:
-        return constant_series(0, order)
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    total = constant_series(0, order)
-    for j in range(n):
-        total = total + q_power(Fraction(n - 1 - 2 * j), order)
-    return sign * total
+    return _q_integer_jet(n, order)
 
 
 def q_factorial(n: int, order: int) -> TruncatedSeries:
-    """[n]! = [1][2]...[n]; the empty product for n = 0."""
+    """[n]! = [1][2]...[n], built as [n-1]! [n]; the empty product for n = 0."""
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    result = constant_series(1, order)
-    for k in range(2, n + 1):
-        result = result * q_integer(k, order)
-    return result
+    return _q_factorial_jet(n, order)
 
 
 def q_dim(two_alpha: int, order: int) -> TruncatedSeries:

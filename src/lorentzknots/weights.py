@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct
@@ -40,6 +39,7 @@ from .polynomials import (
     poly_variable,
 )
 from .scalars import GaussianRational, GR_I, GR_ONE
+from .series import memoized
 
 __all__ = [
     "InfinitesimalRMatrix",
@@ -283,7 +283,7 @@ def _square_split(v: int):
     return mult, rad * v
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _c_squared(alpha: int, m: int) -> ParamPolynomial:
     """c_alpha^2 = -(alpha^2 - p^2)(alpha^2 - m^2) / (alpha^2 (4 alpha^2 - 1))."""
     a2 = alpha * alpha

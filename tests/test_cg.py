@@ -7,6 +7,8 @@ import mpmath
 import pytest
 
 from lorentzknots.cg import (
+    _decoupling_block,
+    cache_state,
     clear_caches,
     lambda_coeff,
     lambda_coeff_symbolic,
@@ -230,3 +232,73 @@ def test_cache_round_trip(tmp_path):
         assert loaded == count
         again = lambda_coeff(2, 1, 3, 2, 2, 3)
         assert all(a == b for a, b in zip(expected.coeffs, again.coeffs))
+
+
+def _tripled_constant_terms(path, resign):
+    import json
+
+    from lorentzknots.qlorentz import _entries_digest
+
+    doc = json.loads(path.read_text())
+    for entry in doc["entries"]:
+        entry["coeffs"][0][0][1] *= 3  # real mantissa of the h^0 coefficient
+    if resign:
+        doc["manifest"]["sha256"] = _entries_digest(doc["entries"])
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "resign, message", [(False, "SHA-256"), (True, r"labels \[2, 1, 3, 2\]")]
+)
+def test_cache_load_rejects_altered_entries(tmp_path, resign, message):
+    from lorentzknots.qlorentz import load_lambda_cache, save_lambda_cache
+
+    path = tmp_path / "lambda.cache"
+    with precision(60):
+        clear_caches()
+        lambda_coeff(2, 1, 3, 2, 2, 3)
+        save_lambda_cache(path)
+        _tripled_constant_terms(path, resign)
+        clear_caches()
+        with pytest.raises(ValueError, match=message) as info:
+            load_lambda_cache(path)
+        assert str(path) in str(info.value)
+        # nothing from the file was kept; only the recomputation is cached
+        assert cache_state()[1] == (1 if resign else 0)
+
+
+@pytest.mark.parametrize("text", ["[]", '{"manifest": 2}', "{}"])
+def test_cache_load_rejects_other_documents(tmp_path, text):
+    from lorentzknots.qlorentz import load_lambda_cache
+
+    path = tmp_path / "other.cache"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="format version"):
+        load_lambda_cache(path)
+
+
+def test_clear_caches_empties_every_memo_table():
+    from lorentzknots import jones, qlorentz, series
+    from lorentzknots.braids import parse_braid
+
+    trefoil = parse_braid("s1 s1 s1", 2)
+    with precision(60):
+        qlorentz.braid_sum(parse_braid("-s1 -s1 -s1", 2), 2, 1)
+        jones.jones_z_interpolated(trefoil, 1)
+    lru_tables = [
+        series._q_power_jet,
+        series._q_integer_jet,
+        series._q_factorial_jet,
+        _decoupling_block,
+        qlorentz._group_like_weight,
+        qlorentz._antipode_factor,
+        jones._braiding_table,
+        jones._tangle_scalar,
+    ]
+    dict_tables = [qlorentz._G_COLUMN_CACHE, jones._INTERPOLATED]
+    assert all(t.cache_info().currsize for t in lru_tables)
+    assert all(dict_tables) and all(cache_state())
+    clear_caches()
+    assert not any(t.cache_info().currsize for t in lru_tables)
+    assert not any(dict_tables)
+    assert cache_state() == (0, 0)

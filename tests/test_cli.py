@@ -130,6 +130,20 @@ def test_qlg_cache_roundtrip(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_qlg_rejects_cache_with_altered_values(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LORENTZKNOTS_CACHE_DIR", str(tmp_path))
+    argv = ["qlg", "--braid", "s1 s1 s1", "--p", "2", "--order", "2"]
+    assert run_cli(argv + ["--save-cache", "c1"])[0] == 0
+    path = tmp_path / "c1"
+    doc = json.loads(path.read_text())
+    for entry in doc["entries"]:
+        entry["coeffs"][0][0][1] *= 3  # triple each constant-term mantissa
+    path.write_text(json.dumps(doc))
+    code, text = run_cli(argv + ["--load-cache", "c1"])
+    assert code == 2 and text == ""
+    assert str(path) in capsys.readouterr().err
+
+
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"order": 1, "format": "json", "knot": "unknot"}))

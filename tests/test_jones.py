@@ -17,7 +17,7 @@ from lorentzknots.jones import (
     r_matrix,
 )
 from lorentzknots.polynomials import ParamPolynomial, poly_variable, specialize
-from lorentzknots.series import constant_series, q_dim
+from lorentzknots.series import clear_caches, constant_series, q_dim
 
 F = Fraction
 
@@ -209,8 +209,21 @@ def test_markov_invariance_exact():
 
 def test_parallel_sampling_matches_sequential():
     sequential = jones_z_interpolated(TREFOIL, 2, workers=1)
+    clear_caches()
     parallel = jones_z_interpolated(TREFOIL, 2, workers=2)
     assert parallel == sequential
+
+
+def test_worker_count_is_not_part_of_the_cache_key(monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a cached expansion started a process pool")
+
+    first = jones_z_interpolated(TREFOIL, 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert jones_z_interpolated(TREFOIL, 1, workers=2) is first
 
 
 def test_trefoil_second_order_frozen():

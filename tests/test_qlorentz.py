@@ -86,6 +86,15 @@ def test_group_like_is_exponential_weight():
         assert max(abs(a - b) for a, b in zip(w, expect)) < TOL
 
 
+def test_group_like_weight_follows_working_precision():
+    # A weight first built at 15 digits must not be served at 60.
+    with precision(15):
+        group_like_action(1, 3)
+    with precision(60):
+        w = group_like_action(1, 3)  # e^{h/2}: h^3 coefficient 1/48
+        assert abs(w[3] - mpmath.mpf(1) / 48) < TOL
+
+
 def test_trivial_dual_generator_is_identity():
     with precision(60):
         for state in ((0, 0), (2, 2), (4, -2)):

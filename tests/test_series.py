@@ -15,8 +15,10 @@ from lorentzknots.scalars import (
     precision,
     to_big,
 )
+from lorentzknots import series
 from lorentzknots.series import (
     TruncatedSeries,
+    clear_caches,
     constant_series,
     exp_scaled,
     q_dim,
@@ -188,6 +190,70 @@ def test_q_dim_trivial_and_spin_one():
 
 def test_q_integer_product_symmetry():
     assert q_integer(2, 5) * q_integer(3, 5) == q_integer(3, 5) * q_integer(2, 5)
+
+
+# ---------------------------------------------------------------------------
+# The memoized q-jet kernel against an uncached reference built directly from
+# exp_scaled products.
+# ---------------------------------------------------------------------------
+
+
+def _reference_q_integer(n, order):
+    total = constant_series(0, order)
+    for j in range(abs(n)):
+        total = total + exp_scaled(F(abs(n) - 1 - 2 * j, 2), order)
+    return total if n >= 0 else -total
+
+
+def _reference_q_factorial(n, order):
+    total = constant_series(1, order)
+    for k in range(1, n + 1):
+        total = total * _reference_q_integer(k, order)
+    return total
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_memoized_jets_match_uncached_reference(order):
+    for n in range(-12, 13):
+        assert q_power(n, order) == exp_scaled(F(n, 2), order)
+        assert q_power(F(n, 3), order) == exp_scaled(F(n, 6), order)
+        assert q_integer(n, order) == _reference_q_integer(n, order)
+    for n in range(13):
+        assert q_factorial(n, order) == _reference_q_factorial(n, order)
+        assert q_dim(n, order) == _reference_q_integer(n + 1, order)
+
+
+def test_q_power_exponent_types_share_one_entry():
+    clear_caches()
+    jets = [q_power(r, 5) for r in (1, F(1), G(1))]
+    info = series._q_power_jet.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert jets[0] is jets[1] is jets[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=6))
+def test_q_factorial_recursion_and_q_dim(n, order):
+    assert q_factorial(n, order) == q_integer(n, order) * q_factorial(n - 1, order)
+    if n % 2 == 0:
+        assert q_dim(n, order) == q_integer(n + 1, order)
+        assert [c.re for c in q_dim(n, order).coeffs] == _oracle_q_integer(n + 1, order)
+
+
+def test_clear_caches_makes_next_call_a_miss():
+    q_factorial(7, 3)
+    clear_caches()
+    assert series._q_factorial_jet.cache_info().currsize == 0
+    q_factorial(7, 3)
+    info = series._q_factorial_jet.cache_info()
+    assert info.hits == 0 and info.misses == 8
+
+
+def test_jets_do_not_depend_on_precision():
+    with precision(15):
+        low = q_factorial(6, 4)
+    with precision(60):
+        assert q_factorial(6, 4) is low
 
 
 # ---------------------------------------------------------------------------
