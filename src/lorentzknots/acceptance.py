@@ -211,7 +211,7 @@ def criterion_7_structure_constant_columns():
                         from .series import TruncatedSeries
 
                         return TruncatedSeries(
-                            order, [poly.evaluate(p) for poly in sym.coeffs]
+                            order, [poly.evaluate_big(p) for poly in sym.coeffs]
                         )
 
                     lam1 = at_point(2 * C, 1, 2 * C + 1, 2 * C)

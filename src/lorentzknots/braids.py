@@ -3,8 +3,7 @@
 Braids are words in Artin generators sigma_i^{+-1} on a fixed strand count;
 closures are assumed to be knots (single permutation cycle), which every
 invariant entry point checks.  Invariants are computed at blackboard
-(writhe) framing; a KnotPresentation carries a target framing and the
-downstream engines apply the correction factor.
+(writhe) framing.
 """
 
 from __future__ import annotations
@@ -138,10 +137,9 @@ def markov_variants(b: BraidWord):
 
 @dataclass(frozen=True)
 class KnotPresentation:
-    """A braid plus a target framing (relative to the blackboard framing)."""
+    """A named braid whose closure is a knot."""
 
     braid: BraidWord
-    framing: int = 0
     name: str = ""
 
     def __post_init__(self):

@@ -24,12 +24,14 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InternalConsistencyError
+from .polynomials import ParamPolynomial
 from .scalars import GaussianRational, to_big
 from .series import (
     TruncatedSeries,
     clear_caches,
     constant_series,
     exp_scaled,
+    jet_matrix_inverse,
     memoized,
     q_dim,
     q_factorial,
@@ -45,7 +47,6 @@ __all__ = [
     "quantum_cg_decoupling",
     "lambda_coeff",
     "lambda_coeff_symbolic",
-    "BigPoly",
     "clear_caches",
     "cache_state",
 ]
@@ -150,30 +151,6 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
     return value
 
 
-def _series_matrix_inverse(M, order):
-    """Inverse of a square matrix of BigComplex jets, order by order."""
-    n = len(M)
-    zero = mpmath.mpc(0)
-    X0 = [[M[i][j].coeffs[0] for j in range(n)] for i in range(n)]
-    X0 = mpmath.inverse(mpmath.matrix(X0))
-    X = [[[X0[i, j]] for j in range(n)] for i in range(n)]
-    for k in range(1, order + 1):
-        S = [[zero] * n for _ in range(n)]
-        for j in range(1, k + 1):
-            for i in range(n):
-                for l in range(n):
-                    mv = M[i][l].coeffs[j]
-                    if mv:
-                        for c in range(n):
-                            S[i][c] += mv * X[l][c][k - j]
-        for i in range(n):
-            for c in range(n):
-                X[i][c].append(-sum(X0[i, l] * S[l][c] for l in range(n)))
-    return [
-        [TruncatedSeries(order, X[i][j]) for j in range(n)] for i in range(n)
-    ]
-
-
 @memoized
 def _decoupling_block(dJ, dK, dx, order, dps):
     """Inverse of the coupling block at total weight x for J (x) K.
@@ -204,7 +181,7 @@ def _decoupling_block(dJ, dK, dx, order, dps):
         [quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in spins]
         for (dn, dp) in pairs
     ]
-    inv = _series_matrix_inverse(M, order)
+    inv = jet_matrix_inverse(M, order)
     return tuple(pairs), tuple(spins), tuple(tuple(row) for row in inv)
 
 
@@ -227,78 +204,20 @@ def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in p with BigComplex coefficients (symbolic mode)
+# Symbolic p: jets of polynomials in p with mpc coefficients
 # ---------------------------------------------------------------------------
-
-
-class BigPoly:
-    """Polynomial in p with mpc coefficients; just enough ring structure."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [to_big(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __add__(self, other):
-        if not isinstance(other, BigPoly):
-            other = BigPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-
-        def get(t, k):
-            return t[k] if k < len(t) else mpmath.mpc(0)
-
-        return BigPoly([get(self.coeffs, k) + get(other.coeffs, k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BigPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, BigPoly):
-            other = BigPoly([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BigPoly):
-            other = BigPoly([other])
-        if not self.coeffs or not other.coeffs:
-            return BigPoly()
-        out = [mpmath.mpc(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BigPoly(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def evaluate(self, point):
-        acc = mpmath.mpc(0)
-        point = to_big(point)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
 
 def _q_power_p_symbolic(d_sigma: int, order: int) -> TruncatedSeries:
     """q^{2 sigma p} = e^{sigma p h} as a jet of polynomials in p."""
     sigma = Fraction(d_sigma, 2)
+    zero = to_big(0)
     coeffs = []
     fact = 1
     for k in range(order + 1):
         if k:
             fact *= k
-        mono = [0] * k + [to_big(sigma**k) / fact]
-        coeffs.append(BigPoly(mono))
+        coeffs.append(ParamPolynomial([zero] * k + [to_big(sigma**k) / fact]))
     return TruncatedSeries(order, coeffs)
 
 
@@ -344,10 +263,10 @@ def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> TruncatedSeries:
     hit = _LAMBDA_CACHE.get(key)
     if hit is not None:
         return hit
-    total = TruncatedSeries(order, [BigPoly()] * (order + 1))
+    total = TruncatedSeries(order, [ParamPolynomial()] * (order + 1))
     for d_sigma, pair in _lambda_terms(dA, dB, dC, dD, order):
         weight = _q_power_p_symbolic(d_sigma, order)
-        lifted = TruncatedSeries(order, [BigPoly([c]) for c in pair.coeffs])
+        lifted = TruncatedSeries(order, [ParamPolynomial([c]) for c in pair.coeffs])
         total = total + lifted * weight
     _LAMBDA_CACHE[key] = total
     return total

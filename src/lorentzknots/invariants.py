@@ -36,11 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LorentzInvariant:
-    """PolySeries in p for fixed minimal spin m, at the stated framing."""
+    """PolySeries in p for fixed minimal spin m, at zero framing."""
 
     m: int
     series: PolySeries
-    framing: int = 0
 
     def coefficient(self, n: int) -> ParamPolynomial:
         return self.series.coeffs[n]
@@ -84,7 +83,7 @@ def x_invariant(b: BraidWord, m: int, order: int) -> LorentzInvariant:
     right = TruncatedSeries(
         order, [poly.compose_affine(*sub_w) for poly in plain.coeffs]
     )
-    return LorentzInvariant(m=m, series=left * right, framing=0)
+    return LorentzInvariant(m=m, series=left * right)
 
 
 def equivalence_check(

@@ -35,7 +35,10 @@ from .polynomials import (
 from .scalars import GaussianRational
 from .series import (
     TruncatedSeries,
+    accumulate,
     constant_series,
+    conv,
+    jet_matrix_inverse,
     memoized,
     q_dim,
     q_factorial,
@@ -63,22 +66,8 @@ _KINK_EXPONENT_FACTOR = 2
 
 
 # ---------------------------------------------------------------------------
-# Internal integer-series helpers (coefficients over a shared denominator)
+# Braiding tables: integer jets over a shared denominator
 # ---------------------------------------------------------------------------
-
-
-def _conv(a, b, order):
-    return tuple(
-        sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)
-    )
-
-
-def _acc(target, key, coeffs):
-    cur = target.get(key)
-    if cur is None:
-        target[key] = coeffs
-    else:
-        target[key] = tuple(x + y for x, y in zip(cur, coeffs))
 
 
 def _series_fractions(series: TruncatedSeries):
@@ -94,68 +83,24 @@ def _series_fractions(series: TruncatedSeries):
     return out
 
 
-def _mat_inv(matrix):
-    """Exact inverse of a small Fraction matrix (Gauss-Jordan)."""
-    n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise InternalConsistencyError("braiding block not invertible at h=0")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _invert_cells(pos, dim, order):
     """Exact inverse of the braiding, block by block of conserved weight."""
+    zero = TruncatedSeries(order, [Fraction(0)] * (order + 1))
     out = {}
     for s in range(2 * dim - 1):
         states = [(r1, s - r1) for r1 in range(dim) if 0 <= s - r1 < dim]
         index = {st: i for i, st in enumerate(states)}
-        nblk = len(states)
-        M = [[[Fraction(0)] * (order + 1) for _ in range(nblk)] for _ in range(nblk)]
+        M = [[zero] * len(states) for _ in states]
         for j, st in enumerate(states):
             for a, b, coeffs in pos[st]:
-                i = index[(a, b)]
-                for k, c in enumerate(coeffs):
-                    M[i][j][k] = c
-        X0 = _mat_inv([[M[i][j][0] for j in range(nblk)] for i in range(nblk)])
-        X = [X0]
-        for k in range(1, order + 1):
-            S = [[Fraction(0)] * nblk for _ in range(nblk)]
-            for j in range(1, k + 1):
-                Xprev = X[k - j]
-                for i in range(nblk):
-                    for l in range(nblk):
-                        mv = M[i][l][j]
-                        if mv:
-                            row = Xprev[l]
-                            for c in range(nblk):
-                                if row[c]:
-                                    S[i][c] += mv * row[c]
-            X.append(
-                [
-                    [
-                        -sum(X0[i][l] * S[l][c] for l in range(nblk))
-                        for c in range(nblk)
-                    ]
-                    for i in range(nblk)
-                ]
-            )
+                M[index[(a, b)]][j] = TruncatedSeries(order, coeffs)
+        X = jet_matrix_inverse(M, order)
         for j, st in enumerate(states):
-            cell = []
-            for i, (a, b) in enumerate(states):
-                coeffs = [X[k][i][j] for k in range(order + 1)]
-                if any(coeffs):
-                    cell.append((a, b, coeffs))
-            out[st] = cell
+            out[st] = [
+                (a, b, X[i][j].coeffs)
+                for i, (a, b) in enumerate(states)
+                if not X[i][j].is_zero()
+            ]
     return out
 
 
@@ -352,8 +297,7 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
         den_total *= tables[sign][1]
     den_total *= _group_like_table(order)
 
-    diag = [None] * dim
-    zero = (0,) * (order + 1)
+    diag = {}
     for column in product(range(dim), repeat=strands):
         vec = {column: None}  # None stands for the unit coefficient
         for idx, sign in letters:
@@ -364,9 +308,9 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
                 for a, b, entry in table[(r1, r2)]:
                     new_state = state[: idx - 1] + (a, b) + state[idx + 1 :]
                     if coeffs is None:
-                        _acc(out, new_state, entry)
+                        accumulate(out, new_state, entry)
                     else:
-                        _acc(out, new_state, _conv(coeffs, entry, order))
+                        accumulate(out, new_state, conv(coeffs, entry, order))
             vec = out
         coeffs = vec.get(column)
         if letters and coeffs is None:
@@ -376,15 +320,13 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
         if coeffs is None:
             contrib = weight
         else:
-            contrib = _conv(coeffs, weight, order)
-        r1 = column[0]
-        diag[r1] = contrib if diag[r1] is None else tuple(
-            x + y for x, y in zip(diag[r1], contrib)
-        )
+            contrib = conv(coeffs, weight, order)
+        accumulate(diag, column[0], contrib)
 
-    first = diag[0] if diag[0] is not None else zero
-    for entry in diag[1:]:
-        if (entry if entry is not None else zero) != first:
+    zero = (0,) * (order + 1)
+    first = diag.get(0, zero)
+    for r1 in range(1, dim):
+        if diag.get(r1, zero) != first:
             raise InternalConsistencyError(
                 "partial trace of the braid operator is not a scalar: "
                 "braiding/enhancement conventions are inconsistent"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, GR_ONE, GR_ZERO, to_big
+from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, to_big
 from .series import TruncatedSeries
 
 __all__ = [
@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _coerce_coeff(c):
+    # GaussianRational and mpc are tested first: isinstance against Fraction
+    # goes through the numbers ABCs and is slow on this hot path.
+    if isinstance(c, (GaussianRational, BigComplex)):
+        return c
+    return GaussianRational.coerce(c)
+
+
 def _trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -37,14 +45,18 @@ def _trim(coeffs):
 
 
 class ParamPolynomial:
-    """Polynomial in one formal parameter with Gaussian-rational coefficients."""
+    """Polynomial in one formal parameter over an exact or float field.
+
+    Coefficients are GaussianRationals (ints and Fractions are coerced) or
+    mpmath ``mpc`` values; one polynomial keeps to one of the two.  Exact
+    evaluation, division and substitution need GaussianRational
+    coefficients; :meth:`evaluate_big` works for both.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(
-            self, "coeffs", _trim(GaussianRational.coerce(c) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", _trim(_coerce_coeff(c) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")
@@ -77,18 +89,18 @@ class ParamPolynomial:
     def _coerce(x):
         if isinstance(x, ParamPolynomial):
             return x
-        if isinstance(x, (int, Fraction, GaussianRational)):
-            return ParamPolynomial([GaussianRational.coerce(x)])
+        if isinstance(x, (GaussianRational, BigComplex, int, Fraction)):
+            return ParamPolynomial([x])
         return None
 
     def __add__(self, other):
         other = ParamPolynomial._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPolynomial(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return ParamPolynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -108,14 +120,24 @@ class ParamPolynomial:
         other = ParamPolynomial._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return ParamPolynomial()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        out = [None] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, y in enumerate(b):
+                cur = out[i + j]
+                out[i + j] = x * y if cur is None else cur + x * y
+        # A slot that only zero coefficients of self reach (the constant
+        # slot of x * q, say) gets the field's zero, made once if needed.
+        zero = None
+        for k, c in enumerate(out):
+            if c is None:
+                if zero is None:
+                    zero = a[-1] - a[-1]
+                out[k] = zero
         return ParamPolynomial(out)
 
     __rmul__ = __mul__

@@ -28,7 +28,7 @@ import mpmath
 
 from .braids import BraidWord
 from .cg import (
-    BigPoly,
+    _is_spin_index,
     lambda_coeff,
     lambda_coeff_symbolic,
     quantum_cg,
@@ -36,10 +36,13 @@ from .cg import (
     _LAMBDA_CACHE,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .scalars import GaussianRational, to_big
+from .polynomials import ParamPolynomial
+from .scalars import GaussianRational
 from .series import (
     TruncatedSeries,
+    accumulate,
     constant_series,
+    conv,
     memoized,
     q_dim,
     q_power,
@@ -59,10 +62,6 @@ __all__ = [
 ]
 
 SYMBOLIC = "symbolic"
-
-
-def _is_index(dj, dm):
-    return abs(dm) <= dj and (dj - dm) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +140,13 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
         dx = d_j + d_ibeta
         d_igamma = dx - d_i
         for dD in range(abs(d_alpha - d_beta), d_alpha + d_beta + 1, 2):
-            if not _is_index(dD, dx):
+            if not _is_spin_index(dD, dx):
                 continue
             cgr = quantum_cg_decoupling(dD, d_alpha, d_beta, dx, d_j, d_ibeta, order)
             if cgr.is_zero():
                 continue
             for d_gamma in range(abs(d_alpha - dD), d_alpha + dD + 1, 2):
-                if d_gamma % 2 or not _is_index(d_gamma, d_igamma):
+                if d_gamma % 2 or not _is_spin_index(d_gamma, d_igamma):
                     continue
                 cgl = quantum_cg(d_gamma, d_alpha, dD, d_igamma, d_i, dx, order)
                 if cgl.is_zero():
@@ -161,13 +160,13 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
         dx = d_igamma + d_i
         d_ib = dx - d_j
         for dD in range(abs(d_alpha - d_gamma), d_alpha + d_gamma + 1, 2):
-            if not _is_index(dD, dx):
+            if not _is_spin_index(dD, dx):
                 continue
             cgl = quantum_cg(d_gamma, d_alpha, dD, d_igamma, d_i, dx, order)
             if cgl.is_zero():
                 continue
             for d_b in range(abs(d_alpha - dD), d_alpha + dD + 1, 2):
-                if d_b % 2 or not _is_index(d_b, d_ib):
+                if d_b % 2 or not _is_spin_index(d_b, d_ib):
                     continue
                 cgr = quantum_cg_decoupling(dD, d_alpha, d_b, dx, d_j, d_ib, order)
                 if cgr.is_zero():
@@ -213,21 +212,8 @@ def _antipode_factor(d_i: int, d_j: int, order: int, dps: int):
 # ---------------------------------------------------------------------------
 
 
-def _conv(a, b, order):
-    return tuple(
-        sum((a[j] * b[k - j] for j in range(k + 1)), mpmath.mpc(0))
-        for k in range(order + 1)
-    )
-
-
-def _coeff_unit(order, symbolic):
-    one = BigPoly([1]) if symbolic else mpmath.mpc(1)
-    zero = BigPoly() if symbolic else mpmath.mpc(0)
-    return (one,) + (zero,) * order
-
-
 def _negligible_scalar(c, eps):
-    if isinstance(c, BigPoly):
+    if isinstance(c, ParamPolynomial):
         return all(abs(x) < eps for x in c.coeffs)
     return abs(c) < eps
 
@@ -274,6 +260,13 @@ def _transpose_ops(ops):
     return [op if op[0] == "G" else (op[0], op[1]) for op in reversed(ops)]
 
 
+def _describe_op(op):
+    if op[0] == "G":
+        return "group-like element"
+    kind = "matrix element" if op[0] == "X" else "dual generator"
+    return f"{kind} of crossing {op[1] + 1}"
+
+
 def braid_sum(
     b: BraidWord,
     p,
@@ -284,9 +277,12 @@ def braid_sum(
     """Truncated knot sum for the balanced representation with parameter p.
 
     ``p`` is an exact numeric value or the module constant ``SYMBOLIC``
-    (then coefficients are polynomials in p).  Crossing spins run through
-    0, 1/2, ..., label_cutoff (default: the series order), which the h-adic
-    order bound makes exact for coefficients up to that order.
+    (then coefficients are ParamPolynomials in p with mpc coefficients;
+    read them with ``evaluate_big``).  Crossing spins run through 0, 1/2,
+    ..., label_cutoff (default: the series order), which the h-adic order
+    bound makes exact for coefficients up to that order.  More than
+    ``max_branches`` live branches after any operator raise
+    ResourceGuardError naming the count and the operator.
     """
     ops, signs = tangle_word(b)
     symbolic = p is SYMBOLIC
@@ -301,30 +297,23 @@ def braid_sum(
         ops = _transpose_ops(ops)
         forward = False
 
-    unit = _coeff_unit(order, symbolic)
-    zero_scalar = BigPoly() if symbolic else mpmath.mpc(0)
-
-    def scaled(coeffs, factor):
-        return tuple(c * factor for c in coeffs)
+    if symbolic:
+        one, zero = ParamPolynomial([mpmath.mpc(1)]), ParamPolynomial()
+    else:
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+    unit = (one,) + (zero,) * order
 
     # key: (d_spin, d_idx, pending) with pending a frozenset of
     # (crossing, d_alpha, d_i, d_j) label assignments awaiting their partner
     state0 = ((0, 0, frozenset()), unit)
     vec = dict([state0])
 
-    def push(store, key, coeffs):
-        cur = store.get(key)
-        if cur is None:
-            store[key] = coeffs
-        else:
-            store[key] = tuple(x + y for x, y in zip(cur, coeffs))
-
-    for op in ops:
+    for position, op in enumerate(ops):
         out = {}
         if op[0] == "G":
             for (ds, di, pend), coeffs in vec.items():
                 weight = group_like_action(di, order)
-                push(out, (ds, di, pend), _conv(coeffs, weight, order))
+                accumulate(out, (ds, di, pend), conv(coeffs, weight, order))
         elif op[0] == "X":
             xread, xwrite = (0, 1) if forward else (1, 0)
             for (ds, di, pend), coeffs in vec.items():
@@ -334,7 +323,7 @@ def braid_sum(
                     _, da, dii, djj, _awaits = known
                     idx = (dii, djj)[xread]
                     if ds == da and di == idx:
-                        push(
+                        accumulate(
                             out,
                             (da, (dii, djj)[xwrite], pend - {known}),
                             coeffs,
@@ -346,7 +335,7 @@ def braid_sum(
                             if forward
                             else (k, ds, dj, di, False)
                         )
-                        push(out, (ds, dj, pend | {lab}), coeffs)
+                        accumulate(out, (ds, dj, pend | {lab}), coeffs)
         else:  # dual generator
             k = op[1]
             sign = signs[k]
@@ -381,30 +370,30 @@ def braid_sum(
                     base = coeffs
                     if sign < 0:
                         antipode = _antipode_factor(dii, djj, order, dps)
-                        base = _conv(coeffs, antipode, order)
+                        base = conv(coeffs, antipode, order)
                         ai, aj = -dii, -djj
                     for (ds2, di2), entry in g_action(
                         da, ai, aj, ds, di, p, order, forward=forward
                     ):
-                        contrib = _conv(base, entry, order)
+                        contrib = conv(base, entry, order)
                         lead2 = _leading_order(contrib, eps)
                         if lead2 is None or 2 * lead2 + _min_headroom(
                             ds2, newpend
                         ) > 2 * order:
                             continue
-                        push(out, (ds2, di2, newpend), contrib)
+                        accumulate(out, (ds2, di2, newpend), contrib)
         vec = out
         if len(vec) > max_branches:
             raise ResourceGuardError(
-                f"braid sum branch count exceeded {max_branches}"
+                f"braid sum reached {len(vec)} branches at operator "
+                f"{position + 1} of {len(ops)} ({_describe_op(op)}), above "
+                f"the limit max_branches={max_branches}"
             )
 
-    total = (zero_scalar,) * (order + 1)
-    for (ds, di, pend), coeffs in vec.items():
-        if pend:
-            raise InternalConsistencyError("crossing label left unresolved")
-        if ds == 0 and di == 0:
-            total = tuple(x + y for x, y in zip(total, coeffs))
+    if any(pend for _, _, pend in vec):
+        raise InternalConsistencyError("crossing label left unresolved")
+    # Branches are keyed by state, so at most one ends at spin 0.
+    total = vec.get((0, 0, frozenset()), (zero,) * (order + 1))
     if symbolic:
         return TruncatedSeries(order, total)
     return TruncatedSeries(order, [mpmath.mpc(c) for c in total])

@@ -17,10 +17,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .errors import InternalConsistencyError
 from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, upper_half_sqrt, to_big
 
 __all__ = [
     "TruncatedSeries",
+    "conv",
+    "accumulate",
+    "jet_matrix_inverse",
     "constant_series",
     "exp_scaled",
     "q_power",
@@ -94,15 +98,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            n = self.order
-            a, b = self.coeffs, other.coeffs
-            out = []
-            for k in range(n + 1):
-                acc = a[0] * b[k]
-                for j in range(1, k + 1):
-                    acc = acc + a[j] * b[k - j]
-                out.append(acc)
-            return TruncatedSeries(n, out)
+            return TruncatedSeries(
+                self.order, conv(self.coeffs, other.coeffs, self.order)
+            )
         return TruncatedSeries(self.order, [c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -200,6 +198,101 @@ class TruncatedSeries:
             else:
                 coeffs.append(c.to_json())
         return {"order": self.order, "coeffs": coeffs}
+
+
+# ---------------------------------------------------------------------------
+# Coefficient-tuple kernels shared by every jet computation
+# ---------------------------------------------------------------------------
+
+
+def conv(a, b, order: int) -> tuple:
+    """Truncated Cauchy product: c_k = sum_{j <= k} a_j b_{k-j}, k = 0..order.
+
+    Each sum starts from a_0 b_k, so no ring-specific zero is needed and any
+    coefficient ring works (ints, Fraction, GaussianRational, mpc,
+    ParamPolynomial).
+    """
+    out = []
+    for k in range(order + 1):
+        acc = a[0] * b[k]
+        for j in range(1, k + 1):
+            acc += a[j] * b[k - j]
+        out.append(acc)
+    return tuple(out)
+
+
+def accumulate(store: dict, key, coeffs: tuple):
+    """Add the coefficient tuple ``coeffs`` into ``store[key]``."""
+    cur = store.get(key)
+    if cur is None:
+        store[key] = coeffs
+    else:
+        store[key] = tuple(x + y for x, y in zip(cur, coeffs))
+
+
+def _constant_inverse(A):
+    """Gauss-Jordan inverse of a square matrix over a field, pivoting on the
+    entry of largest ``abs`` in each column."""
+    n = len(A)
+    zero = A[0][0] * 0
+    one = zero + 1
+    aug = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(A)
+    ]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if not aug[piv][col]:
+            raise InternalConsistencyError(
+                f"jet matrix inverse: the {n}x{n} block is singular at h = 0"
+            )
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        pivot_row = aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], pivot_row)]
+    return [row[n:] for row in aug]
+
+
+def jet_matrix_inverse(M, order: int):
+    """Inverse of a square matrix of jets over a field, order by order.
+
+    Writing M = sum_k M_k h^k, the constant term X_0 = M_0^{-1} comes from
+    Gauss-Jordan elimination and X_k = -X_0 sum_{j>=1} M_j X_{k-j}.  Raises
+    InternalConsistencyError if M_0 is singular.  Returns a matrix of
+    TruncatedSeries.
+    """
+    n = len(M)
+    A = [[M[i][l].coeffs for l in range(n)] for i in range(n)]
+    X0 = _constant_inverse([[A[i][l][0] for l in range(n)] for i in range(n)])
+    zero = X0[0][0] * 0
+    X = [X0]  # X[k] is the matrix of h^k coefficients
+    for k in range(1, order + 1):
+        S = [[zero] * n for _ in range(n)]
+        for j in range(1, k + 1):
+            Xprev = X[k - j]
+            for i in range(n):
+                Si = S[i]
+                for l in range(n):
+                    mv = A[i][l][j]
+                    if mv:
+                        row = Xprev[l]
+                        for c in range(n):
+                            if row[c]:
+                                Si[c] += mv * row[c]
+        X.append(
+            [
+                [-sum((X0[i][l] * S[l][c] for l in range(1, n)), X0[i][0] * S[0][c])
+                 for c in range(n)]
+                for i in range(n)
+            ]
+        )
+    return [
+        [TruncatedSeries(order, [X[k][i][c] for k in range(order + 1)]) for c in range(n)]
+        for i in range(n)
+    ]
 
 
 def constant_series(value, order: int) -> TruncatedSeries:

@@ -459,12 +459,17 @@ def lorentz_apply_word(word, m: int):
     return vec
 
 
-def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
-    """Literal corner-state evaluation (no per-chord sign) with checks."""
+def _corner_scalar(pairs, m: int, element: str) -> ParamPolynomial:
+    """Act with sum_i coeff_i * word_i on the corner state (|m|, |m|).
+
+    ``pairs`` yields (coefficient, word).  Every component off the corner
+    must cancel, or InternalConsistencyError names ``element`` and the
+    surviving component; the corner value must be radical-free.
+    """
     am = abs(m)
     start = (am, am)
     total = {}
-    for coeff, word in phi_words(t, d):
+    for coeff, word in pairs:
         for state, rad in lorentz_apply_word(word, m).items():
             contrib = rad.mul_simple(coeff)
             cur = total.get(state)
@@ -472,10 +477,15 @@ def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     for state, rad in total.items():
         if state != start and not rad.is_zero():
             raise InternalConsistencyError(
-                "central element moved the corner state of the minimal-spin "
-                f"module (component {state} survived)"
+                f"{element} moved the corner state of the minimal-spin module "
+                f"(component {state} survived): scalar extraction invalid"
             )
     return total.get(start, RadicalSum.scalar(m, 0)).scalar_value()
+
+
+def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
+    """Literal corner-state evaluation (no per-chord sign) with checks."""
+    return _corner_scalar(phi_words(t, d), m, "central element")
 
 
 def lambda_mp_direct(d, m: int) -> ParamPolynomial:
@@ -525,20 +535,9 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
 
 def lorentz_quadratic_eigenvalue(terms, m: int) -> ParamPolynomial:
     """Eigenvalue polynomial of sum_i c_i X_i Y_i on the minimal-spin module."""
-    am = abs(m)
-    start = (am, am)
-    total = {}
-    for coeff, a, b in terms:
-        for state, rad in lorentz_apply_word((b, a), m).items():
-            contrib = rad.mul_simple(coeff)
-            cur = total.get(state)
-            total[state] = contrib if cur is None else cur.add(contrib)
-    for state, rad in total.items():
-        if state != start and not rad.is_zero():
-            raise InternalConsistencyError(
-                f"quadratic element not scalar: component {state} survived"
-            )
-    return total.get(start, RadicalSum.scalar(m, 0)).scalar_value()
+    return _corner_scalar(
+        ((c, (b, a)) for c, a, b in terms), m, "quadratic element"
+    )
 
 
 def casimir_eigenvalues(m: int, p=None):

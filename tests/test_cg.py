@@ -190,7 +190,7 @@ def test_lambda_closed_form_at_gaussian_point():
         C = 1
         p = GaussianRational(Fraction(1, 2), Fraction(3, 2))  # complex point
         sym = lambda_coeff_symbolic(2 * C, 1, 2 * C + 1, 2 * C + 2, order)
-        at_p = [poly.evaluate(p) for poly in sym.coeffs]
+        at_p = [poly.evaluate_big(p) for poly in sym.coeffs]
         q2C2 = series_to_big(q_power(2 * C + 2, order))
         one = series_to_big(constant_series(1, order))
         qp = series_to_big(q_power(p, order))
@@ -206,7 +206,7 @@ def test_symbolic_matches_numeric():
         for p in (1, 2, 5):
             num = lambda_coeff(2, 2, 2, 0, p, order)
             diff = max(
-                abs(poly.evaluate(p) - c) for poly, c in zip(sym.coeffs, num.coeffs)
+                abs(poly.evaluate_big(p) - c) for poly, c in zip(sym.coeffs, num.coeffs)
             )
             assert diff < TOL
 

@@ -109,3 +109,63 @@ def test_interpolation_roundtrip_random(coeffs):
     nodes = [F(k) for k in range(max(p.degree() + 1, 1))]
     values = [p.evaluate(x) for x in nodes]
     assert lagrange_interpolate(nodes, values) == p
+
+
+# ---------------------------------------------------------------------------
+# One polynomial type over exact and mpc coefficients
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(polys, min_size=4, max_size=4), st.lists(polys, min_size=4, max_size=4))
+def test_conv_of_polynomial_tuples_matches_schoolbook(a, b):
+    from lorentzknots.series import conv
+
+    for order in range(4):
+        want = tuple(
+            sum((a[j] * b[k - j] for j in range(k + 1)), ParamPolynomial())
+            for k in range(order + 1)
+        )
+        assert conv(a, b, order) == want
+
+
+def test_coefficients_kept_or_coerced():
+    import mpmath
+
+    exact = ParamPolynomial([1, F(1, 2), G(0, 1)])
+    assert all(type(c) is GaussianRational for c in exact.coeffs)
+    floats = ParamPolynomial([mpmath.mpc(1), mpmath.mpc(0, 2), mpmath.mpc(0)])
+    assert floats.degree() == 1
+    assert all(type(c) is mpmath.mpc for c in floats.coeffs)
+
+
+def test_mpc_polynomial_ring_ops_match_evaluation():
+    import mpmath
+
+    from lorentzknots.scalars import precision
+
+    with precision(30):
+        a = ParamPolynomial([mpmath.mpc(1, 1), mpmath.mpc(0), mpmath.mpc(3)])
+        b = ParamPolynomial([mpmath.mpc(0), mpmath.mpc(-2, 1)])
+        for point in (F(1, 3), G(2, -1)):
+            pa, pb = a.evaluate_big(point), b.evaluate_big(point)
+            tol = mpmath.mpf(10) ** -40
+            assert abs((a * b).evaluate_big(point) - pa * pb) < tol
+            assert abs((a + b).evaluate_big(point) - (pa + pb)) < tol
+            assert abs((b - a).evaluate_big(point) - (pb - pa)) < tol
+        assert (a - a).is_zero()
+        assert all(type(c) is mpmath.mpc for c in (a * b).coeffs)
+
+
+def test_symbolic_braid_sum_coefficients_are_mpc_polynomials():
+    import mpmath
+
+    from lorentzknots.braids import parse_braid
+    from lorentzknots.qlorentz import SYMBOLIC, braid_sum
+    from lorentzknots.scalars import precision
+
+    with precision(30):
+        sym = braid_sum(parse_braid("-s1 -s1 -s1", 2), SYMBOLIC, 2)
+    assert all(isinstance(poly, ParamPolynomial) for poly in sym.coeffs)
+    assert all(type(c) is mpmath.mpc for poly in sym.coeffs for c in poly.coeffs)
+    assert sym.coeffs[2].degree() >= 1

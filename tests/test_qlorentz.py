@@ -1,5 +1,7 @@
 """Balanced-representation actions and truncated braid sums."""
 
+import re
+
 import mpmath
 import pytest
 
@@ -228,7 +230,7 @@ def test_symbolic_mode_matches_numeric():
         for p in (2, 3):
             num = braid_sum(TREFOIL_L, p, 2)
             diff = max(
-                abs(poly.evaluate(p) - c)
+                abs(poly.evaluate_big(p) - c)
                 for poly, c in zip(sym.coeffs, num.coeffs)
             )
             assert diff < TOL
@@ -237,6 +239,16 @@ def test_symbolic_mode_matches_numeric():
 
 
 def test_branch_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError) as info:
         with precision(40):
             braid_sum(TREFOIL_L, 2, 2, max_branches=1)
+    message = str(info.value)
+    # the count reached, the operator's position and kind, and the limit
+    reached = re.search(r"reached (\d+) branches", message)
+    assert reached and int(reached.group(1)) > 1
+    assert re.search(
+        r"at operator [1-7] of 7 \((?:(?:matrix element|dual generator) of "
+        r"crossing [123]|group-like element)\)",
+        message,
+    )
+    assert "max_branches=1" in message

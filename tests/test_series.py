@@ -1,12 +1,14 @@
 """Scalar and series layer: exact backends, q-helpers, square roots."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorentzknots.errors import InternalConsistencyError
 from lorentzknots.scalars import (
     GaussianRational,
     GR_I,
@@ -20,7 +22,9 @@ from lorentzknots.series import (
     TruncatedSeries,
     clear_caches,
     constant_series,
+    conv,
     exp_scaled,
+    jet_matrix_inverse,
     q_dim,
     q_factorial,
     q_integer,
@@ -105,6 +109,116 @@ def test_mul_truncates_at_order():
     prod = a * b
     assert prod.order == 3
     assert prod == exp_scaled(3, 3)
+
+
+# ---------------------------------------------------------------------------
+# The shared kernels: conv and jet_matrix_inverse
+# ---------------------------------------------------------------------------
+
+
+def schoolbook(a, b, order):
+    """Full product by the double loop, then truncated."""
+    full = {}
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[i + j] = full[i + j] + x * y if i + j in full else x * y
+    return tuple(full[k] for k in range(order + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+    st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+    st.lists(small_rationals, min_size=5, max_size=5),
+    st.lists(small_rationals, min_size=5, max_size=5),
+)
+def test_conv_matches_schoolbook_exact(ia, ib, fa, fb):
+    for order in range(5):
+        assert conv(ia, ib, order) == schoolbook(ia, ib, order)
+        assert conv(fa, fb, order) == schoolbook(fa, fb, order)
+
+
+def test_conv_matches_schoolbook_mpc():
+    with precision(30):
+        a = [mpmath.mpc(k + 1, -k) / 3 for k in range(4)]
+        b = [mpmath.mpc(2 - k, k * k) / 7 for k in range(4)]
+        for order in range(4):
+            got, want = conv(a, b, order), schoolbook(a, b, order)
+            assert max(abs(x - y) for x, y in zip(got, want)) < mpmath.mpf(10) ** -28
+
+
+def det(rows):
+    """Leibniz determinant: shares no code with the elimination."""
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = F(sign)
+        for i, c in enumerate(perm):
+            term *= rows[i][c]
+        total += term
+    return total
+
+
+def matmul(A, B):
+    n = len(A)
+    return [
+        [sum((A[i][l] * B[l][c] for l in range(1, n)), A[i][0] * B[0][c]) for c in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def fraction_blocks(draw):
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3))
+    entries = st.lists(small_rationals, min_size=order + 1, max_size=order + 1)
+    M = [[TruncatedSeries(order, draw(entries)) for _ in range(n)] for _ in range(n)]
+    return M, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_blocks())
+def test_jet_matrix_inverse_exact_on_fraction_blocks(block):
+    M, order = block
+    n = len(M)
+    if not det([[M[i][j].coeffs[0] for j in range(n)] for i in range(n)]):
+        with pytest.raises(InternalConsistencyError):
+            jet_matrix_inverse(M, order)
+        return
+    X = jet_matrix_inverse(M, order)
+    product = matmul(M, X)
+    for i in range(n):
+        for c in range(n):
+            want = [F(int(i == c))] + [F(0)] * order
+            assert list(product[i][c].coeffs) == want
+
+
+def test_jet_matrix_inverse_on_coupling_block():
+    from lorentzknots.cg import quantum_cg
+
+    order, dJ, dK, dx = 3, 2, 2, 0
+    with precision(40):
+        tol = mpmath.mpf(10) ** -(mpmath.mp.dps - 8)
+        pairs = [(-2, 2), (0, 0), (2, -2)]
+        M = [[quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in (0, 2, 4)]
+             for dn, dp in pairs]
+        product = matmul(M, jet_matrix_inverse(M, order))
+        for i in range(3):
+            for c in range(3):
+                for k, value in enumerate(product[i][c].coeffs):
+                    assert abs(value - (1 if i == c and k == 0 else 0)) < tol
+
+
+def test_jet_matrix_inverse_rejects_block_singular_at_zero():
+    h = TruncatedSeries(2, [F(0), F(1), F(0)])
+    one = TruncatedSeries(2, [F(1), F(0), F(0)])
+    with pytest.raises(InternalConsistencyError, match="2x2"):
+        jet_matrix_inverse([[h, one], [h + h, one]], 2)
 
 
 # ---------------------------------------------------------------------------

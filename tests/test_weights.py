@@ -122,7 +122,7 @@ def test_sign_parity_under_tensor_negation():
 
 
 def test_four_t_vanishing_sl2():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for g in four_t_generators(n):
             assert lambda_z_sl2(g).is_zero()
             assert lambda_z_sl2(g, T_CK_SL2).is_zero()
@@ -180,6 +180,8 @@ def test_four_t_vanishing_lorentz():
         for g in four_t_generators(n):
             for m in (0, 1, 2):
                 assert lambda_mp_factorized(g, m).is_zero()
+    for g in four_t_generators(4):
+        assert lambda_mp_factorized(g, 1).is_zero()
 
 
 def test_unframed_criterion_on_quadratic_value():
