@@ -96,9 +96,9 @@ def criterion_1_unknot_closed_form():
 
 
 def criterion_2_four_term_vanishing():
-    """Both character families kill every 4T generator with <= 3 chords."""
+    """Both character families kill every 4T generator with <= 4 chords."""
     checked = 0
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for gen in four_t_generators(n):
             if not lambda_z_sl2(gen).is_zero():
                 return False, f"sl2 weight nonzero on a {n}-chord generator"

@@ -444,9 +444,13 @@ def exact_rank(rows) -> int:
 
 
 def quotient_dimension(n: int) -> int:
-    """dim of (n-chord diagrams) / (four-term relations), exactly."""
-    if n > 4:
-        raise ResourceGuardError(f"quotient_dimension guards at n <= 4, got {n}")
+    """dim of (n-chord diagrams) / (four-term relations), exactly.
+
+    Guarded at n <= 5, the bound of :func:`four_t_generators`; n = 5 takes
+    under half a second.
+    """
+    if n > 5:
+        raise ResourceGuardError(f"quotient_dimension guards at n <= 5, got {n}")
     basis = enumerate_diagrams(n)
     if n < 2:
         return len(basis)

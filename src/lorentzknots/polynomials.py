@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
+
 from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, to_big
 from .series import TruncatedSeries
 
@@ -37,6 +39,20 @@ def _coerce_coeff(c):
     return GaussianRational.coerce(c)
 
 
+def _mpc_to_json(z):
+    """An mpc as its two mpf (sign, mantissa, exponent, bits) tuples, exactly."""
+    # mantissas may be gmpy integers; json needs plain ints
+    return [[int(x) for x in z.real._mpf_], [int(x) for x in z.imag._mpf_]]
+
+
+def _mpc_from_json(data):
+    """Inverse of :func:`_mpc_to_json`, exact at any working precision."""
+    re, im = data
+    # mpf() rounds to the working precision; decode at the stored bit count.
+    with mpmath.workprec(max(re[3], im[3], 1)):
+        return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
+
+
 def _trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -50,7 +66,8 @@ class ParamPolynomial:
     Coefficients are GaussianRationals (ints and Fractions are coerced) or
     mpmath ``mpc`` values; one polynomial keeps to one of the two.  Exact
     evaluation, division and substitution need GaussianRational
-    coefficients; :meth:`evaluate_big` works for both.
+    coefficients (on ``mpc`` ones they raise TypeError); :meth:`evaluate_big`
+    works for both.
     """
 
     __slots__ = ("coeffs",)
@@ -73,7 +90,18 @@ class ParamPolynomial:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
+    def _require_exact(self, operation: str):
+        # One polynomial keeps to one coefficient kind, so the leading
+        # coefficient tells which.
+        if self.coeffs and isinstance(self.coeffs[-1], BigComplex):
+            raise TypeError(
+                f"ParamPolynomial.{operation} needs Gaussian-rational "
+                "coefficients; read a polynomial with mpc coefficients "
+                "with evaluate_big"
+            )
+
     def constant(self) -> GaussianRational:
+        self._require_exact("constant")
         return self.coeffs[0] if self.coeffs else GR_ZERO
 
     def is_even(self) -> bool:
@@ -81,6 +109,7 @@ class ParamPolynomial:
         return all(not c for c in self.coeffs[1::2])
 
     def coefficient(self, k: int) -> GaussianRational:
+        self._require_exact("coefficient")
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
 
     # -- ring operations --------------------------------------------------
@@ -143,6 +172,7 @@ class ParamPolynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        self._require_exact("__truediv__")
         if isinstance(other, (int, Fraction, GaussianRational)):
             inv = GR_ONE / GaussianRational.coerce(other)
             return self * inv
@@ -153,6 +183,7 @@ class ParamPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of a polynomial are not defined")
+        self._require_exact("__pow__")
         result = ParamPolynomial([GR_ONE])
         for _ in range(n):
             result = result * self
@@ -162,6 +193,7 @@ class ParamPolynomial:
 
     def evaluate(self, point) -> GaussianRational:
         """Exact evaluation at a Gaussian-rational point (Horner)."""
+        self._require_exact("evaluate")
         point = GaussianRational.coerce(point)
         acc = GR_ZERO
         for c in reversed(self.coeffs):
@@ -178,6 +210,7 @@ class ParamPolynomial:
 
     def compose_affine(self, a, b) -> "ParamPolynomial":
         """Substitute x -> a*y + b, returning the polynomial in y."""
+        self._require_exact("compose_affine")
         a = GaussianRational.coerce(a)
         b = GaussianRational.coerce(b)
         lin = ParamPolynomial([b, a])
@@ -219,7 +252,22 @@ class ParamPolynomial:
         return " + ".join(parts)
 
     def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
+        """Coefficients in ascending degree, each encoded exactly.
+
+        A GaussianRational is [re_num, re_den, im_num, im_den]; an mpc is the
+        pair of its mpf (sign, mantissa, exponent, bits) tuples.
+        """
+        return [
+            _mpc_to_json(c) if isinstance(c, BigComplex) else c.to_json()
+            for c in self.coeffs
+        ]
+
+    @staticmethod
+    def from_json(data) -> "ParamPolynomial":
+        return ParamPolynomial(
+            _mpc_from_json(c) if isinstance(c[0], list) else GaussianRational.from_json(c)
+            for c in data
+        )
 
 
 # A PolySeries is a TruncatedSeries whose coefficients are ParamPolynomials.

@@ -36,7 +36,7 @@ from .cg import (
     _LAMBDA_CACHE,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .polynomials import ParamPolynomial
+from .polynomials import ParamPolynomial, _mpc_from_json, _mpc_to_json
 from .scalars import GaussianRational
 from .series import (
     TruncatedSeries,
@@ -423,20 +423,6 @@ def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
 _CACHE_FORMAT_VERSION = 2
 
 
-def _mpc_to_json(z):
-    z = mpmath.mpc(z)
-    # mantissas may be gmpy integers; json needs plain ints
-    return [
-        [int(x) for x in mpmath.mpf(z.real)._mpf_],
-        [int(x) for x in mpmath.mpf(z.imag)._mpf_],
-    ]
-
-
-def _mpc_from_json(data):
-    re, im = data
-    return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
-
-
 def _entries_digest(entries):
     """SHA-256 of the entries in canonical JSON (sorted keys, no spaces)."""
     # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
@@ -520,7 +506,7 @@ def load_lambda_cache(path):
             coeffs = [_mpc_from_json(c) for c in entry["coeffs"]]
             key = ("lam", dA, dB, dC, dD, p, order, dps)
             loaded[key] = TruncatedSeries(order, coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed cache entry: {exc}") from exc
     if loaded:
         _check_recomputed(path, *next(iter(loaded.items())))

@@ -1,12 +1,23 @@
 """Weight maps from symmetric invariant 2-tensors, and central characters.
 
 A symmetric tensor t = sum_i a_i (x) b_i in g (x) g that commutes with the
-coproduct turns a chord diagram into a central element of U(g): walk the
-circle from the basepoint, emit the left generator of the chosen term at a
-chord's first endpoint and the right generator at its second, sum over term
-choices.  Evaluating that element on a module with a central character gives
-a scalar, extracted here from the highest-weight (corner) state with an
-explicit cancellation check on every other component.
+coproduct turns a chord diagram into a central element of U(g): put a term
+of t on every chord, read the generators off the circle from the basepoint
+(left generator at a chord's first endpoint, right at its second) and sum
+over the |t|^n choices of terms (:func:`phi_words` lists them).
+
+The element is never expanded.  One transfer walk goes round the circle
+once, acting on the module as it goes: at a chord's first endpoint it
+branches over the terms of t and applies the left generator, keeping the
+chosen term as a label pending on the open chord; at the second endpoint it
+applies that term's right generator and drops the label, so branches that
+differ only in closed chords merge.  The cost follows the number of chords
+open at once, not |t|^n.  Evaluating the element on a module with a central
+character gives a scalar, extracted here from the highest-weight (corner)
+state with an explicit cancellation check on every other component.  Each
+diagram's exact sl2 character is computed once per tensor and basepoint and
+shared by the Lorentz characters' coproduct factors (memo tables emptied by
+:func:`lorentzknots.series.clear_caches`).
 
 Sign convention: the quadratic element C_t = sum_i a_i b_i is *minus* the
 one-chord weight, i.e. the evaluation carries a factor (-1) per chord.  All
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct
@@ -168,12 +180,10 @@ CASIMIR_RIGHT_TERMS = tuple((c, a, b) for c, a, b in T_RIGHT.terms)
 # ---------------------------------------------------------------------------
 
 
-def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
-    """All (coefficient, generator word) pairs for a diagram.
+def _slots(d: ChordDiagram, start: int):
+    """(chord id, role) per circle position from ``start``; role 1 or 2.
 
-    Words are returned in application order: word[0] acts first.  The walk
-    begins at circle position ``start`` of the stored pairing, so rotating
-    ``start`` probes basepoint independence.
+    Chord ids count chords in the order the walk first meets them.
     """
     n2 = 2 * d.n
     first_seen = {}
@@ -187,6 +197,19 @@ def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
         else:
             first_seen[key] = len(first_seen)
             slots.append((first_seen[key], 1))
+    return slots
+
+
+def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
+    """All (coefficient, generator word) pairs for a diagram.
+
+    Words are returned in application order: word[0] acts first.  The walk
+    begins at circle position ``start`` of the stored pairing, so rotating
+    ``start`` probes basepoint independence.  This is the literal
+    |t|^n-word expansion; the characters use :func:`_transfer_walk`, which
+    the tests check against it.
+    """
+    slots = _slots(d, start)
     words = []
     for assignment in product(range(len(t.terms)), repeat=d.n):
         coeff = GR_ONE
@@ -197,6 +220,50 @@ def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
     return words
 
 
+def _add_into(vec, state, value):
+    """vec[state] += value, dropping the entry if it cancels."""
+    cur = vec.get(state)
+    value = value if cur is None else cur + value
+    if value.is_zero():
+        vec.pop(state, None)
+    else:
+        vec[state] = value
+
+
+def _transfer_walk(t: InfinitesimalRMatrix, d: ChordDiagram, start: int, corner, step):
+    """The weight of ``d`` under ``t`` applied to the module vector ``corner``.
+
+    One walk round the circle from ``start``.  Its state maps the term index
+    pending on each chord (-1 before the chord opens and after it closes) to
+    a module vector {module state: coefficient}.  A chord's first endpoint
+    branches over the terms of ``t``, multiplying in the term's coefficient
+    and applying its left generator; the second endpoint applies the stored
+    term's right generator and clears the label, so branches that differ
+    only in closed chords merge.  ``step(vec, gen)`` applies one generator.
+    The result equals the sum of coeff * word over :func:`phi_words`.
+    """
+    closed = (-1,) * d.n
+    branches = {closed: corner}
+    for chord, role in _slots(d, start):
+        out = {}
+        for pending, vec in branches.items():
+            head, tail = pending[:chord], pending[chord + 1:]
+            if role == 1:
+                for index, (coeff, left, _) in enumerate(t.terms):
+                    moved = step({s: c * coeff for s, c in vec.items()}, left)
+                    if moved:
+                        out[head + (index,) + tail] = moved
+            else:
+                label = head + (-1,) + tail
+                merged = out.setdefault(label, {})
+                for state, value in step(vec, t.terms[pending[chord]][2]).items():
+                    _add_into(merged, state, value)
+                if not merged:
+                    del out[label]
+        branches = out
+    return branches.get(closed, {})
+
+
 # ---------------------------------------------------------------------------
 # sl2 spin-z module (exact polynomials in z)
 # ---------------------------------------------------------------------------
@@ -204,37 +271,36 @@ def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
 _Z = poly_variable()
 
 
+def _sl2_step(vec, gen):
+    """Apply one generator to a vector; states are descent depths j >= 0."""
+    out = {}
+    for j, poly in vec.items():
+        if gen == "E":
+            if j >= 1:
+                key, val = j - 1, poly * j
+            else:
+                continue
+        elif gen == "F":
+            key, val = j + 1, poly * (2 * _Z - j)
+        elif gen == "H":
+            key, val = j, poly * (_Z - j)
+        else:
+            raise ValueError(f"unknown sl2 generator {gen!r}")
+        _add_into(out, key, val)
+    return out
+
+
 def _sl2_apply_word(word):
-    """Apply a word to the corner state; states are descent depths j >= 0."""
+    """Apply a word to the corner state (the literal reference of the walk)."""
     vec = {0: POLY_ONE}
     for gen in word:
-        out = {}
-        for j, poly in vec.items():
-            if gen == "E":
-                if j >= 1:
-                    key, val = j - 1, poly * j
-                else:
-                    continue
-            elif gen == "F":
-                key, val = j + 1, poly * (2 * _Z - j)
-            elif gen == "H":
-                key, val = j, poly * (_Z - j)
-            else:
-                raise ValueError(f"unknown sl2 generator {gen!r}")
-            if key in out:
-                out[key] = out[key] + val
-            else:
-                out[key] = val
-        vec = {k: v for k, v in out.items() if not v.is_zero()}
+        vec = _sl2_step(vec, gen)
     return vec
 
 
-def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start=0):
-    total = {}
-    for coeff, word in phi_words(t, d, start):
-        for j, poly in _sl2_apply_word(word).items():
-            cur = total.get(j, POLY_ZERO)
-            total[j] = cur + poly * coeff
+@memoized
+def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start: int):
+    total = _transfer_walk(t, d, start, {0: POLY_ONE}, _sl2_step)
     for j, poly in total.items():
         if j != 0 and not poly.is_zero():
             raise InternalConsistencyError(
@@ -327,7 +393,7 @@ class RadicalSum:
             poly = poly_constant(poly)
         return RadicalSum(m, {(frozenset(), 1): poly})
 
-    def add(self, other: "RadicalSum") -> "RadicalSum":
+    def __add__(self, other: "RadicalSum") -> "RadicalSum":
         out = dict(self.terms)
         for key, poly in other.terms.items():
             cur = out.get(key)
@@ -370,6 +436,9 @@ class RadicalSum:
         result = RadicalSum(self.m)
         result.terms = out
         return result
+
+    def __mul__(self, scalar) -> "RadicalSum":
+        return self.mul_simple(scalar)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -426,66 +495,70 @@ def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
     raise ValueError(f"unknown Lorentz generator {gen!r}")
 
 
+def _lorentz_step(vec, gen: str, m: int):
+    """Apply one generator to a vector {(alpha, k): RadicalSum}."""
+    am = abs(m)
+    out = {}
+    for (alpha, k), coeff in vec.items():
+        for a2, k2, sign, radicand, c_index, with_b, k_factor in _lorentz_targets(
+            gen, alpha, k, m
+        ):
+            if a2 < am or abs(k2) > a2 or radicand == 0:
+                continue
+            if c_index is not None and c_index <= am:
+                continue  # c_alpha vanishes at the minimal spin
+            mult, rad = _square_split(radicand)
+            poly = poly_constant(sign * mult)
+            if with_b:
+                if m == 0:
+                    continue
+                poly = poly * _b_coeff(alpha, m)
+            if k_factor is not None:
+                if k_factor == 0:
+                    continue
+                poly = poly * k_factor
+            _add_into(out, (a2, k2), coeff.mul_simple(poly, c_index=c_index, rad=rad))
+    return out
+
+
+def _lorentz_corner(m: int):
+    am = abs(m)
+    return {(am, am): RadicalSum.scalar(m, 1)}
+
+
 def lorentz_apply_word(word, m: int):
     """Apply a generator word to the corner state (alpha, k) = (|m|, |m|)."""
-    am = abs(m)
-    vec = {(am, am): RadicalSum.scalar(m, 1)}
+    vec = _lorentz_corner(m)
     for gen in word:
-        out = {}
-        for (alpha, k), coeff in vec.items():
-            for a2, k2, sign, radicand, c_index, with_b, k_factor in _lorentz_targets(
-                gen, alpha, k, m
-            ):
-                if a2 < am or abs(k2) > a2 or radicand == 0:
-                    continue
-                if c_index is not None and c_index <= am:
-                    continue  # c_alpha vanishes at the minimal spin
-                mult, rad = _square_split(radicand)
-                poly = poly_constant(sign * mult)
-                if with_b:
-                    if m == 0:
-                        continue
-                    poly = poly * _b_coeff(alpha, m)
-                if k_factor is not None:
-                    if k_factor == 0:
-                        continue
-                    poly = poly * k_factor
-                term = coeff.mul_simple(poly, c_index=c_index, rad=rad)
-                if term.is_zero():
-                    continue
-                cur = out.get((a2, k2))
-                out[(a2, k2)] = term if cur is None else cur.add(term)
-        vec = {s: c for s, c in out.items() if not c.is_zero()}
+        vec = _lorentz_step(vec, gen, m)
     return vec
 
 
-def _corner_scalar(pairs, m: int, element: str) -> ParamPolynomial:
-    """Act with sum_i coeff_i * word_i on the corner state (|m|, |m|).
+def _corner_scalar(total, m: int, element: str) -> ParamPolynomial:
+    """Scalar of an element from ``total``, the vector it makes of the corner.
 
-    ``pairs`` yields (coefficient, word).  Every component off the corner
-    must cancel, or InternalConsistencyError names ``element`` and the
-    surviving component; the corner value must be radical-free.
+    Every component off the corner state (|m|, |m|) must cancel, or
+    InternalConsistencyError names ``element`` and the surviving component;
+    the corner value must be radical-free.
     """
-    am = abs(m)
-    start = (am, am)
-    total = {}
-    for coeff, word in pairs:
-        for state, rad in lorentz_apply_word(word, m).items():
-            contrib = rad.mul_simple(coeff)
-            cur = total.get(state)
-            total[state] = contrib if cur is None else cur.add(contrib)
+    corner = (abs(m), abs(m))
     for state, rad in total.items():
-        if state != start and not rad.is_zero():
+        if state != corner and not rad.is_zero():
             raise InternalConsistencyError(
                 f"{element} moved the corner state of the minimal-spin module "
                 f"(component {state} survived): scalar extraction invalid"
             )
-    return total.get(start, RadicalSum.scalar(m, 0)).scalar_value()
+    return total.get(corner, RadicalSum.scalar(m, 0)).scalar_value()
 
 
 def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
-    """Literal corner-state evaluation (no per-chord sign) with checks."""
-    return _corner_scalar(phi_words(t, d), m, "central element")
+    """Corner value of the weight of ``d`` under ``t``, before the per-chord sign.
+
+    The off-corner cancellation and radical-free checks of
+    :func:`_corner_scalar` apply.
+    """
+    total = _transfer_walk(t, d, 0, _lorentz_corner(m), partial(_lorentz_step, m=m))
+    return _corner_scalar(total, m, "central element")
 
 
 def lambda_mp_direct(d, m: int) -> ParamPolynomial:
@@ -503,6 +576,12 @@ def lambda_mp_direct(d, m: int) -> ParamPolynomial:
     return value if d.n % 2 == 0 else _SIGN_PER_CHORD * value
 
 
+@memoized
+def _sl2_character_in_p(d: ChordDiagram, m: Fraction) -> ParamPolynomial:
+    """The sl2 character of ``d`` under T_CK_SL2 at z = (p - 1 + m)/2."""
+    return _lambda_z_literal(d, T_CK_SL2, 0).compose_affine(Fraction(1, 2), (m - 1) / 2)
+
+
 def lambda_mp_factorized(d, m) -> ParamPolynomial:
     """Character polynomial in p through the coproduct and two sl2 characters.
 
@@ -516,13 +595,10 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
             total = total + c * lambda_mp_factorized(diagram, m)
         return total
     m = Fraction(m)
-    half = Fraction(1, 2)
-    sub_z = (half, (m - 1) / 2)  # z = (p - 1 + m)/2
-    sub_w = (half, (-m - 1) / 2)  # w = (p - 1 - m)/2
     total = POLY_ZERO
     for (w1, w2), c in coproduct(d).terms.items():
-        left = _lambda_z_literal(w1, T_CK_SL2).compose_affine(*sub_z)
-        right = _lambda_z_literal(w2, T_CK_SL2).compose_affine(*sub_w)
+        left = _sl2_character_in_p(w1, m)
+        right = _sl2_character_in_p(w2, -m)  # at w = (p - 1 - m)/2
         sign = -1 if w2.n % 2 else 1  # the right factor carries -t
         total = total + c * sign * (left * right)
     return total if d.n % 2 == 0 else _SIGN_PER_CHORD * total
@@ -535,9 +611,11 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
 
 def lorentz_quadratic_eigenvalue(terms, m: int) -> ParamPolynomial:
     """Eigenvalue polynomial of sum_i c_i X_i Y_i on the minimal-spin module."""
-    return _corner_scalar(
-        ((c, (b, a)) for c, a, b in terms), m, "quadratic element"
-    )
+    total = {}
+    for c, a, b in terms:
+        for state, rad in lorentz_apply_word((b, a), m).items():
+            _add_into(total, state, rad * c)
+    return _corner_scalar(total, m, "quadratic element")
 
 
 def casimir_eigenvalues(m: int, p=None):

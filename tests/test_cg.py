@@ -234,6 +234,25 @@ def test_cache_round_trip(tmp_path):
         assert all(a == b for a, b in zip(expected.coeffs, again.coeffs))
 
 
+def test_cache_file_of_format_2_still_loads():
+    # Saved by the format-2 writer at 30 digits (dps 50): Lambda^{222}_0 and
+    # Lambda^{213}_2 at p = 3, order 2.  Loaded at the default precision,
+    # the entries keep every bit (the first is irrational).
+    from pathlib import Path
+
+    from lorentzknots.qlorentz import load_lambda_cache
+
+    path = Path(__file__).parent / "data" / "lambda_cache_v2.json"
+    clear_caches()
+    assert load_lambda_cache(path) == 2
+    with mpmath.workdps(50):
+        cached = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
+        clear_caches()
+        fresh = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
+    assert [s.coeffs for s in cached] == [s.coeffs for s in fresh]
+    clear_caches()
+
+
 def _tripled_constant_terms(path, resign):
     import json
 

@@ -249,7 +249,7 @@ def _dense_rank(rows, ncols):
     return rank
 
 
-@pytest.mark.parametrize("n,dim", [(0, 1), (1, 1), (2, 2), (3, 3), (4, 6)])
+@pytest.mark.parametrize("n,dim", [(0, 1), (1, 1), (2, 2), (3, 3), (4, 6), (5, 10)])
 def test_quotient_dimension(n, dim):
     # Frozen values come from the exact elimination itself, cross-checked
     # against an independent dense elimination below.
@@ -266,8 +266,8 @@ def test_quotient_dimension(n, dim):
 
 
 def test_quotient_guard():
-    with pytest.raises(ResourceGuardError):
-        quotient_dimension(5)
+    with pytest.raises(ResourceGuardError, match="n <= 5, got 6"):
+        quotient_dimension(6)
 
 
 def test_diagram_sum_json():

@@ -169,3 +169,51 @@ def test_symbolic_braid_sum_coefficients_are_mpc_polynomials():
     assert all(isinstance(poly, ParamPolynomial) for poly in sym.coeffs)
     assert all(type(c) is mpmath.mpc for poly in sym.coeffs for c in poly.coeffs)
     assert sym.coeffs[2].degree() >= 1
+
+
+def _symbolic_structure_constant():
+    from lorentzknots.cg import lambda_coeff_symbolic
+    from lorentzknots.scalars import precision
+
+    with precision(30):
+        return lambda_coeff_symbolic(2, 2, 2, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p.evaluate(2),
+        lambda p: p.coefficient(0),
+        lambda p: p.constant(),
+        lambda p: p.compose_affine(F(1, 2), 0),
+        lambda p: p / 2,
+        lambda p: p**2,
+    ],
+    ids=["evaluate", "coefficient", "constant", "compose_affine", "truediv", "pow"],
+)
+def test_exact_operations_name_evaluate_big_on_mpc_coefficients(operation):
+    poly = _symbolic_structure_constant().coeffs[1]
+    assert not poly.is_zero()
+    with pytest.raises(TypeError, match="evaluate_big"):
+        operation(poly)
+
+
+def test_symbolic_series_json_round_trip():
+    import json
+
+    from lorentzknots.scalars import precision
+
+    sym = _symbolic_structure_constant()
+    doc = json.loads(json.dumps(sym.to_json()))
+    assert doc["order"] == sym.order
+    # decoded at the default working precision, still exact
+    back = [ParamPolynomial.from_json(c) for c in doc["coeffs"]]
+    assert [p.coeffs for p in back] == [p.coeffs for p in sym.coeffs]
+    assert any(p.degree() >= 1 for p in back)
+    with precision(30):
+        for point in (2, 3, G(1, 2)):
+            assert [p.evaluate_big(point) for p in back] == [
+                p.evaluate_big(point) for p in sym.coeffs
+            ]
+    exact = ParamPolynomial([F(1, 3), G(0, -2)])
+    assert ParamPolynomial.from_json(exact.to_json()) == exact

@@ -1,10 +1,12 @@
 """Weight maps and central characters, by both routes."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
+from lorentzknots import weights
 from lorentzknots.diagrams import (
     THETA,
     UNIT_DIAGRAM,
@@ -14,8 +16,9 @@ from lorentzknots.diagrams import (
     parse_diagram,
 )
 from lorentzknots.errors import ResourceGuardError
-from lorentzknots.polynomials import ParamPolynomial, poly_variable
+from lorentzknots.polynomials import POLY_ONE, ParamPolynomial, poly_variable
 from lorentzknots.scalars import GaussianRational
+from lorentzknots.series import clear_caches
 from lorentzknots.weights import (
     CASIMIR_LEFT_TERMS,
     CASIMIR_RIGHT_TERMS,
@@ -28,7 +31,9 @@ from lorentzknots.weights import (
     lambda_mp_direct,
     lambda_mp_factorized,
     lambda_z_sl2,
+    lorentz_apply_word,
     lorentz_quadratic_eigenvalue,
+    lorentz_weight_raw,
     phi_words,
     sl2_quadratic_eigenvalue,
 )
@@ -70,6 +75,76 @@ def test_phi_words_three_chord_pattern():
             seen.add(pos_label)
         assert roles == ["a", "a", "a", "b", "b", "b"]
         assert len(word) == 6
+
+
+# ---------------------------------------------------------------------------
+# The transfer walk against the literal word expansion
+# ---------------------------------------------------------------------------
+
+
+def _literal(t, d, start, apply_word):
+    """Sum of coeff * (word applied to the corner) over every phi_words word."""
+    total = {}
+    for coeff, word in phi_words(t, d, start):
+        for state, value in apply_word(word).items():
+            value = value * coeff
+            total[state] = total[state] + value if state in total else value
+    return {s: v for s, v in total.items() if not v.is_zero()}
+
+
+def _sl2_walk(t, d, start):
+    return weights._transfer_walk(t, d, start, {0: POLY_ONE}, weights._sl2_step)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_sl2_walk_equals_word_expansion_at_every_basepoint(n):
+    for d in enumerate_diagrams(n):
+        for start in range(max(1, 2 * n)):
+            for t in (T_JONES_SL2, T_CK_SL2):
+                literal = _literal(t, d, start, weights._sl2_apply_word)
+                assert _sl2_walk(t, d, start) == literal, (d.gauss_text(), start)
+                assert weights._lambda_z_literal(d, t, start) == literal.get(0, 0)
+
+
+def test_sl2_walk_equals_word_expansion_five_chords():
+    for d in enumerate_diagrams(5):
+        literal = _literal(T_JONES_SL2, d, 0, weights._sl2_apply_word)
+        assert _sl2_walk(T_JONES_SL2, d, 0) == literal, d.gauss_text()
+
+
+def _radical_terms(vec):
+    return {state: rad.terms for state, rad in vec.items()}
+
+
+def _assert_lorentz_walk_matches_words(t, diagrams, m):
+    walk_step = partial(weights._lorentz_step, m=m)
+    for d in diagrams:
+        literal = _literal(t, d, 0, partial(lorentz_apply_word, m=m))
+        walk = weights._transfer_walk(t, d, 0, weights._lorentz_corner(m), walk_step)
+        assert _radical_terms(walk) == _radical_terms(literal), d.gauss_text()
+        corner = literal.get((m, m))
+        assert lorentz_weight_raw(t, d, m) == (corner.scalar_value() if corner else 0)
+
+
+@pytest.mark.parametrize("t", [T_LORENTZ, T_LEFT], ids=["balanced", "left"])
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(4) for m in (0, 1, 2)])
+def test_lorentz_walk_equals_word_expansion(t, n, m):
+    _assert_lorentz_walk_matches_words(t, enumerate_diagrams(n), m)
+
+
+def test_lorentz_walk_equals_word_expansion_four_chords():
+    _assert_lorentz_walk_matches_words(T_LORENTZ, enumerate_diagrams(4), 0)
+    # The 12-term left tensor has 20736 words per 4-chord diagram (about
+    # 10 s each); check the diagram whose four chords are open at once.
+    _assert_lorentz_walk_matches_words(T_LEFT, [parse_diagram("ABCDABCD")], 0)
+
+
+def test_clear_caches_empties_the_character_tables():
+    tables = (weights._lambda_z_literal, weights._sl2_character_in_p)
+    lambda_mp_factorized(parse_diagram("ABAB"), 1)
+    assert all(table.cache_info().currsize for table in tables)
+    clear_caches()
+    assert not any(table.cache_info().currsize for table in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +197,7 @@ def test_sign_parity_under_tensor_negation():
 
 
 def test_four_t_vanishing_sl2():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for g in four_t_generators(n):
             assert lambda_z_sl2(g).is_zero()
             assert lambda_z_sl2(g, T_CK_SL2).is_zero()
@@ -180,8 +255,9 @@ def test_four_t_vanishing_lorentz():
         for g in four_t_generators(n):
             for m in (0, 1, 2):
                 assert lambda_mp_factorized(g, m).is_zero()
-    for g in four_t_generators(4):
-        assert lambda_mp_factorized(g, 1).is_zero()
+    for n in (4, 5):
+        for g in four_t_generators(n):
+            assert lambda_mp_factorized(g, 1).is_zero()
 
 
 def test_unframed_criterion_on_quadratic_value():
@@ -214,8 +290,6 @@ def test_direct_route_guard():
 def test_direct_matches_factorized_on_cross_tensor():
     # Left Casimir through the direct machinery equals the weight of the
     # one-chord diagram under the left tensor, up to the per-chord sign.
-    from lorentzknots.weights import lorentz_weight_raw
-
     for m in (0, 1, 2):
         left, _ = casimir_eigenvalues(m)
         assert lorentz_weight_raw(T_LEFT, THETA, m) == left
