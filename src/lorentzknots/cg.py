@@ -37,12 +37,12 @@ from .series import (
     q_factorial,
     q_integer,
     q_power,
-    register_memo,
     series_to_big,
     sqrt_series,
 )
 
 __all__ = [
+    "SYMBOLIC",
     "quantum_cg",
     "quantum_cg_decoupling",
     "lambda_coeff",
@@ -62,15 +62,18 @@ def _triangle(da: int, db: int, dc: int) -> bool:
     return abs(db - dc) <= da <= db + dc and (da + db + dc) % 2 == 0
 
 
-_CG_CACHE = {}
-_LAMBDA_CACHE = {}
-register_memo(_CG_CACHE.clear)
-register_memo(_LAMBDA_CACHE.clear)
+# The value of ``p`` that leaves it symbolic.
+SYMBOLIC = "symbolic"
+
+
+def _p_key(p):
+    """``p`` as a memo key: SYMBOLIC, or its exact Gaussian-rational value."""
+    return p if p is SYMBOLIC else GaussianRational.coerce(p)
 
 
 def cache_state():
     """(coupling entries, structure-constant entries) currently memoized."""
-    return len(_CG_CACHE), len(_LAMBDA_CACHE)
+    return _quantum_cg.cache_info().currsize, _lambda_coeff.cache_info().currsize
 
 
 def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
@@ -131,10 +134,11 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
     Zero unless m + n = p, each index is in range, and the triangle
     condition holds.  Returns a BigComplex jet at the current precision.
     """
-    key = ("cg", dI, dJ, dK, dm, dn, dp, order, mpmath.mp.dps)
-    hit = _CG_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _quantum_cg(dI, dJ, dK, dm, dn, dp, order, mpmath.mp.dps)
+
+
+@memoized
+def _quantum_cg(dI, dJ, dK, dm, dn, dp, order, dps):
     if not (
         _is_spin_index(dI, dm)
         and _is_spin_index(dJ, dn)
@@ -142,13 +146,10 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
         and dm + dn == dp
         and _triangle(dI, dJ, dK)
     ):
-        value = series_to_big(constant_series(0, order))
-    else:
-        sign, exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
-        root = sqrt_series(series_to_big(radicand))
-        value = series_to_big(exact) * root * sign
-    _CG_CACHE[key] = value
-    return value
+        return series_to_big(constant_series(0, order))
+    sign, exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
+    root = sqrt_series(series_to_big(radicand))
+    return series_to_big(exact) * root * sign
 
 
 @memoized
@@ -239,34 +240,31 @@ def _lambda_terms(dA, dB, dC, dD, order):
 
 
 def lambda_coeff(dA, dB, dC, dD, p, order) -> TruncatedSeries:
-    """Structure constant Lambda^{A B C}_D(p) at exact numeric p.
+    """Structure constant Lambda^{A B C}_D(p).
 
     Sum over sigma of decoupling(A -> C, B) q^{2 sigma p} coupling(B, C -> D)
-    column weights; ``p`` is any Gaussian-rational (complex values allowed).
+    column weights.  ``p`` is any Gaussian-rational (complex values allowed),
+    giving a BigComplex jet, or SYMBOLIC, giving a jet of polynomials in p
+    with mpc coefficients.
     """
-    p = GaussianRational.coerce(p)
-    key = ("lam", dA, dB, dC, dD, p, order, mpmath.mp.dps)
-    hit = _LAMBDA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = series_to_big(constant_series(0, order))
-    for d_sigma, pair in _lambda_terms(dA, dB, dC, dD, order):
-        weight = series_to_big(exp_scaled(Fraction(d_sigma, 2) * p, order))
-        total = total + pair * weight
-    _LAMBDA_CACHE[key] = total
-    return total
+    return _lambda_coeff(dA, dB, dC, dD, _p_key(p), order, mpmath.mp.dps)
 
 
 def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> TruncatedSeries:
     """Lambda^{A B C}_D with p left symbolic: a jet of polynomials in p."""
-    key = ("lams", dA, dB, dC, dD, order, mpmath.mp.dps)
-    hit = _LAMBDA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    total = TruncatedSeries(order, [ParamPolynomial()] * (order + 1))
+    return lambda_coeff(dA, dB, dC, dD, SYMBOLIC, order)
+
+
+@memoized
+def _lambda_coeff(dA, dB, dC, dD, p, order, dps):
+    symbolic = p is SYMBOLIC
+    zero = ParamPolynomial() if symbolic else to_big(0)
+    total = TruncatedSeries(order, [zero] * (order + 1))
     for d_sigma, pair in _lambda_terms(dA, dB, dC, dD, order):
-        weight = _q_power_p_symbolic(d_sigma, order)
-        lifted = TruncatedSeries(order, [ParamPolynomial([c]) for c in pair.coeffs])
-        total = total + lifted * weight
-    _LAMBDA_CACHE[key] = total
+        if symbolic:
+            pair = pair.map_coeffs(lambda c: ParamPolynomial([c]))
+            weight = _q_power_p_symbolic(d_sigma, order)
+        else:
+            weight = series_to_big(exp_scaled(Fraction(d_sigma, 2) * p, order))
+        total = total + pair * weight
     return total

@@ -43,7 +43,6 @@ DEFAULTS = {
     "precision": 60,
     "cutoff": None,
     "format": "pretty",
-    "workers": 1,
 }
 
 CONFIG_KEYS = set(DEFAULTS) | {"braid", "strands", "knot", "m", "p"}
@@ -229,7 +228,7 @@ def _cmd_jones(args, config, out):
     order = int(_setting(args, config, "order"))
     braid = _resolve_braid(args, config)
     if args.interpolate:
-        series = jones_z_interpolated(braid, order, workers=int(_setting(args, config, "workers")))
+        series = jones_z_interpolated(braid, order)
         _emit_poly_series(series, fmt, out)
     elif args.spin is not None:
         two_alpha = _parse_spin(args.spin)
@@ -306,11 +305,6 @@ def _cmd_qlg(args, config, out):
 
 
 def _cmd_verify(args, config, out):
-    if args.order is not None:
-        out.write(
-            "note: acceptance parameters (orders, tolerances) are pinned; "
-            f"--order {args.order} is accepted for interface compatibility\n"
-        )
     numbers = None
     if args.criteria:
         numbers = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
@@ -330,28 +324,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (flags win over it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "csv", "pretty"])
-        p.add_argument("--order", type=int)
-        p.add_argument("--precision", type=int)
-        p.add_argument("--workers", type=int)
+    def shared(p, *flags):
+        """Add the shared flags named; each subcommand takes only those it reads."""
+        for flag in flags:
+            if flag == "--format":
+                p.add_argument(flag, choices=["json", "csv", "pretty"])
+            else:
+                p.add_argument(flag, type=int)
 
     p = sub.add_parser("diagrams", help="chord diagram combinatorics")
-    common(p)
+    shared(p, "--format")
     p.add_argument("--enumerate", type=int, metavar="N")
     p.add_argument("--parse", metavar="WORD")
     p.add_argument("--four-t", dest="four_t", type=int, metavar="N")
     p.add_argument("--quotient-dim", dest="quotient_dim", type=int, metavar="N")
 
     p = sub.add_parser("weights", help="central character tables")
-    common(p)
+    shared(p, "--format")
     p.add_argument("--diagram", required=True, metavar="WORD")
     p.add_argument("--m", type=int)
     p.add_argument("--sl2", action="store_true", help="spin-z character instead")
     p.add_argument("--direct", action="store_true", help="use the module-action route")
 
     p = sub.add_parser("jones", help="spin expansions of the braid closure")
-    common(p)
+    shared(p, "--format", "--order")
     p.add_argument("--braid")
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
@@ -360,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framed", action="store_true", help="blackboard framing")
 
     p = sub.add_parser("lorentz", help="two-parameter invariants")
-    common(p)
+    shared(p, "--format", "--order", "--precision")
     p.add_argument("--braid")
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-equivalence", action="store_true")
 
     p = sub.add_parser("qlg", help="quantum Lorentz braid sums")
-    common(p)
+    shared(p, "--format", "--order", "--precision")
     p.add_argument("--braid")
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load-cache", metavar="NAME")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
     p.add_argument("--criteria", help="comma-separated criterion numbers")
 
     return parser

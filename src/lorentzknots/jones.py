@@ -44,7 +44,6 @@ from .series import (
     q_factorial,
     q_integer,
     q_power,
-    register_memo,
 )
 from .weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
@@ -372,48 +371,17 @@ def _assemble_interpolation(nodes, samples, order: int) -> PolySeries:
     return TruncatedSeries(order, coeffs)
 
 
-def _sample_task(task):
-    strands, letters, two_alpha, order = task
-    series = jones_zero_framed(BraidWord(strands, letters), two_alpha, order)
-    return [(c.re.numerator, c.re.denominator) for c in series.coeffs]
-
-
-# (strands, letters, order) -> expansion; ``workers`` only changes how the
-# samples are computed, never the result, so it is not part of the key.
-_INTERPOLATED = {}
-register_memo(_INTERPOLATED.clear)
-
-
-def _interpolate(strands: int, letters: tuple, order: int, workers: int) -> PolySeries:
+@memoized
+def _interpolated(strands: int, letters: tuple, order: int) -> PolySeries:
     b = BraidWord(strands, letters)
-    sample_count = 2 * order + 3
-    nodes = [Fraction(k, 2) for k in range(sample_count)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(strands, letters, k, order) for k in range(sample_count)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sample_task, tasks))
-        samples = [
-            TruncatedSeries(
-                order, [GaussianRational(Fraction(n, d)) for n, d in coeffs]
-            )
-            for coeffs in raw
-        ]
-    else:
-        samples = [jones_zero_framed(b, k, order) for k in range(sample_count)]
+    nodes = [Fraction(k, 2) for k in range(2 * order + 3)]
+    samples = [jones_zero_framed(b, k, order) for k in range(len(nodes))]
     return _assemble_interpolation(nodes, samples, order)
 
 
-def jones_z_interpolated(b: BraidWord, order: int, workers: int = 1) -> PolySeries:
+def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
     """Zero-framing spin expansion: h^n coefficients are polynomials in the
     spin of degree at most 2n, reconstructed exactly from sampled
-    half-integer spins with surplus samples verified.  Spin samples are
-    independent jobs; ``workers`` > 1 computes them in parallel and joins
-    deterministically."""
+    half-integer spins with surplus samples verified."""
     _require_knot(b)
-    key = (b.strands, b.letters, order)
-    hit = _INTERPOLATED.get(key)
-    if hit is None:
-        hit = _INTERPOLATED[key] = _interpolate(*key, max(1, int(workers)))
-    return hit
+    return _interpolated(b.strands, b.letters, order)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, to_big
+from .scalars import _mpc_from_json, _mpc_to_json
 from .series import TruncatedSeries
 
 __all__ = [
@@ -37,20 +36,6 @@ def _coerce_coeff(c):
     if isinstance(c, (GaussianRational, BigComplex)):
         return c
     return GaussianRational.coerce(c)
-
-
-def _mpc_to_json(z):
-    """An mpc as its two mpf (sign, mantissa, exponent, bits) tuples, exactly."""
-    # mantissas may be gmpy integers; json needs plain ints
-    return [[int(x) for x in z.real._mpf_], [int(x) for x in z.imag._mpf_]]
-
-
-def _mpc_from_json(data):
-    """Inverse of :func:`_mpc_to_json`, exact at any working precision."""
-    re, im = data
-    # mpf() rounds to the working precision; decode at the stored bit count.
-    with mpmath.workprec(max(re[3], im[3], 1)):
-        return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
 
 
 def _trim(coeffs):

@@ -28,16 +28,17 @@ import mpmath
 
 from .braids import BraidWord
 from .cg import (
+    SYMBOLIC,
     _is_spin_index,
+    _lambda_coeff,
+    _p_key,
     lambda_coeff,
-    lambda_coeff_symbolic,
     quantum_cg,
     quantum_cg_decoupling,
-    _LAMBDA_CACHE,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .polynomials import ParamPolynomial, _mpc_from_json, _mpc_to_json
-from .scalars import GaussianRational
+from .polynomials import ParamPolynomial
+from .scalars import GaussianRational, _mpc_from_json, _mpc_to_json
 from .series import (
     TruncatedSeries,
     accumulate,
@@ -46,7 +47,6 @@ from .series import (
     memoized,
     q_dim,
     q_power,
-    register_memo,
     series_to_big,
 )
 
@@ -60,8 +60,6 @@ __all__ = [
     "save_lambda_cache",
     "load_lambda_cache",
 ]
-
-SYMBOLIC = "symbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +107,6 @@ def tangle_word(b: BraidWord):
 # ---------------------------------------------------------------------------
 
 
-def _lambda_value(d_gamma, d_alpha, dD, d_beta, p, order):
-    if p is SYMBOLIC:
-        return lambda_coeff_symbolic(d_gamma, d_alpha, dD, d_beta, order)
-    return lambda_coeff(d_gamma, d_alpha, dD, d_beta, p, order)
-
-
-def _p_key(p):
-    return p if p is SYMBOLIC else GaussianRational.coerce(p)
-
-
-_G_COLUMN_CACHE = {}
-register_memo(_G_COLUMN_CACHE.clear)
-
-
 def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     """Column (or transposed column) of the dual generator's action.
 
@@ -131,10 +115,13 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     Output spins are integers within |beta -+ alpha|; the sum over the
     internal coupling label is finite, no approximation happens here.
     """
-    key = (d_alpha, d_i, d_j, d_beta, d_ibeta, _p_key(p), order, forward, mpmath.mp.dps)
-    hit = _G_COLUMN_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _g_action(
+        d_alpha, d_i, d_j, d_beta, d_ibeta, _p_key(p), order, forward, mpmath.mp.dps
+    )
+
+
+@memoized
+def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, dps):
     out = {}
     if forward:
         dx = d_j + d_ibeta
@@ -151,7 +138,7 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                 cgl = quantum_cg(d_gamma, d_alpha, dD, d_igamma, d_i, dx, order)
                 if cgl.is_zero():
                     continue
-                lam = _lambda_value(d_gamma, d_alpha, dD, d_beta, p, order)
+                lam = lambda_coeff(d_gamma, d_alpha, dD, d_beta, p, order)
                 term = cgl * cgr * lam
                 state = (d_gamma, d_igamma)
                 out[state] = out[state] + term if state in out else term
@@ -171,13 +158,11 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                 cgr = quantum_cg_decoupling(dD, d_alpha, d_b, dx, d_j, d_ib, order)
                 if cgr.is_zero():
                     continue
-                lam = _lambda_value(d_gamma, d_alpha, dD, d_b, p, order)
+                lam = lambda_coeff(d_gamma, d_alpha, dD, d_b, p, order)
                 term = cgl * cgr * lam
                 state = (d_b, d_ib)
                 out[state] = out[state] + term if state in out else term
-    result = tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
-    _G_COLUMN_CACHE[key] = result
-    return result
+    return tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
 
 
 def x_action(d_alpha, d_i, d_j, d_beta, d_ibeta):
@@ -434,12 +419,11 @@ def _entries_digest(entries):
 
 
 def save_lambda_cache(path):
-    """Dump memoized structure constants (numeric mode) with a manifest."""
+    """Dump the memoized structure constants at numeric p with a manifest."""
     entries = []
-    for key, series in _LAMBDA_CACHE.items():
-        if key[0] != "lam":
+    for (dA, dB, dC, dD, p, order, dps), series in _lambda_coeff.table.items():
+        if p is SYMBOLIC:
             continue
-        _, dA, dB, dC, dD, p, order, dps = key
         entries.append(
             {
                 "labels": [dA, dB, dC, dD],
@@ -465,7 +449,7 @@ def save_lambda_cache(path):
 
 def _check_recomputed(path, key, series):
     """Recompute one loaded entry at its own precision; raise on mismatch."""
-    _, dA, dB, dC, dD, p, order, dps = key
+    dA, dB, dC, dD, p, order, dps = key
     with mpmath.workdps(dps):
         fresh = lambda_coeff(dA, dB, dC, dD, p, order)
         tol = mpmath.mpf(10) ** (8 - dps)
@@ -504,11 +488,11 @@ def load_lambda_cache(path):
             p = GaussianRational.from_json(entry["p"])
             order, dps = int(entry["order"]), int(entry["dps"])
             coeffs = [_mpc_from_json(c) for c in entry["coeffs"]]
-            key = ("lam", dA, dB, dC, dD, p, order, dps)
+            key = (dA, dB, dC, dD, p, order, dps)
             loaded[key] = TruncatedSeries(order, coeffs)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed cache entry: {exc}") from exc
     if loaded:
         _check_recomputed(path, *next(iter(loaded.items())))
-    _LAMBDA_CACHE.update(loaded)
+    _lambda_coeff.table.update(loaded)
     return len(loaded)

@@ -190,6 +190,21 @@ GR_I = GaussianRational(0, 1)
 
 BigComplex = mpc
 
+
+def _mpc_to_json(z):
+    """An mpc as its two mpf (sign, mantissa, exponent, bits) tuples, exactly."""
+    # mantissas may be gmpy integers; json needs plain ints
+    return [[int(x) for x in z.real._mpf_], [int(x) for x in z.imag._mpf_]]
+
+
+def _mpc_from_json(data):
+    """Inverse of :func:`_mpc_to_json`, exact at any working precision."""
+    re, im = data
+    # mpf() rounds to the working precision; decode at the stored bit count.
+    with mpmath.workprec(max(re[3], im[3], 1)):
+        return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
+
+
 DEFAULT_DIGITS = 60
 # mpmath works with a few guard digits beyond the requested precision so that
 # rounding never eats into the advertised tolerance.

@@ -13,12 +13,14 @@ braid engines all have exact Gaussian-rational jets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import factorial
 
 from .errors import InternalConsistencyError
 from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, upper_half_sqrt, to_big
+from .scalars import _mpc_to_json
 
 __all__ = [
     "TruncatedSeries",
@@ -34,7 +36,6 @@ __all__ = [
     "sqrt_series",
     "series_to_big",
     "memoized",
-    "register_memo",
     "clear_caches",
 ]
 
@@ -185,17 +186,13 @@ class TruncatedSeries:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        from .scalars import big_to_str
-
         coeffs = []
         for c in self.coeffs:
-            if isinstance(c, GaussianRational):
-                coeffs.append(c.to_json())
-            elif isinstance(c, BigComplex):
-                coeffs.append(big_to_str(c))
+            if isinstance(c, BigComplex):
+                coeffs.append(_mpc_to_json(c))
             elif isinstance(c, Fraction):
                 coeffs.append(GaussianRational(c).to_json())
-            else:
+            else:  # GaussianRational or ParamPolynomial
                 coeffs.append(c.to_json())
         return {"order": self.order, "coeffs": coeffs}
 
@@ -316,25 +313,48 @@ def exp_scaled(rate, order: int) -> TruncatedSeries:
 # Memo tables
 # ---------------------------------------------------------------------------
 
-_MEMO_CLEARERS = []
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 
-
-def register_memo(clear):
-    """Add a memo table's clear function to those :func:`clear_caches` runs."""
-    _MEMO_CLEARERS.append(clear)
+_MEMO_TABLES = []
+_MISSING = object()
 
 
 def memoized(fn):
-    """An unbounded ``lru_cache`` whose table :func:`clear_caches` empties."""
-    cached = lru_cache(maxsize=None)(fn)
-    register_memo(cached.cache_clear)
-    return cached
+    """Memoize ``fn`` on its positional arguments in a table that
+    :func:`clear_caches` empties.
+
+    The wrapper has ``cache_info()`` (hits, misses, currsize) and
+    ``cache_clear()`` (which also resets the counts), and ``table``, the dict
+    from argument tuple to value, for code that saves or restores entries.
+    """
+    table = {}
+    counts = [0, 0]  # hits, misses
+
+    @wraps(fn)
+    def wrapper(*args):
+        value = table.get(args, _MISSING)
+        if value is _MISSING:
+            counts[1] += 1
+            value = table[args] = fn(*args)
+        else:
+            counts[0] += 1
+        return value
+
+    def cache_clear():
+        table.clear()
+        counts[:] = [0, 0]
+
+    wrapper.table = table
+    wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], len(table))
+    wrapper.cache_clear = cache_clear
+    _MEMO_TABLES.append(wrapper)
+    return wrapper
 
 
 def clear_caches():
     """Empty every memo table of every imported ``lorentzknots`` module."""
-    for clear in _MEMO_CLEARERS:
-        clear()
+    for memo in _MEMO_TABLES:
+        memo.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -561,8 +561,27 @@ def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     return _corner_scalar(total, m, "central element")
 
 
+# The walk's cost follows n * |T_LORENTZ|^w, with w the number of chords open
+# at once; the limit is that of ABCDABCD (n = w = 4), so every diagram with
+# at most 4 chords is allowed.
+_DIRECT_COST_LIMIT = 4 * 6**4
+
+
+def _direct_cost(d: ChordDiagram) -> int:
+    """n * |T_LORENTZ|^w for the walk from basepoint 0."""
+    open_chords = widest = 0
+    for _, role in _slots(d, 0):
+        open_chords += 1 if role == 1 else -1
+        widest = max(widest, open_chords)
+    return d.n * len(T_LORENTZ.terms) ** widest
+
+
 def lambda_mp_direct(d, m: int) -> ParamPolynomial:
-    """Character polynomial in p from the discrete-basis module action."""
+    """Character polynomial in p from the discrete-basis module action.
+
+    A diagram whose estimated walk cost n * 6^w (w chords open at once)
+    exceeds that of ABCDABCD raises ResourceGuardError.
+    """
     if isinstance(d, DiagramSum):
         total = POLY_ZERO
         for diagram, c in d.terms.items():
@@ -570,8 +589,12 @@ def lambda_mp_direct(d, m: int) -> ParamPolynomial:
         return total
     if not isinstance(m, int):
         raise ValueError("the direct route supports integer minimal spin only")
-    if d.n > 4:
-        raise ResourceGuardError("direct evaluation guards at <= 4 chords")
+    cost = _direct_cost(d)
+    if cost > _DIRECT_COST_LIMIT:
+        raise ResourceGuardError(
+            f"direct evaluation of {d.gauss_text()} has estimated cost "
+            f"n*6^w = {cost}, above the limit {_DIRECT_COST_LIMIT}"
+        )
     value = lorentz_weight_raw(T_LORENTZ, d, m)
     return value if d.n % 2 == 0 else _SIGN_PER_CHORD * value
 

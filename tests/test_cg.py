@@ -297,27 +297,103 @@ def test_cache_load_rejects_other_documents(tmp_path, text):
 
 
 def test_clear_caches_empties_every_memo_table():
-    from lorentzknots import jones, qlorentz, series
+    from lorentzknots import cg, jones, qlorentz, series
     from lorentzknots.braids import parse_braid
 
     trefoil = parse_braid("s1 s1 s1", 2)
     with precision(60):
         qlorentz.braid_sum(parse_braid("-s1 -s1 -s1", 2), 2, 1)
         jones.jones_z_interpolated(trefoil, 1)
-    lru_tables = [
+    tables = [
         series._q_power_jet,
         series._q_integer_jet,
         series._q_factorial_jet,
+        cg._quantum_cg,
         _decoupling_block,
+        cg._lambda_coeff,
+        qlorentz._g_action,
         qlorentz._group_like_weight,
         qlorentz._antipode_factor,
         jones._braiding_table,
         jones._tangle_scalar,
+        jones._interpolated,
     ]
-    dict_tables = [qlorentz._G_COLUMN_CACHE, jones._INTERPOLATED]
-    assert all(t.cache_info().currsize for t in lru_tables)
-    assert all(dict_tables) and all(cache_state())
+    assert all(t.cache_info().currsize for t in tables)
+    assert all(t.table for t in tables) and all(cache_state())
     clear_caches()
-    assert not any(t.cache_info().currsize for t in lru_tables)
-    assert not any(dict_tables)
+    assert not any(t.cache_info().currsize for t in tables)
+    assert not any(t.table for t in tables)
     assert cache_state() == (0, 0)
+
+
+def test_cache_file_of_format_2_is_reproduced_byte_for_byte(tmp_path):
+    # Recomputing the two entries of the stored file at dps 50, in its order,
+    # and saving them gives the same bytes the format-2 writer wrote.
+    from pathlib import Path
+
+    from lorentzknots.qlorentz import save_lambda_cache
+
+    stored = Path(__file__).parent / "data" / "lambda_cache_v2.json"
+    clear_caches()
+    with mpmath.workdps(50):
+        lambda_coeff(2, 2, 2, 0, 3, 2)
+        lambda_coeff(2, 1, 3, 2, 3, 2)
+    path = tmp_path / "again.json"
+    assert save_lambda_cache(path) == 2
+    clear_caches()
+    assert path.read_bytes().strip() == stored.read_bytes().strip()
+
+
+def test_symbolic_entries_are_memoized_but_not_saved(tmp_path):
+    from lorentzknots.qlorentz import save_lambda_cache
+
+    clear_caches()
+    with precision(30):
+        lambda_coeff_symbolic(2, 2, 2, 0, 2)
+        assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(
+            2, 2, 2, 0, 2
+        )
+        lambda_coeff(2, 2, 2, 0, 3, 2)
+        assert cache_state()[1] == 2
+        assert save_lambda_cache(tmp_path / "c.json") == 1
+    clear_caches()
+
+
+@pytest.mark.parametrize(
+    "name, compute",
+    [
+        ("quantum_cg", lambda: quantum_cg(2, 1, 3, 0, 1, 1, 3)),
+        ("lambda_coeff", lambda: lambda_coeff(2, 2, 2, 0, 2, 3)),
+        ("lambda_coeff_symbolic", lambda: lambda_coeff_symbolic(2, 2, 2, 0, 3)),
+        ("g_action", lambda: _g_action_jets(2, 0, 0, 0, 0, 2, 3)),
+        ("g_action_symbolic", lambda: _g_action_jets(2, 0, 0, 0, 0, "symbolic", 3)),
+    ],
+)
+def test_value_built_at_15_digits_is_not_served_at_80(name, compute):
+    clear_caches()
+    with mpmath.workdps(15):
+        low = compute()
+    with mpmath.workdps(80):
+        served = compute()
+        clear_caches()
+        fresh = compute()
+    assert _flat(served) == _flat(fresh)
+    assert _flat(low) != _flat(fresh)
+    clear_caches()
+
+
+def _g_action_jets(*args):
+    from lorentzknots.qlorentz import g_action
+
+    return [jet for _, jet in g_action(*args)]
+
+
+def _flat(value):
+    """Every mpc of a jet, a list of jets or a symbolic jet, in order."""
+    if isinstance(value, list):
+        return [x for jet in value for x in _flat(jet)]
+    coeffs = value.coeffs if hasattr(value, "coeffs") else value
+    out = []
+    for c in coeffs:
+        out.extend(c.coeffs if hasattr(c, "coeffs") else [c])
+    return out

@@ -203,3 +203,36 @@ def test_verify_selected_criteria():
 def test_verify_rejects_unknown_criterion():
     code, _ = run_cli(["verify", "--criteria", "99"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagrams", "--quotient-dim", "3", "--order", "99"],
+        ["diagrams", "--quotient-dim", "3", "--precision", "40"],
+        ["diagrams", "--quotient-dim", "3", "--workers", "2"],
+        ["weights", "--diagram", "AA", "--order", "2"],
+        ["weights", "--diagram", "AA", "--precision", "40"],
+        ["weights", "--diagram", "AA", "--workers", "2"],
+        ["jones", "--knot", "unknot", "--spin", "1", "--precision", "40"],
+        ["jones", "--knot", "unknot", "--interpolate", "--workers", "7"],
+        ["lorentz", "--knot", "unknot", "--order", "1", "--workers", "2"],
+        ["qlg", "--knot", "unknot", "--order", "1", "--workers", "2"],
+        ["verify", "--criteria", "1", "--format", "json"],
+        ["verify", "--criteria", "1", "--order", "3"],
+        ["verify", "--criteria", "1", "--precision", "40"],
+        ["verify", "--criteria", "1", "--workers", "2"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_config_rejects_workers_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    code, _ = run_cli(["--config", str(cfg), "diagrams", "--enumerate", "1"])
+    assert code == 2

@@ -207,23 +207,14 @@ def test_markov_invariance_exact():
         assert jones_z_interpolated(v, 3) == base
 
 
-def test_parallel_sampling_matches_sequential():
-    sequential = jones_z_interpolated(TREFOIL, 2, workers=1)
+def test_repeated_interpolation_is_a_memo_hit():
+    from lorentzknots import jones
+
     clear_caches()
-    parallel = jones_z_interpolated(TREFOIL, 2, workers=2)
-    assert parallel == sequential
-
-
-def test_worker_count_is_not_part_of_the_cache_key(monkeypatch):
-    import concurrent.futures
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a cached expansion started a process pool")
-
     first = jones_z_interpolated(TREFOIL, 1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    assert jones_z_interpolated(TREFOIL, 1, workers=2) is first
+    assert jones_z_interpolated(parse_braid("s1 s1 s1", 2), 1) is first
+    info = jones._interpolated.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_trefoil_second_order_frozen():

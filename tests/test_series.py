@@ -424,3 +424,20 @@ def test_series_json_exact():
     assert doc["order"] == 2
     assert doc["coeffs"][0] == [2, 1, 0, 1]
     assert doc["coeffs"][2] == [1, 4, 0, 1]
+
+
+def test_series_json_mpc_coefficients_exact():
+    import json
+
+    import mpmath
+
+    from lorentzknots.cg import lambda_coeff
+    from lorentzknots.scalars import _mpc_from_json, precision
+
+    with precision(60):
+        s = lambda_coeff(2, 2, 2, 0, 3, 2)
+    # the h^1 coefficient is irrational: 60 decimal digits would round it
+    assert mpmath.nstr(s.coeffs[1].real, 60) != mpmath.nstr(s.coeffs[1].real, 80)
+    doc = json.loads(json.dumps(s.to_json()))
+    assert doc["order"] == 2
+    assert [_mpc_from_json(c) for c in doc["coeffs"]] == list(s.coeffs)

@@ -278,13 +278,25 @@ def test_half_integer_m_factorized_only():
 
 
 def test_direct_route_guard():
-    big = connected_sum(
+    # All five chords open at once: cost 5 * 6^5 against 4 * 6^4 (ABCDABCD).
+    message = r"ABCDEABCDE has estimated cost n\*6\^w = 38880, above the limit 5184"
+    with pytest.raises(ResourceGuardError, match=message):
+        lambda_mp_direct(parse_diagram("ABCDEABCDE"), 0)
+    # every diagram of at most four chords stays within the limit
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            assert weights._direct_cost(d) <= weights._DIRECT_COST_LIMIT
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_direct_route_takes_five_chords_with_few_open(m):
+    chain = connected_sum(
         connected_sum(parse_diagram("AABB"), parse_diagram("AABB")),
         parse_diagram("AA"),
     )
-    assert big.n == 5
-    with pytest.raises(ResourceGuardError):
-        lambda_mp_direct(big, 0)
+    assert chain.gauss_text() == "AABBCCDDEE"
+    for d in (chain, parse_diagram("ABACBDCEDE")):
+        assert lambda_mp_direct(d, m) == lambda_mp_factorized(d, m)
 
 
 def test_direct_matches_factorized_on_cross_tensor():
