@@ -6,9 +6,10 @@ Subcommands mirror the library layers: ``diagrams`` (combinatorics),
 braid sums), and ``verify`` (the acceptance suite).
 
 Configuration precedence is flags > config file (JSON with keys mirroring
-the run configuration) > defaults.  Exit codes: 2 for usage errors, 3 when
-a resource guard refuses the computation, 4 when an internal consistency
-assertion fails (the message names the identity that broke); 1 for a failed
+the run configuration) > defaults; a subcommand accepts only the config keys
+whose flags it takes.  Exit codes: 2 for usage errors, 3 when a resource
+guard refuses the computation, 4 when an internal consistency assertion
+fails (the message names the identity that broke); 1 for a failed
 verification.
 """
 
@@ -48,12 +49,17 @@ DEFAULTS = {
 CONFIG_KEYS = set(DEFAULTS) | {"braid", "strands", "knot", "m", "p"}
 
 
-def _load_config(path):
+def _load_config(path, args):
+    """Read a JSON config whose keys the chosen subcommand all reads.
+
+    A subcommand reads exactly the config keys that are also its flags, that
+    is, attributes of its parsed ``args``.
+    """
     with open(path) as fh:
         data = json.load(fh)
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(data) - (CONFIG_KEYS & set(vars(args)))
+    if unread:
+        raise ValueError(f"config keys not read by {args.command}: {sorted(unread)}")
     return data
 
 
@@ -395,7 +401,7 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
+        config = _load_config(args.config, args) if args.config else {}
         return _COMMANDS[args.command](args, config, out)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -17,6 +17,13 @@ word against the vacuum vector, branching over labels the first time a
 crossing is met and closing them with delta constraints at the partner
 factor; branches whose accumulated h-order plus current spin exceed the
 truncation order can no longer contribute and are pruned.
+
+The sum is invariant under conjugation, so every cyclic rotation of the
+braid word, read from either end of the open strand, gives it; the cost of
+the walk, however, varies by orders of magnitude between them.
+``braid_sum`` walks the cheapest of these 2L candidates by a static cost
+key (``cheapest_walk``): the peak number of labels opened by dual factors
+and still pending, then the pending labels summed along the word.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "g_action",
     "x_action",
     "group_like_action",
+    "cheapest_walk",
     "braid_sum",
     "trefoil_closed_sum",
     "save_lambda_cache",
@@ -226,23 +234,76 @@ def _min_headroom(ds, pend):
     return req
 
 
-def _open_g_count(ops):
-    seen = set()
-    count = 0
-    for op in ops:
-        if op[0] == "G":
-            continue
-        kind, k = op
-        if k not in seen:
-            seen.add(k)
-            if kind == "g":
-                count += 1
-    return count
-
-
 def _transpose_ops(ops):
     """Word for the same scalar read from the other end of the open strand."""
-    return [op if op[0] == "G" else (op[0], op[1]) for op in reversed(ops)]
+    return ops[::-1]
+
+
+def _walk_cost(ops):
+    """Static cost key of walking ``ops``: smaller is cheaper.
+
+    A label opened by a dual factor branches over every (alpha, i, j) and
+    stays in the state key until its matrix-element factor pins it.  A label
+    opened by a matrix element branches over j alone, and not at all while
+    the state is still the vacuum (no dual factor has moved it): there it
+    is pinned to spin 0 and its dual factor acts as the identity.  The key
+    is the peak number of dual-opened labels pending at once, then the
+    number of unpinned pending labels summed over operators, then the
+    number of dual-opened ones summed over operators.
+    """
+    opened_by = {}  # crossing -> "X" or "g", the factor that opened it
+    pinned = set()
+    at_vacuum = True
+    dual_open = peak = open_total = dual_total = 0
+    for op in ops:
+        if op[0] != "G":
+            kind, k = op
+            if k in opened_by:
+                trivial = k in pinned
+                pinned.discard(k)
+                if opened_by.pop(k) == "g":
+                    dual_open -= 1
+            else:
+                trivial = kind == "X" and at_vacuum
+                opened_by[k] = kind
+                if trivial:
+                    pinned.add(k)
+                elif kind == "g":
+                    dual_open += 1
+            if kind == "g" and not trivial:
+                at_vacuum = False
+        peak = max(peak, dual_open)
+        open_total += len(opened_by) - len(pinned)
+        dual_total += dual_open
+    return peak, open_total, dual_total
+
+
+def _walk_candidates(b: BraidWord):
+    """Every walk giving ``b``'s sum, as (rotation, forward, ops).
+
+    Rotation r walks the conjugate word ``b.letters[r:] + b.letters[:r]``,
+    read forward or transposed; crossing indices in ``ops`` still refer to
+    the letters of ``b``.
+    """
+    n = len(b.letters)
+    for rotation in range(max(n, 1)):
+        turned = BraidWord(b.strands, b.letters[rotation:] + b.letters[:rotation])
+        ops, _ = tangle_word(turned)
+        ops = [op if op[0] == "G" else (op[0], (op[1] + rotation) % n) for op in ops]
+        yield rotation, True, ops
+        yield rotation, False, _transpose_ops(ops)
+
+
+def cheapest_walk(b: BraidWord):
+    """The walk ``braid_sum`` takes: (rotation, forward, ops, signs).
+
+    The closure's sum is a conjugation invariant, so all 2L walks of
+    ``_walk_candidates`` give it, at costs that differ by orders of
+    magnitude.  This is the first of them with the smallest ``_walk_cost``;
+    ``signs[k]`` is the sign of ``b``'s letter k.
+    """
+    rotation, forward, ops = min(_walk_candidates(b), key=lambda c: _walk_cost(c[2]))
+    return rotation, forward, ops, [sign for _, sign in b.letters]
 
 
 def _describe_op(op):
@@ -265,22 +326,21 @@ def braid_sum(
     (then coefficients are ParamPolynomials in p with mpc coefficients;
     read them with ``evaluate_big``).  Crossing spins run through 0, 1/2,
     ..., label_cutoff (default: the series order), which the h-adic order
-    bound makes exact for coefficients up to that order.  More than
-    ``max_branches`` live branches after any operator raise
-    ResourceGuardError naming the count and the operator.
+    bound makes exact for coefficients up to that order.
+
+    The sum is a conjugation invariant, so it walks the word as
+    ``cheapest_walk`` picks: the cyclic rotation and reading direction with
+    the smallest static cost key.  More than ``max_branches`` live branches
+    after any operator raise ResourceGuardError naming the count, the
+    operator, and the rotation and direction walked.
     """
-    ops, signs = tangle_word(b)
+    rotation, forward, ops, signs = cheapest_walk(b)
     symbolic = p is SYMBOLIC
     if label_cutoff is None:
         label_cutoff = order
     d_cut = int(2 * label_cutoff)
     dps = mpmath.mp.dps
     eps = mpmath.mpf(10) ** (-(dps - 8))
-
-    forward = True
-    if _open_g_count(_transpose_ops(ops)) < _open_g_count(ops):
-        ops = _transpose_ops(ops)
-        forward = False
 
     if symbolic:
         one, zero = ParamPolynomial([mpmath.mpc(1)]), ParamPolynomial()
@@ -371,8 +431,10 @@ def braid_sum(
         if len(vec) > max_branches:
             raise ResourceGuardError(
                 f"braid sum reached {len(vec)} branches at operator "
-                f"{position + 1} of {len(ops)} ({_describe_op(op)}), above "
-                f"the limit max_branches={max_branches}"
+                f"{position + 1} of {len(ops)} ({_describe_op(op)}) of the "
+                f"walk along rotation {rotation}, read "
+                f"{'forward' if forward else 'transposed'}, above the limit "
+                f"max_branches={max_branches}"
             )
 
     if any(pend for _, _, pend in vec):

@@ -236,3 +236,31 @@ def test_config_rejects_workers_key(tmp_path):
     cfg.write_text(json.dumps({"workers": 2}))
     code, _ = run_cli(["--config", str(cfg), "diagrams", "--enumerate", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"precision": 5}, ["jones", "--knot", "unknot", "--spin", "1", "--order", "1"]),
+        ({"m": 1}, ["diagrams", "--quotient-dim", "2"]),
+        ({"p": 2}, ["weights", "--diagram", "AA"]),
+    ],
+)
+def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli(["--config", str(cfg)] + argv)
+    assert code == 2 and text == ""
+    assert f"config keys not read by {argv[0]}: {sorted(config)}" in capsys.readouterr().err
+
+
+def test_qlg_config_with_every_key_it_reads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "braid": "-s1 -s1 -s1", "strands": 2, "p": 2, "order": 1,
+        "precision": 40, "cutoff": 1, "format": "json",
+    }))
+    code, text = run_cli(["--config", str(cfg), "qlg"])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["order"] == 1 and len(doc["coeffs"]) == 2

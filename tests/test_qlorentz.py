@@ -5,11 +5,21 @@ import re
 import mpmath
 import pytest
 
-from lorentzknots.braids import BraidWord, markov_variants, mirror, parse_braid
+from lorentzknots import qlorentz
+from lorentzknots.braids import (
+    CATALOG,
+    BraidWord,
+    markov_variants,
+    mirror,
+    parse_braid,
+)
 from lorentzknots.errors import ResourceGuardError
 from lorentzknots.qlorentz import (
     SYMBOLIC,
+    _walk_candidates,
+    _walk_cost,
     braid_sum,
+    cheapest_walk,
     g_action,
     group_like_action,
     tangle_word,
@@ -238,17 +248,119 @@ def test_symbolic_mode_matches_numeric():
             assert poly.degree() <= 2 * n
 
 
+# ---------------------------------------------------------------------------
+# Walk choice: every rotation and direction gives the same sum
+# ---------------------------------------------------------------------------
+
+# The catalog knots and the Markov variants that acceptance criterion 6
+# compares, without repeats.
+WALK_WORDS = list(
+    {
+        (b.strands, b.letters): b
+        for b in [k.braid for k in CATALOG.values()] + markov_variants(TREFOIL_R)[:9]
+    }.values()
+)
+
+
+def _forced_sum(monkeypatch, b, walk, p, order):
+    """braid_sum of ``b`` along one given candidate walk."""
+    rotation, forward, ops = walk
+    signs = [sign for _, sign in b.letters]
+    monkeypatch.setattr(
+        qlorentz, "cheapest_walk", lambda _: (rotation, forward, ops, signs)
+    )
+    return braid_sum(b, p, order)
+
+
+def test_walk_candidates_are_rotations_and_transposes():
+    b = parse_braid("s1 s1 s1 s1 -s1", 2)
+    walks = list(_walk_candidates(b))
+    assert [(r, f) for r, f, _ in walks] == [
+        (r, f) for r in range(5) for f in (True, False)
+    ]
+    for r, forward, ops in walks:
+        turned = BraidWord(2, b.letters[r:] + b.letters[:r])
+        ops_turned, _ = tangle_word(turned)
+        if not forward:
+            ops_turned = ops_turned[::-1]
+        # the same word, with crossings renumbered to b's letters
+        assert [op[0] for op in ops] == [op[0] for op in ops_turned]
+        assert all(
+            op[0] == "G" or op[1] == (op_t[1] + r) % 5
+            for op, op_t in zip(ops, ops_turned)
+        )
+
+
+def test_cheapest_walk_picks_the_vacuum_prefix():
+    # Rotation 3, s1 -s1 s1 s1 s1 read forward, opens three matrix-element
+    # labels at the vacuum (pinned to spin 0) before its one dual label; it
+    # is the cheapest walk of this conjugate by two orders of magnitude.
+    rotation, forward, ops, signs = cheapest_walk(parse_braid("s1 s1 s1 s1 -s1", 2))
+    assert (rotation, forward) == (3, True)
+    assert ops[:4] == [("X", 3), ("X", 4), ("X", 0), ("g", 1)]
+    assert signs == [1, 1, 1, 1, -1]
+    # its rotation reduces to the same walk
+    rotation2, forward2, _, _ = cheapest_walk(parse_braid("-s1 s1 s1 s1 s1", 2))
+    assert (rotation2, forward2) == (4, True)
+
+
+def test_walk_cost_key():
+    # X0 g1 X2 G g0 X1 g2: crossing 0 is pinned at the vacuum, crossing 1
+    # is the one dual-opened label, crossing 2 opens after it.
+    ops, _ = tangle_word(TREFOIL_R)
+    assert _walk_cost(ops) == (1, 8, 4)
+    assert _walk_cost(ops[::-1]) == (2, 12, 8)
+    # ties go to the first candidate
+    assert cheapest_walk(TREFOIL_R)[:2] == (0, True)
+    assert cheapest_walk(TREFOIL_L)[:2] == (0, False)
+
+
+@pytest.mark.parametrize("b", WALK_WORDS, ids=lambda b: b.text() or "unknot")
+def test_every_walk_gives_the_same_sum(monkeypatch, b):
+    with precision(60):
+        chosen = braid_sum(b, 2, 2)
+        for walk in _walk_candidates(b):
+            assert series_close(_forced_sum(monkeypatch, b, walk, 2, 2), chosen), (
+                f"rotation {walk[0]}, forward={walk[1]}"
+            )
+
+
+# Symbolic p on the words whose 2L walks all cost well under a second.
+SYMBOLIC_WALK_WORDS = [
+    parse_braid("s1 s1 s1", 2),
+    parse_braid("-s1 -s1 -s1", 2),
+    parse_braid("s1 -s2 s1 -s2", 3),
+    parse_braid("s1 s1 s1 -s2", 3),
+]
+
+
+@pytest.mark.parametrize("b", SYMBOLIC_WALK_WORDS, ids=lambda b: b.text())
+def test_every_walk_gives_the_same_symbolic_sum(monkeypatch, b):
+    with precision(60):
+        numeric = {p: braid_sum(b, p, 2) for p in (2, 3)}
+        for walk in _walk_candidates(b):
+            sym = _forced_sum(monkeypatch, b, walk, SYMBOLIC, 2)
+            for p, num in numeric.items():
+                diff = max(
+                    abs(poly.evaluate_big(p) - c)
+                    for poly, c in zip(sym.coeffs, num.coeffs)
+                )
+                assert diff < TOL, f"rotation {walk[0]}, forward={walk[1]}, p={p}"
+
+
 def test_branch_guard():
     with pytest.raises(ResourceGuardError) as info:
         with precision(40):
             braid_sum(TREFOIL_L, 2, 2, max_branches=1)
     message = str(info.value)
-    # the count reached, the operator's position and kind, and the limit
+    # the count reached, the operator's position and kind, the walk (the
+    # left trefoil's cheapest is rotation 0 read transposed) and the limit
     reached = re.search(r"reached (\d+) branches", message)
     assert reached and int(reached.group(1)) > 1
     assert re.search(
         r"at operator [1-7] of 7 \((?:(?:matrix element|dual generator) of "
-        r"crossing [123]|group-like element)\)",
+        r"crossing [123]|group-like element)\) of the walk along rotation 0, "
+        r"read transposed,",
         message,
     )
     assert "max_branches=1" in message
