@@ -279,7 +279,8 @@ def _cmd_qlg(args, config, out):
     digits = int(_setting(args, config, "precision"))
     cutoff = _resolve_cutoff(args, config, order)
     braid = _resolve_braid(args, config)
-    p_text = str(_setting(args, config, "p") or "symbolic")
+    p = _setting(args, config, "p")
+    p_text = "symbolic" if p is None else str(p)
     with precision(digits):
         if args.load_cache:
             load_lambda_cache(_cache_dir() / args.load_cache)

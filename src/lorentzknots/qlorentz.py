@@ -60,7 +60,6 @@ from .series import (
 __all__ = [
     "tangle_word",
     "g_action",
-    "x_action",
     "group_like_action",
     "cheapest_walk",
     "braid_sum",
@@ -171,14 +170,6 @@ def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, dps):
                 state = (d_b, d_ib)
                 out[state] = out[state] + term if state in out else term
     return tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
-
-
-def x_action(d_alpha, d_i, d_j, d_beta, d_ibeta):
-    """Matrix-element generator: kills unless (alpha, i) matches the state,
-    then lands on (alpha, j)."""
-    if d_alpha == d_beta and d_i == d_ibeta:
-        return ((d_alpha, d_j),)
-    return ()
 
 
 def group_like_action(d_idx: int, order: int):

@@ -127,28 +127,6 @@ class TruncatedSeries:
 
     # -- structure -------------------------------------------------------
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a jet; recompute at higher order")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def shift_down(self, k: int = 1) -> "TruncatedSeries":
-        """Divide by h^k, requiring the low coefficients to vanish."""
-        for c in self.coeffs[:k]:
-            if c:
-                raise ValueError("cannot divide by h: low-order coefficient nonzero")
-        zero = self._zero_coeff()
-        return TruncatedSeries(
-            self.order, self.coeffs[k:] + (zero,) * k
-        )
-
-    def negate_h(self) -> "TruncatedSeries":
-        """The substitution h -> -h (equivalently q -> 1/q)."""
-        return TruncatedSeries(
-            self.order,
-            [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)],
-        )
-
     def map_coeffs(self, fn) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [fn(c) for c in self.coeffs])
 

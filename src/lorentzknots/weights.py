@@ -28,10 +28,15 @@ Two module backends implement the characters:
 
 * the lowered-spin sl2 module with formal spin z (exact polynomials in z);
 * the minimal-spin-m discrete-basis module of the Lorentz algebra with
-  formal parameter p, whose coefficients live in an exact ring extended by
-  radical symbols c_alpha (c_alpha squares to a rational polynomial in p)
-  and integer square roots.  Scalars must come out radical-free, which is
-  asserted, never assumed.
+  formal parameter p (exact polynomials in p).  Its states are not the
+  orthonormal Gelfand-Naimark vectors e(alpha, k) (alpha >= |m|,
+  |k| <= alpha) but the rescaled f(alpha, k) = d(alpha, k) e(alpha, k) with
+  d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!), g(|m|) = 1 and
+  g(alpha)/g(alpha-1) = c_alpha.  Every matrix element is then an integer
+  times 1, c_alpha^2 or B_alpha, all polynomials in p, so no square root
+  arises.  The change of basis is diagonal and the corner state is an
+  eigenvector of every central element, so the characters are those of the
+  orthonormal basis.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .polynomials import (
     POLY_ONE,
     POLY_ZERO,
     ParamPolynomial,
-    poly_constant,
     poly_variable,
 )
 from .scalars import GaussianRational, GR_I, GR_ONE
@@ -264,6 +268,21 @@ def _transfer_walk(t: InfinitesimalRMatrix, d: ChordDiagram, start: int, corner,
     return branches.get(closed, {})
 
 
+def _corner_scalar(total, corner, module: str, element: str) -> ParamPolynomial:
+    """Scalar of an element from ``total``, the vector it makes of ``corner``.
+
+    Every other component must cancel, or InternalConsistencyError names the
+    module, the element and the surviving component.
+    """
+    for state, poly in total.items():
+        if state != corner and not poly.is_zero():
+            raise InternalConsistencyError(
+                f"{element} moved the corner state {corner} of the {module} "
+                f"(component {state} survived): scalar extraction invalid"
+            )
+    return total.get(corner, POLY_ZERO)
+
+
 # ---------------------------------------------------------------------------
 # sl2 spin-z module (exact polynomials in z)
 # ---------------------------------------------------------------------------
@@ -301,13 +320,7 @@ def _sl2_apply_word(word):
 @memoized
 def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start: int):
     total = _transfer_walk(t, d, start, {0: POLY_ONE}, _sl2_step)
-    for j, poly in total.items():
-        if j != 0 and not poly.is_zero():
-            raise InternalConsistencyError(
-                "central element acted off the corner state of the spin-z "
-                f"module (component {j} survived): scalar extraction invalid"
-            )
-    return total.get(0, POLY_ZERO)
+    return _corner_scalar(total, 0, "spin-z module", "central element")
 
 
 def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
@@ -330,23 +343,8 @@ def sl2_quadratic_eigenvalue(t: InfinitesimalRMatrix = T_JONES_SL2):
 
 
 # ---------------------------------------------------------------------------
-# Lorentz module with minimal spin m: radical-symbol arithmetic
+# Lorentz module with minimal spin m, in the rescaled basis f(alpha, k)
 # ---------------------------------------------------------------------------
-
-
-def _square_split(v: int):
-    """v = mult^2 * rad with rad squarefree (v >= 0, small)."""
-    mult, rad, f = 1, 1, 2
-    while f * f <= v:
-        e = 0
-        while v % f == 0:
-            v //= f
-            e += 1
-        mult *= f ** (e // 2)
-        if e % 2:
-            rad *= f
-        f += 1
-    return mult, rad * v
 
 
 @memoized
@@ -360,205 +358,92 @@ def _c_squared(alpha: int, m: int) -> ParamPolynomial:
 
 
 def _b_coeff(alpha: int, m: int) -> ParamPolynomial:
-    """B_alpha = i p m / (alpha (alpha + 1)); no radical content."""
+    """B_alpha = i p m / (alpha (alpha + 1))."""
     return ParamPolynomial([0, GR_I * Fraction(m, alpha * (alpha + 1))])
 
 
-class RadicalSum:
-    """Sum of p-polynomials times monomials in c_alpha symbols and sqrt(d).
-
-    Keys are (frozenset of c indices, squarefree integer); after reduction
-    every c_alpha appears to power 0 or 1.  A value is scalar when only the
-    radical-free key survives.
-    """
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms=None):
-        self.m = m
-        self.terms = {}
-        if terms:
-            for key, poly in terms.items() if isinstance(terms, dict) else terms:
-                if not poly.is_zero():
-                    cur = self.terms.get(key)
-                    poly = poly if cur is None else cur + poly
-                    if poly.is_zero():
-                        self.terms.pop(key, None)
-                    else:
-                        self.terms[key] = poly
-
-    @staticmethod
-    def scalar(m: int, poly) -> "RadicalSum":
-        if isinstance(poly, (int, Fraction, GaussianRational)):
-            poly = poly_constant(poly)
-        return RadicalSum(m, {(frozenset(), 1): poly})
-
-    def __add__(self, other: "RadicalSum") -> "RadicalSum":
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            cur = out.get(key)
-            tot = poly if cur is None else cur + poly
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        result = RadicalSum(self.m)
-        result.terms = out
-        return result
-
-    def mul_simple(self, poly, c_index=None, rad: int = 1) -> "RadicalSum":
-        """Multiply by poly * c_{c_index} * sqrt(rad) (each factor optional)."""
-        if isinstance(poly, (int, Fraction, GaussianRational)):
-            poly = poly_constant(poly)
-        out = {}
-        for (cset, r), val in self.terms.items():
-            newpoly = val * poly
-            if c_index is not None:
-                if c_index in cset:
-                    cset = cset - {c_index}
-                    newpoly = newpoly * _c_squared(c_index, self.m)
-                else:
-                    cset = cset | {c_index}
-            if rad != 1:
-                mult, newr = _square_split(r * rad)
-                newpoly = newpoly * mult
-            else:
-                newr = r
-            if newpoly.is_zero():
-                continue
-            key = (cset, newr)
-            cur = out.get(key)
-            tot = newpoly if cur is None else cur + newpoly
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        result = RadicalSum(self.m)
-        result.terms = out
-        return result
-
-    def __mul__(self, scalar) -> "RadicalSum":
-        return self.mul_simple(scalar)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_scalar(self) -> bool:
-        return all(key == (frozenset(), 1) for key in self.terms)
-
-    def scalar_value(self) -> ParamPolynomial:
-        if not self.is_scalar():
-            raise InternalConsistencyError(
-                "radical symbols survived where a scalar was required: "
-                f"keys {sorted((sorted(cs), r) for cs, r in self.terms)}"
-            )
-        return self.terms.get((frozenset(), 1), POLY_ZERO)
-
-
+@memoized
 def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
-    """Outgoing terms of a generator on state (alpha, k).
+    """The matrix elements of ``gen`` on f(alpha, k), as ((alpha', k'), coeff) pairs.
 
-    Yields (new_alpha, new_k, sign, int_radicand, c_index, with_b, k_factor):
-    coefficient = sign * sqrt(int_radicand) * [c_{c_index} | B_alpha | k_factor].
+    Each coefficient is an integer times 1, c_alpha^2 or B_alpha.  Only
+    nonzero coefficients on states with alpha' >= |m| and |k'| <= alpha'
+    appear.
     """
-    am = abs(m)
     if gen == "H3":
-        yield (alpha, k, 1, 1, None, False, k)
-        return
-    if gen == "H-":
-        yield (alpha, k - 1, 1, (alpha + k) * (alpha - k + 1), None, False, None)
-        return
-    if gen == "H+":
-        yield (alpha, k + 1, 1, (alpha + k + 1) * (alpha - k), None, False, None)
-        return
-    if gen == "F+":
-        yield (alpha - 1, k + 1, 1, (alpha - k) * (alpha - k - 1), alpha, False, None)
-        yield (alpha, k + 1, -1, (alpha + k + 1) * (alpha - k), None, True, None)
-        yield (
-            alpha + 1, k + 1, 1, (alpha + k + 1) * (alpha + k + 2), alpha + 1, False, None,
+        rows = ((0, 0, k, None),)
+    elif gen == "H+":
+        rows = ((0, 1, 1, None),)
+    elif gen == "H-":
+        rows = ((0, -1, (alpha + k) * (alpha - k + 1), None),)
+    elif gen == "F+":
+        rows = ((-1, 1, 1, _c_squared), (0, 1, -1, _b_coeff), (1, 1, 1, None))
+    elif gen == "F-":
+        rows = (
+            (-1, -1, -(alpha + k) * (alpha + k - 1), _c_squared),
+            (0, -1, -(alpha + k) * (alpha - k + 1), _b_coeff),
+            (1, -1, -(alpha - k + 1) * (alpha - k + 2), None),
         )
-        return
-    if gen == "F-":
-        yield (alpha - 1, k - 1, -1, (alpha + k) * (alpha + k - 1), alpha, False, None)
-        yield (alpha, k - 1, -1, (alpha - k + 1) * (alpha + k), None, True, None)
-        yield (
-            alpha + 1, k - 1, -1, (alpha - k + 1) * (alpha - k + 2), alpha + 1, False, None,
+    elif gen == "F3":
+        rows = (
+            (-1, 0, alpha + k, _c_squared),
+            (0, 0, -k, _b_coeff),
+            (1, 0, -(alpha + 1 - k), None),
         )
-        return
-    if gen == "F3":
-        yield (alpha - 1, k, 1, alpha * alpha - k * k, alpha, False, None)
-        yield (alpha, k, -1, 1, None, True, k)
-        yield (
-            alpha + 1, k, -1, (alpha + 1) * (alpha + 1) - k * k, alpha + 1, False, None,
-        )
-        return
-    raise ValueError(f"unknown Lorentz generator {gen!r}")
+    else:
+        raise ValueError(f"unknown Lorentz generator {gen!r}")
+    out = []
+    for d_alpha, d_k, count, factor in rows:
+        a2, k2 = alpha + d_alpha, k + d_k
+        if a2 < abs(m) or abs(k2) > a2:
+            continue
+        if factor is _b_coeff and m == 0:
+            continue  # B_alpha is zero for m = 0, and undefined at alpha = 0
+        coeff = (POLY_ONE if factor is None else factor(alpha, m)) * count
+        if not coeff.is_zero():
+            out.append(((a2, k2), coeff))
+    return tuple(out)
 
 
 def _lorentz_step(vec, gen: str, m: int):
-    """Apply one generator to a vector {(alpha, k): RadicalSum}."""
-    am = abs(m)
+    """Apply one generator to a vector {(alpha, k): ParamPolynomial}."""
     out = {}
-    for (alpha, k), coeff in vec.items():
-        for a2, k2, sign, radicand, c_index, with_b, k_factor in _lorentz_targets(
-            gen, alpha, k, m
-        ):
-            if a2 < am or abs(k2) > a2 or radicand == 0:
-                continue
-            if c_index is not None and c_index <= am:
-                continue  # c_alpha vanishes at the minimal spin
-            mult, rad = _square_split(radicand)
-            poly = poly_constant(sign * mult)
-            if with_b:
-                if m == 0:
-                    continue
-                poly = poly * _b_coeff(alpha, m)
-            if k_factor is not None:
-                if k_factor == 0:
-                    continue
-                poly = poly * k_factor
-            _add_into(out, (a2, k2), coeff.mul_simple(poly, c_index=c_index, rad=rad))
+    for (alpha, k), poly in vec.items():
+        for state, coeff in _lorentz_targets(gen, alpha, k, m):
+            _add_into(out, state, poly * coeff)
     return out
 
 
 def _lorentz_corner(m: int):
     am = abs(m)
-    return {(am, am): RadicalSum.scalar(m, 1)}
+    return {(am, am): POLY_ONE}
 
 
 def lorentz_apply_word(word, m: int):
-    """Apply a generator word to the corner state (alpha, k) = (|m|, |m|)."""
+    """Apply a generator word to the corner state f(|m|, |m|).
+
+    States are the rescaled vectors f(alpha, k) = d(alpha, k) e(alpha, k) of
+    the module docstring, with d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!).
+    """
     vec = _lorentz_corner(m)
     for gen in word:
         vec = _lorentz_step(vec, gen, m)
     return vec
 
 
-def _corner_scalar(total, m: int, element: str) -> ParamPolynomial:
-    """Scalar of an element from ``total``, the vector it makes of the corner.
-
-    Every component off the corner state (|m|, |m|) must cancel, or
-    InternalConsistencyError names ``element`` and the surviving component;
-    the corner value must be radical-free.
-    """
-    corner = (abs(m), abs(m))
-    for state, rad in total.items():
-        if state != corner and not rad.is_zero():
-            raise InternalConsistencyError(
-                f"{element} moved the corner state of the minimal-spin module "
-                f"(component {state} survived): scalar extraction invalid"
-            )
-    return total.get(corner, RadicalSum.scalar(m, 0)).scalar_value()
-
-
 def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     """Corner value of the weight of ``d`` under ``t``, before the per-chord sign.
 
-    The off-corner cancellation and radical-free checks of
-    :func:`_corner_scalar` apply.
+    The walk acts on the rescaled states f(alpha, k) = d(alpha, k) e(alpha, k)
+    with d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!); the change of
+    basis is diagonal, so the corner value is that of the orthonormal basis.
+    The off-corner cancellation check of :func:`_corner_scalar` applies.
     """
     total = _transfer_walk(t, d, 0, _lorentz_corner(m), partial(_lorentz_step, m=m))
-    return _corner_scalar(total, m, "central element")
+    corner = (abs(m), abs(m))
+    return _corner_scalar(
+        total, corner, f"minimal-spin-{m} Lorentz module", "central element"
+    )
 
 
 # The walk's cost follows n * |T_LORENTZ|^w, with w the number of chords open
@@ -636,9 +521,12 @@ def lorentz_quadratic_eigenvalue(terms, m: int) -> ParamPolynomial:
     """Eigenvalue polynomial of sum_i c_i X_i Y_i on the minimal-spin module."""
     total = {}
     for c, a, b in terms:
-        for state, rad in lorentz_apply_word((b, a), m).items():
-            _add_into(total, state, rad * c)
-    return _corner_scalar(total, m, "quadratic element")
+        for state, poly in lorentz_apply_word((b, a), m).items():
+            _add_into(total, state, poly * c)
+    corner = (abs(m), abs(m))
+    return _corner_scalar(
+        total, corner, f"minimal-spin-{m} Lorentz module", "quadratic element"
+    )
 
 
 def casimir_eigenvalues(m: int, p=None):

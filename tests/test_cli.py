@@ -157,6 +157,18 @@ def test_config_precedence(tmp_path):
     assert json.loads(text)["order"] == 1
 
 
+def test_qlg_config_p_zero_is_the_point_zero(tmp_path):
+    # A config p of 0 is the numeric point p = 0, as with the flag, not
+    # symbolic p.
+    argv = ["qlg", "--knot", "trefoil-left", "--order", "1", "--precision", "30"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0}))
+    code, from_config = run_cli(["--config", str(cfg)] + argv)
+    assert code == 0
+    assert run_cli(argv + ["--p", "0"]) == (0, from_config)
+    assert "*p^" not in from_config
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))

@@ -24,7 +24,6 @@ from lorentzknots.qlorentz import (
     group_like_action,
     tangle_word,
     trefoil_closed_sum,
-    x_action,
 )
 from lorentzknots.scalars import precision
 
@@ -82,13 +81,6 @@ def test_tangle_word_rejects_links():
 # ---------------------------------------------------------------------------
 # Elementary actions
 # ---------------------------------------------------------------------------
-
-
-def test_x_action_matrix_elements():
-    assert x_action(0, 0, 0, 0, 0) == ((0, 0),)
-    assert x_action(2, 0, 2, 2, 0) == ((2, 2),)
-    assert x_action(2, 0, 2, 4, 0) == ()  # spin mismatch
-    assert x_action(2, 2, 0, 2, 0) == ()  # index mismatch
 
 
 def test_group_like_is_exponential_weight():

@@ -1,5 +1,6 @@
 """Weight maps and central characters, by both routes."""
 
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -15,7 +16,7 @@ from lorentzknots.diagrams import (
     four_t_generators,
     parse_diagram,
 )
-from lorentzknots.errors import ResourceGuardError
+from lorentzknots.errors import InternalConsistencyError, ResourceGuardError
 from lorentzknots.polynomials import POLY_ONE, ParamPolynomial, poly_variable
 from lorentzknots.scalars import GaussianRational
 from lorentzknots.series import clear_caches
@@ -82,14 +83,19 @@ def test_phi_words_three_chord_pattern():
 # ---------------------------------------------------------------------------
 
 
-def _literal(t, d, start, apply_word):
-    """Sum of coeff * (word applied to the corner) over every phi_words word."""
+def _combine(pairs):
+    """Sum of coeff * vector over (coeff, vector) pairs, without zero entries."""
     total = {}
-    for coeff, word in phi_words(t, d, start):
-        for state, value in apply_word(word).items():
+    for coeff, vec in pairs:
+        for state, value in vec.items():
             value = value * coeff
             total[state] = total[state] + value if state in total else value
     return {s: v for s, v in total.items() if not v.is_zero()}
+
+
+def _literal(t, d, start, apply_word):
+    """Sum of coeff * (word applied to the corner) over every phi_words word."""
+    return _combine((coeff, apply_word(word)) for coeff, word in phi_words(t, d, start))
 
 
 def _sl2_walk(t, d, start):
@@ -112,18 +118,13 @@ def test_sl2_walk_equals_word_expansion_five_chords():
         assert _sl2_walk(T_JONES_SL2, d, 0) == literal, d.gauss_text()
 
 
-def _radical_terms(vec):
-    return {state: rad.terms for state, rad in vec.items()}
-
-
 def _assert_lorentz_walk_matches_words(t, diagrams, m):
     walk_step = partial(weights._lorentz_step, m=m)
     for d in diagrams:
         literal = _literal(t, d, 0, partial(lorentz_apply_word, m=m))
         walk = weights._transfer_walk(t, d, 0, weights._lorentz_corner(m), walk_step)
-        assert _radical_terms(walk) == _radical_terms(literal), d.gauss_text()
-        corner = literal.get((m, m))
-        assert lorentz_weight_raw(t, d, m) == (corner.scalar_value() if corner else 0)
+        assert walk == literal, d.gauss_text()
+        assert lorentz_weight_raw(t, d, m) == literal.get((m, m), 0)
 
 
 @pytest.mark.parametrize("t", [T_LORENTZ, T_LEFT], ids=["balanced", "left"])
@@ -137,6 +138,40 @@ def test_lorentz_walk_equals_word_expansion_four_chords():
     # The 12-term left tensor has 20736 words per 4-chord diagram (about
     # 10 s each); check the diagram whose four chords are open at once.
     _assert_lorentz_walk_matches_words(T_LEFT, [parse_diagram("ABCDABCD")], 0)
+
+
+@pytest.mark.parametrize(
+    "evaluate, corner, survivor, module",
+    [
+        (
+            lambda: weights._lambda_z_literal.__wrapped__(THETA, T_JONES_SL2, 0),
+            0,
+            2,
+            "spin-z module",
+        ),
+        (
+            lambda: lorentz_weight_raw(T_LORENTZ, THETA, 1),
+            (1, 1),
+            (2, 0),
+            "minimal-spin-1 Lorentz module",
+        ),
+    ],
+    ids=["sl2", "lorentz"],
+)
+def test_surviving_off_corner_component_is_reported(
+    monkeypatch, evaluate, corner, survivor, module
+):
+    # Both modules share one corner check; feed it a vector with an
+    # off-corner component through each module's character.
+    monkeypatch.setattr(
+        weights, "_transfer_walk", lambda *args: {corner: Z, survivor: POLY_ONE}
+    )
+    message = (
+        f"central element moved the corner state {corner} of the {module} "
+        f"(component {survivor} survived): scalar extraction invalid"
+    )
+    with pytest.raises(InternalConsistencyError, match=re.escape(message)):
+        evaluate()
 
 
 def test_clear_caches_empties_the_character_tables():
@@ -224,6 +259,46 @@ def test_theta_value_and_casimir_difference():
         assert left - right == P * F(m, 2)
         assert lambda_mp_direct(THETA, m) == -(left - right)
         assert lambda_mp_factorized(THETA, m) == -(left - right)
+
+
+# (X, Y, [X, Y] as (coefficient, generator) pairs) for the Lorentz algebra
+# in the module's normalization.
+LORENTZ_COMMUTATORS = [
+    ("H+", "H-", ((2, "H3"),)),
+    ("H3", "H+", ((1, "H+"),)),
+    ("H3", "H-", ((-1, "H-"),)),
+    ("H3", "F+", ((1, "F+"),)),
+    ("H3", "F-", ((-1, "F-"),)),
+    ("H+", "F-", ((2, "F3"),)),
+    ("H-", "F+", ((-2, "F3"),)),
+    ("H+", "F3", ((-1, "F+"),)),
+    ("H-", "F3", ((1, "F-"),)),
+    ("F+", "F-", ((-2, "H3"),)),
+    ("F+", "F3", ((1, "H+"),)),
+    ("F-", "F3", ((-1, "H-"),)),
+    ("H+", "F+", ()),
+    ("H-", "F-", ()),
+    ("H3", "F3", ()),
+]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_lorentz_module_commutation_relations(m):
+    # Checks the rescaled matrix elements against the algebra: each relation
+    # holds exactly on every state with alpha <= 3.
+    def act(factors, state):
+        """The operator product X Y ... on f(state); the last factor acts first."""
+        vec = {state: POLY_ONE}
+        for gen in reversed(factors):
+            vec = weights._lorentz_step(vec, gen, m)
+        return vec
+
+    states = [(alpha, k) for alpha in range(m, 4) for k in range(-alpha, alpha + 1)]
+    for x, y, rhs in LORENTZ_COMMUTATORS:
+        for state in states:
+            bracket = _combine([(1, act((x, y), state)), (-1, act((y, x), state))])
+            expected = _combine((c, act((z,), state)) for c, z in rhs)
+            assert bracket == expected, (x, y, state)
 
 
 def test_casimir_eigenvalues_reproduced_by_module_action():
