@@ -9,10 +9,15 @@ trace over those strands, and read off the scalar multiple of the identity
 framed invariant divided by the ordinary dimension 2*alpha + 1, at
 blackboard (writhe) framing.
 
-Sampling the smallest half-integer spins and interpolating each h-order by
-exact Lagrange reconstruction (degree at most 2n in the spin at order n,
-with surplus samples re-checked) produces the two-variable expansion in
-(spin, h) at zero framing.
+The two-variable expansion in (spin z, h) at zero framing comes from the
+samples at the smallest half-integer spins.  Divided by the unknot's, the
+h^n coefficient has degree at most n in z (Melvin-Morton), so each order-n
+expansion samples two_alpha = 0..n+2 only: the h^n coefficient of the
+quotient is fitted by exact Lagrange reconstruction through the first n+1
+spins, and the remaining samples (at least two) must lie on the fit.  The
+top coefficients are asserted against the Alexander polynomial
+(Melvin-Morton-Rozansky), and the quotient is multiplied back by the
+unknot's expansion, fitted the same way from its own samples.
 
 Hot-path arithmetic uses integer coefficient tuples over a shared
 denominator; Fractions appear only at the boundaries.
@@ -24,6 +29,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+from .alexander import alexander_polynomial, inverse_alexander_exp
 from .braids import BraidWord
 from .errors import InternalConsistencyError
 from .polynomials import (
@@ -31,6 +37,7 @@ from .polynomials import (
     PolySeries,
     lagrange_interpolate,
     poly_constant,
+    specialize,
 )
 from .scalars import GaussianRational
 from .series import (
@@ -62,6 +69,8 @@ __all__ = [
 # invariant by exp(2 * w(z) * h), where w(z) is the one-chord weight-system
 # eigenvalue (z(z+1)/2 for the tensor behind the Jones normalization).
 _KINK_EXPONENT_FACTOR = 2
+
+_UNKNOT = BraidWord(1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,37 +360,77 @@ def jones_zero_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeri
     return framed * framing_factor_numeric(two_alpha, order, -b.writhe())
 
 
-def _assemble_interpolation(nodes, samples, order: int) -> PolySeries:
+def _assemble_interpolation(b: BraidWord, samples, order: int) -> PolySeries:
+    """Fit the h^n coefficient of ``samples`` (sample k at spin k/2) at
+    degree <= n in the spin through the first n+1 spins, and require every
+    later sample to lie on the fit."""
+    nodes = [Fraction(k, 2) for k in range(len(samples))]
     coeffs = []
     for n in range(order + 1):
         values = [s.coeffs[n] for s in samples]
-        need = 2 * n + 1
-        poly = lagrange_interpolate(nodes[:need], values[:need])
-        if poly.degree() > 2 * n:
-            raise InternalConsistencyError(
-                f"h^{n} coefficient exceeded spin degree {2 * n}"
-            )
-        for x, v in zip(nodes[need:], values[need:]):
+        poly = lagrange_interpolate(nodes[: n + 1], values[: n + 1])
+        for x, v in zip(nodes[n + 1 :], values[n + 1 :]):
             if poly.evaluate(x) != v:
                 raise InternalConsistencyError(
-                    f"h^{n} coefficient violates the degree-{2 * n} bound at "
-                    f"spin {x}: interpolation inconsistent"
+                    f"spin expansion of {b} at order {order}: the h^{n} "
+                    f"coefficient at spin {x} is off the degree-{n} fit "
+                    f"through spins 0..{Fraction(n, 2)} (Melvin-Morton bound)"
                 )
         coeffs.append(poly)
     return TruncatedSeries(order, coeffs)
 
 
 @memoized
+def _unknot_expansion(order: int) -> PolySeries:
+    """The unknot's spin expansion, from its own samples at two_alpha =
+    0..2*order+2.
+
+    Its h^n coefficient, that of sinh(Nh/2)/(N sinh(h/2)), has degree n in
+    N = 2z+1 as well, so the same fit applies; the samples cost next to
+    nothing, so it keeps the 2*order+3 of a degree-2n fit, which leaves
+    order+2 surplus spins at the top power.
+    """
+    samples = [jones_zero_framed(_UNKNOT, k, order) for k in range(2 * order + 3)]
+    return _assemble_interpolation(_UNKNOT, samples, order)
+
+
+def _check_mmr_diagonal(b: BraidWord, normalized: PolySeries, order: int):
+    """The N^n coefficient of the h^n term of J/J(unknot), N = 2z+1, is the
+    h^n coefficient of 1/Delta(e^h) (Melvin-Morton-Rozansky)."""
+    diagonal = inverse_alexander_exp(alexander_polynomial(b), order)
+    for n, poly in enumerate(normalized.coeffs):
+        top = poly.compose_affine(Fraction(1, 2), Fraction(-1, 2)).coefficient(n)
+        if top != diagonal.coeffs[n]:
+            raise InternalConsistencyError(
+                f"spin expansion of {b} at order {order}: the N^{n} h^{n} "
+                f"coefficient of J/J(unknot) is {top}, but 1/Delta(e^x) has "
+                f"x^{n} coefficient {diagonal.coeffs[n]} (Melvin-Morton-Rozansky)"
+            )
+
+
+@memoized
 def _interpolated(strands: int, letters: tuple, order: int) -> PolySeries:
     b = BraidWord(strands, letters)
-    nodes = [Fraction(k, 2) for k in range(2 * order + 3)]
-    samples = [jones_zero_framed(b, k, order) for k in range(len(nodes))]
-    return _assemble_interpolation(nodes, samples, order)
+    unknot = _unknot_expansion(order)
+    quotients = [
+        jones_zero_framed(b, k, order) / specialize(unknot, Fraction(k, 2))
+        for k in range(order + 3)
+    ]
+    normalized = _assemble_interpolation(b, quotients, order)
+    _check_mmr_diagonal(b, normalized, order)
+    return normalized * unknot
 
 
 def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
-    """Zero-framing spin expansion: h^n coefficients are polynomials in the
-    spin of degree at most 2n, reconstructed exactly from sampled
-    half-integer spins with surplus samples verified."""
+    """Zero-framing spin expansion, a polynomial in the spin z per h-order.
+
+    Each zero-framed sample at two_alpha = 0..order+2 is divided by the
+    unknot's; the h^n coefficient of that quotient has degree at most n in
+    z (Melvin-Morton), so it is fitted through the first n+1 spins and the
+    remaining (at least two) samples must lie on the fit.  Its N^n
+    coefficient, N = 2z+1, is checked against 1/Delta(e^x).  The result is
+    the quotient times the unknot's expansion, which is fitted the same way
+    from its own samples at two_alpha = 0..2*order+2.
+    """
     _require_knot(b)
     return _interpolated(b.strands, b.letters, order)

@@ -317,6 +317,7 @@ def test_clear_caches_empties_every_memo_table():
         jones._braiding_table,
         jones._tangle_scalar,
         jones._interpolated,
+        jones._unknot_expansion,
     ]
     assert all(t.cache_info().currsize for t in tables)
     assert all(t.table for t in tables) and all(cache_state())

@@ -4,8 +4,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lorentzknots.braids import BraidWord, markov_variants, mirror, parse_braid, reverse
+from lorentzknots import jones
+from lorentzknots.braids import (
+    CATALOG,
+    BraidWord,
+    markov_variants,
+    mirror,
+    parse_braid,
+    reverse,
+)
+from lorentzknots.errors import InternalConsistencyError
 from lorentzknots.jones import (
     SeriesOperator,
     framing_factor,
@@ -16,14 +26,20 @@ from lorentzknots.jones import (
     kink_exponent_polynomial,
     r_matrix,
 )
-from lorentzknots.polynomials import ParamPolynomial, poly_variable, specialize
-from lorentzknots.series import clear_caches, constant_series, q_dim
+from lorentzknots.polynomials import (
+    ParamPolynomial,
+    lagrange_interpolate,
+    poly_variable,
+    specialize,
+)
+from lorentzknots.series import TruncatedSeries, clear_caches, constant_series, q_dim
 
 F = Fraction
 
 TREFOIL = parse_braid("s1 s1 s1", 2)
 UNKNOT = BraidWord(1)
 FIG8 = parse_braid("s1 -s2 s1 -s2", 3)
+KNOT_5_2 = parse_braid("s1 s1 s1 s2 -s1 s2", 3)
 
 
 def _lift(op, dim, slot):
@@ -207,9 +223,108 @@ def test_markov_invariance_exact():
         assert jones_z_interpolated(v, 3) == base
 
 
-def test_repeated_interpolation_is_a_memo_hit():
-    from lorentzknots import jones
+def _degree_2n_fit(b, order, sample=jones_zero_framed):
+    """Reference fit: the h^n coefficient of the zero-framed samples at
+    degree <= 2n in the spin, through two_alpha = 0..2n, from 2*order+3
+    samples, with no normalization by the unknot and no surplus check."""
+    nodes = [F(k, 2) for k in range(2 * order + 3)]
+    samples = [sample(b, k, order) for k in range(len(nodes))]
+    return TruncatedSeries(
+        order,
+        [
+            lagrange_interpolate(
+                nodes[: 2 * n + 1], [s.coeffs[n] for s in samples[: 2 * n + 1]]
+            )
+            for n in range(order + 1)
+        ],
+    )
 
+
+@pytest.mark.parametrize(
+    "b",
+    list(
+        dict.fromkeys(
+            [k.braid for k in CATALOG.values()] + [KNOT_5_2] + markov_variants(TREFOIL)[:7]
+        )
+    ),
+    ids=str,
+)
+def test_interpolation_equals_the_degree_2n_fit(b):
+    assert jones_z_interpolated(b, 3) == _degree_2n_fit(b, 3)
+
+
+# Knot braids with at most 5 crossings on 2 or 3 strands.  A 2-strand
+# closure is a knot when the crossing number is odd; a 3-strand one needs a
+# 3-cycle, hence an even crossing number, so at most 4.
+_KNOT_BRAIDS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(1, 2), st.sampled_from((1, -1))), min_size=2, max_size=4
+    )
+    .map(lambda letters: BraidWord(3, letters))
+    .filter(BraidWord.is_knot),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=5)
+    .filter(lambda signs: len(signs) % 2)
+    .map(lambda signs: BraidWord(2, [(1, sign) for sign in signs])),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_random_knot_interpolation_equals_the_degree_2n_fit(b):
+    assert jones_z_interpolated(b, 2) == _degree_2n_fit(b, 2)
+
+
+def test_surplus_node_catches_what_a_degree_2n_fit_absorbs(monkeypatch):
+    # The bump z(z - 1/2)(z - 1)(z - 3/2) vanishes at every spin the
+    # order-2 fit samples below its top one (two_alpha = 4) and has degree
+    # 4 = 2n on the h^2 coefficient, so the degree-2n fit absorbs it
+    # without noticing.
+    def bumped(b, two_alpha, order):
+        series = jones_zero_framed(b, two_alpha, order)
+        if b != TREFOIL:
+            return series
+        z = F(two_alpha, 2)
+        bump = z * (z - F(1, 2)) * (z - 1) * (z - F(3, 2))
+        coeffs = list(series.coeffs)
+        coeffs[2] = coeffs[2] + bump
+        return TruncatedSeries(order, coeffs)
+
+    clear_caches()
+    absorbed = _degree_2n_fit(TREFOIL, 2, bumped)
+    assert absorbed != _degree_2n_fit(TREFOIL, 2)
+    monkeypatch.setattr(jones, "jones_zero_framed", bumped)
+    with pytest.raises(InternalConsistencyError) as err:
+        jones_z_interpolated(TREFOIL, 2)
+    message = str(err.value)
+    for part in ("s1 s1 s1", "order 2", "h^2", "spin 2", "degree-2"):
+        assert part in message
+
+
+def test_knots_are_sampled_up_to_two_alpha_order_plus_two(monkeypatch):
+    sampled = {}
+
+    def recording(b, two_alpha, order):
+        sampled.setdefault(b, set()).add(two_alpha)
+        return jones_zero_framed(b, two_alpha, order)
+
+    clear_caches()
+    monkeypatch.setattr(jones, "jones_zero_framed", recording)
+    jones_z_interpolated(FIG8, 3)
+    assert sampled[FIG8] == set(range(6))
+    assert sampled[UNKNOT] == set(range(9))
+
+
+def test_mmr_diagonal_is_checked(monkeypatch):
+    clear_caches()
+    monkeypatch.setattr(jones, "alexander_polynomial", lambda b: {-1: -1, 0: 3, 1: -1})
+    with pytest.raises(InternalConsistencyError) as err:
+        jones_z_interpolated(TREFOIL, 2)
+    message = str(err.value)
+    for part in ("s1 s1 s1", "order 2", "1/Delta(e^x)"):
+        assert part in message
+
+
+def test_repeated_interpolation_is_a_memo_hit():
     clear_caches()
     first = jones_z_interpolated(TREFOIL, 1)
     assert jones_z_interpolated(parse_braid("s1 s1 s1", 2), 1) is first
