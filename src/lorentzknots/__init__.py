@@ -6,14 +6,15 @@ at desk scale:
 * a chord-diagram / weight-system side (exact Gaussian-rational arithmetic),
   feeding central-character polynomials and the interpolated spin expansion
   of the coloured Jones function;
-* a quantum Lorentz group side (arbitrary-precision floats), evaluating
-  truncated braid sums through quantum Clebsch-Gordan data.
+* a quantum Lorentz group side (exact as well, in a rescaled basis where
+  every dual-generator entry is rational), evaluating truncated braid sums
+  through quantum Clebsch-Gordan data.
 
 See the README for the CLI and the acceptance suite.
 """
 
 from .errors import InternalConsistencyError, ResourceGuardError
-from .scalars import BigComplex, GaussianRational, precision
+from .scalars import GaussianRational, precision
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -34,7 +35,6 @@ from .polynomials import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigComplex",
     "GaussianRational",
     "InternalConsistencyError",
     "ParamPolynomial",

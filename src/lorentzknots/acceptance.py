@@ -2,8 +2,9 @@
 
 Each criterion is a callable returning (passed, detail); the registry drives
 both the ``verify`` CLI subcommand and the pytest acceptance module.  All
-parameters (orders, tolerances, precision) are pinned here, not configurable
-at call sites, so a green run always certifies the same statements:
+parameters (orders, knots, points) are pinned here, not configurable at
+call sites, and every comparison is an exact equality, so a green run
+always certifies the same statements:
 
  1. unknot expansion equals the sinh-ratio closed form through order 6;
  2. four-term generators are killed by both character families;
@@ -26,17 +27,15 @@ import time
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-
 from .braids import BraidWord, markov_variants, mirror, parse_braid, reverse
-from .cg import lambda_coeff, lambda_coeff_symbolic
+from .cg import RootJet, lambda_coeff, lambda_coeff_symbolic
 from .diagrams import enumerate_diagrams, four_t_generators
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_z_interpolated
-from .polynomials import ParamPolynomial, poly_variable
+from .polynomials import ParamPolynomial, poly_variable, specialize
 from .qlorentz import braid_sum, cheapest_walk, trefoil_closed_sum
-from .scalars import GaussianRational, precision
-from .series import constant_series, q_power, series_to_big
+from .scalars import GaussianRational
+from .series import constant_series, q_power
 from .weights import (
     CASIMIR_LEFT_TERMS,
     CASIMIR_RIGHT_TERMS,
@@ -47,21 +46,10 @@ from .weights import (
     lorentz_quadratic_eigenvalue,
 )
 
-DIGITS = 60
-TOLERANCE_EXP = 45  # comparisons at 10^-(DIGITS - 15)
-
 TREFOIL_R = parse_braid("s1 s1 s1", 2)
 TREFOIL_L = parse_braid("-s1 -s1 -s1", 2)
 FIG8 = parse_braid("s1 -s2 s1 -s2", 3)
 UNKNOT = BraidWord(1)
-
-
-def _tol():
-    return mpmath.mpf(10) ** -TOLERANCE_EXP
-
-
-def _series_diff(a, b):
-    return max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs))
 
 
 def _sinh_ratio_expansion(order):
@@ -176,134 +164,88 @@ def criterion_6_markov():
     for v in variants:
         if jones_z_interpolated(v, order) != base:
             return False, f"spin expansion changed under {v}"
-    with precision(DIGITS):
-        tol = _tol()
-        base_sum = braid_sum(TREFOIL_R, 2, order)
-        worst = mpmath.mpf(0)
-        for v in variants:
-            diff = _series_diff(braid_sum(v, 2, order), base_sum)
-            worst = max(worst, diff)
-            if diff > tol:
-                return False, f"braid sum moved by {mpmath.nstr(diff, 3)} under {v}"
+    base_sum = braid_sum(TREFOIL_R, 2, order)
+    for v in variants:
+        if braid_sum(v, 2, order) != base_sum:
+            return False, f"braid sum changed under {v}"
     return True, (
-        f"{len(variants)} variants: exact spin expansions, braid sums over "
-        f"{len(walks)} distinct walks within {mpmath.nstr(worst, 3)}"
+        f"{len(variants)} variants: equal spin expansions, braid sums over "
+        f"{len(walks)} distinct walks equal"
     )
 
 
 def criterion_7_structure_constant_columns():
-    """Closed forms for the four spin-1/2 columns, C in 0..3."""
+    """Closed forms for the four spin-1/2 columns, C in 0..3, exact; at a
+    complex point also through symbolic p."""
     order = 4
-    with precision(DIGITS):
-        tol = _tol()
-        worst = mpmath.mpf(0)
+    one = constant_series(1, order)
+    points = [GaussianRational(2), GaussianRational(3),
+              GaussianRational(Fraction(1, 2), Fraction(3, 2))]
 
-        def check(lam, rhs):
-            nonlocal worst
-            worst = max(worst, _series_diff(lam, rhs))
-            return worst <= tol
+    def lam(dA, dB, dC, dD, p):
+        value = lambda_coeff(dA, dB, dC, dD, p, order)
+        if not p.is_real():
+            sym = lambda_coeff_symbolic(dA, dB, dC, dD, order)
+            if RootJet(sym.radicand, specialize(sym.jet, p)) != value:
+                return None
+        return value.rational(1, (dA, dB, dC, dD))
 
-        one = series_to_big(constant_series(1, order))
-        points = [GaussianRational(2), GaussianRational(3),
-                  GaussianRational(Fraction(1, 2), Fraction(3, 2))]
-        for C in (0, 1, 2, 3):
-            q2C2 = series_to_big(q_power(2 * C + 2, order))
-            for p in points:
-                qp = series_to_big(q_power(p, order))
-                qmp = series_to_big(q_power(-1 * p, order))
-                if p.is_real():
-                    lam1 = lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C, p, order)
-                    lam2 = lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order)
-                    lam3 = lambda_coeff(2 * C + 2, 1, 2 * C + 1, 2 * C, p, order)
-                else:
-                    # complex rational point exercised through symbolic mode
-                    def at_point(dA, dB, dC, dD):
-                        sym = lambda_coeff_symbolic(dA, dB, dC, dD, order)
-                        from .series import TruncatedSeries
-
-                        return TruncatedSeries(
-                            order, [poly.evaluate_big(p) for poly in sym.coeffs]
-                        )
-
-                    lam1 = at_point(2 * C, 1, 2 * C + 1, 2 * C)
-                    lam2 = at_point(2 * C, 1, 2 * C + 1, 2 * C + 2)
-                    lam3 = at_point(2 * C + 2, 1, 2 * C + 1, 2 * C)
-                rhs1 = -1 * series_to_big(q_power(C + 1, order)) * (qp + qmp) * (
-                    q2C2 + one
-                ).inverse()
-                rhs2 = (q2C2 * qp - qmp) * (q2C2 + one).inverse()
-                rhs3 = (q2C2 * qmp - qp) * (q2C2 + one).inverse()
-                if not (check(lam1, rhs1) and check(lam2, rhs2) and check(lam3, rhs3)):
-                    return False, f"column formula failed at C={C}, p={p}"
-                if C >= 1:
-                    q2C = series_to_big(q_power(2 * C, order))
-                    if p.is_real():
-                        lam0 = lambda_coeff(2 * C, 1, 2 * C - 1, 2 * C, p, order)
-                    else:
-                        lam0 = at_point(2 * C, 1, 2 * C - 1, 2 * C)
-                    rhs0 = (
-                        series_to_big(q_power(C, order))
-                        * (qp + qmp)
-                        * (q2C + one).inverse()
-                    )
-                    if not check(lam0, rhs0):
-                        return False, f"first column formula failed at C={C}, p={p}"
-    return True, f"all columns match; worst deviation {mpmath.nstr(worst, 3)}"
+    for C in (0, 1, 2, 3):
+        q2C2 = q_power(2 * C + 2, order)
+        for p in points:
+            qp, qmp = q_power(p, order), q_power(-1 * p, order)
+            rhs1 = -1 * q_power(C + 1, order) * (qp + qmp) / (q2C2 + one)
+            rhs2 = (q2C2 * qp - qmp) / (q2C2 + one)
+            rhs3 = (q2C2 * qmp - qp) / (q2C2 + one)
+            if not (
+                lam(2 * C, 1, 2 * C + 1, 2 * C, p) == rhs1
+                and lam(2 * C, 1, 2 * C + 1, 2 * C + 2, p) == rhs2
+                and lam(2 * C + 2, 1, 2 * C + 1, 2 * C, p) == rhs3
+            ):
+                return False, f"column formula failed at C={C}, p={p}"
+            if C >= 1:
+                rhs0 = q_power(C, order) * (qp + qmp) / (q_power(2 * C, order) + one)
+                if lam(2 * C, 1, 2 * C - 1, 2 * C, p) != rhs0:
+                    return False, f"first column formula failed at C={C}, p={p}"
+    return True, "all columns equal their closed forms exactly"
 
 
 def criterion_8_trefoil_closed_sum():
-    """Streamed trefoil sums match the one-dimensional reduction; mirrors agree."""
+    """Streamed trefoil sums equal the one-dimensional reduction; mirrors agree."""
     order = 4
-    with precision(DIGITS):
-        tol = _tol()
-        worst = mpmath.mpf(0)
-        for p in (2, 3):
-            lhs = braid_sum(TREFOIL_L, p, order)
-            rhs = trefoil_closed_sum(p, order)
-            worst = max(worst, _series_diff(lhs, rhs))
-            if worst > tol:
-                return False, f"closed-sum mismatch at p={p}"
-        diff = _series_diff(
-            braid_sum(TREFOIL_R, 2, order), braid_sum(TREFOIL_L, 2, order)
-        )
-        worst = max(worst, diff)
-        if diff > tol:
-            return False, "right and left trefoil sums differ"
-    return True, f"closed reduction and mirror equality within {mpmath.nstr(worst, 3)}"
+    for p in (2, 3):
+        if braid_sum(TREFOIL_L, p, order) != trefoil_closed_sum(p, order):
+            return False, f"closed-sum mismatch at p={p}"
+    if braid_sum(TREFOIL_R, 2, order) != braid_sum(TREFOIL_L, 2, order):
+        return False, "right and left trefoil sums differ"
+    return True, "closed reduction and mirror equality hold exactly"
 
 
 def criterion_9_equivalence():
     """S_b(e^{h/2}, p) = X(0,p,K) (2a+1)^2/[2a+1]^2 with a=(p-1)/2."""
     order = 4
-    worst = 0.0
     for braid, name in ((TREFOIL_R, "T+"), (TREFOIL_L, "T-"), (FIG8, "fig8")):
         for p in (1, 2, 3):
-            report = equivalence_check(braid, p, order, DIGITS)
-            worst = max(worst, max(report["diffs"]))
+            report = equivalence_check(braid, p, order)
             if not report["pass"]:
-                return False, f"{name} at p={p}: diffs {report['diffs']}"
+                return False, f"{name} at p={p}: {report['lhs']} != {report['rhs']}"
             if p == 1:
-                with precision(DIGITS):
-                    lhs = braid_sum(braid, 1, order)
-                    unit = series_to_big(constant_series(1, order))
-                    if _series_diff(lhs, unit) > _tol():
-                        return False, f"{name}: braid sum at p=1 is not 1"
+                if braid_sum(braid, 1, order) != constant_series(1, order):
+                    return False, f"{name}: braid sum at p=1 is not 1"
                 inv = x_invariant(braid, 0, order)
                 for n in range(1, order + 1):
                     if inv.series.coeffs[n].evaluate(1) != 0:
                         return False, f"{name}: X(0,1) not 1 at order {n}"
-    return True, f"nine knot/parameter pairs agree; worst diff {worst:.3g}"
+    return True, "nine knot/parameter pairs agree exactly"
 
 
 def criterion_10_truncation_soundness():
     """Raising the label cutoff beyond the order changes no coefficient."""
     order = 3
-    with precision(DIGITS):
-        a = braid_sum(TREFOIL_L, 2, order, label_cutoff=order)
-        b = braid_sum(TREFOIL_L, 2, order, label_cutoff=order + 1)
-        diff = _series_diff(a, b)
-        if diff > _tol():
-            return False, f"coefficients moved by {mpmath.nstr(diff, 3)}"
+    a = braid_sum(TREFOIL_L, 2, order, label_cutoff=order)
+    b = braid_sum(TREFOIL_L, 2, order, label_cutoff=order + 1)
+    if a != b:
+        return False, "coefficients moved"
     return True, f"cutoff {order} -> {order + 1}: coefficients unchanged"
 
 

@@ -1,12 +1,20 @@
 """Quantum Clebsch-Gordan coefficients and the balanced structure constants.
 
 All spin labels are passed as doubled integers so that half-integer spins
-stay exact.  A coupling coefficient splits into three exactly-computed
-parts: a sign from the e^{i pi (I - m)} and (-1)^V phases (doubled-integer
-parity, never floating trig), an exact rational jet (the q-power prefactor
-and the alternating V-sum), and the square root of an exact rational jet of
-quantum factorials -- the only irrational ingredient, taken at the working
-float precision.
+stay exact, and every value is exact.  A coupling coefficient splits into a
+sign from the e^{i pi (I - m)} and (-1)^V phases (doubled-integer parity,
+never floating trig), an exact rational jet (the q-power prefactor and the
+alternating V-sum), and the square root of an exact rational jet R(h) of
+quantum factorials.  R's constant term c0, the classical radicand, is a
+positive rational and R/c0 has constant term 1, so sqrt(R/c0) is a rational
+jet: the coefficient is a :class:`RootJet`, sqrt(c0) times a rational jet.
+
+Within a coupling block the radicands factor as a row part times a column
+part times a rational square, so the decoupling block (its inverse) is
+inverted exactly as diag(1/sqrt b) R^{-1} diag(1/sqrt a).  Products of root
+jets multiply radicands; sums (over sigma in Lambda, over the internal spin
+in the dual-generator action) only ever add terms whose radicands differ by
+a rational square, which :meth:`RootJet.rational` checks exactly.
 
 The structure constants Lambda^{ABC}_D(p) of the balanced representation
 combine a decoupling and a coupling coefficient with q^{2 sigma p} weights;
@@ -21,11 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InternalConsistencyError
 from .polynomials import ParamPolynomial
-from .scalars import GaussianRational, to_big
+from .scalars import rational_sqrt
 from .series import (
     TruncatedSeries,
     clear_caches,
@@ -35,14 +41,13 @@ from .series import (
     memoized,
     q_dim,
     q_factorial,
-    q_integer,
     q_power,
-    series_to_big,
     sqrt_series,
 )
 
 __all__ = [
     "SYMBOLIC",
+    "RootJet",
     "quantum_cg",
     "quantum_cg_decoupling",
     "lambda_coeff",
@@ -50,6 +55,69 @@ __all__ = [
     "clear_caches",
     "cache_state",
 ]
+
+
+class RootJet:
+    """The exact jet sqrt(radicand) * jet.
+
+    ``radicand`` is a positive rational; ``jet`` has Gaussian-rational
+    coefficients, or polynomials in p over them.
+    """
+
+    __slots__ = ("radicand", "jet")
+
+    def __init__(self, radicand, jet: TruncatedSeries):
+        self.radicand = Fraction(radicand)
+        self.jet = jet
+
+    def __mul__(self, other: "RootJet") -> "RootJet":
+        return RootJet(self.radicand * other.radicand, self.jet * other.jet)
+
+    def is_zero(self) -> bool:
+        return self.jet.is_zero()
+
+    def rational(self, square=1, labels=()) -> TruncatedSeries:
+        """sqrt(square) times the value, a jet that must be rational.
+
+        Raises InternalConsistencyError naming ``labels`` when
+        radicand * square is not the square of a rational.
+        """
+        if self.jet.is_zero():
+            return self.jet
+        try:
+            root = rational_sqrt(self.radicand * square)
+        except ValueError:
+            raise InternalConsistencyError(
+                f"radicand {self.radicand * square} at labels {labels} is not "
+                "the square of a rational"
+            ) from None
+        return self.jet * root
+
+    def __eq__(self, other):
+        if not isinstance(other, RootJet):
+            return NotImplemented
+        try:
+            ratio = rational_sqrt(self.radicand / other.radicand)
+        except ValueError:
+            return self.is_zero() and other.is_zero()
+        return other.jet == self.jet * ratio
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"RootJet(radicand={self.radicand}, jet={self.jet!r})"
+
+
+def _root_sum(terms, zero: TruncatedSeries, labels) -> RootJet:
+    """Sum of root jets whose radicands differ by rational squares."""
+    terms = [t for t in terms if not t.is_zero()]
+    if not terms:
+        return RootJet(1, zero)
+    radicand = terms[0].radicand
+    total = terms[0].jet
+    for term in terms[1:]:
+        total = total + term.rational(1 / radicand, labels)
+    return RootJet(radicand, total)
 
 
 def _is_spin_index(dj: int, dm: int) -> bool:
@@ -66,14 +134,9 @@ def _triangle(da: int, db: int, dc: int) -> bool:
 SYMBOLIC = "symbolic"
 
 
-def _p_key(p):
-    """``p`` as a memo key: SYMBOLIC, or its exact Gaussian-rational value."""
-    return p if p is SYMBOLIC else GaussianRational.coerce(p)
-
-
 def cache_state():
     """(coupling entries, structure-constant entries) currently memoized."""
-    return _quantum_cg.cache_info().currsize, _lambda_coeff.cache_info().currsize
+    return quantum_cg.cache_info().currsize, lambda_coeff.cache_info().currsize
 
 
 def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
@@ -128,17 +191,14 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
     return sign, prefactor * total, radicand
 
 
-def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
+@memoized
+def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     """Coupling coefficient of (I, m) (x) (J, n) -> (K, p), doubled labels.
 
     Zero unless m + n = p, each index is in range, and the triangle
-    condition holds.  Returns a BigComplex jet at the current precision.
+    condition holds.  Returns sign * sqrt(c0) * (rational jet) as a RootJet
+    with radicand c0, the classical radicand.
     """
-    return _quantum_cg(dI, dJ, dK, dm, dn, dp, order, mpmath.mp.dps)
-
-
-@memoized
-def _quantum_cg(dI, dJ, dK, dm, dn, dp, order, dps):
     if not (
         _is_spin_index(dI, dm)
         and _is_spin_index(dJ, dn)
@@ -146,21 +206,26 @@ def _quantum_cg(dI, dJ, dK, dm, dn, dp, order, dps):
         and dm + dn == dp
         and _triangle(dI, dJ, dK)
     ):
-        return series_to_big(constant_series(0, order))
+        return RootJet(1, constant_series(0, order))
     sign, exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
-    root = sqrt_series(series_to_big(radicand))
-    return series_to_big(exact) * root * sign
+    c0 = radicand.coeffs[0]
+    root = sqrt_series(radicand * (1 / c0))
+    return RootJet(c0.re, exact * root * sign)
 
 
 @memoized
-def _decoupling_block(dJ, dK, dx, order, dps):
+def _decoupling_block(dJ, dK, dx, order):
     """Inverse of the coupling block at total weight x for J (x) K.
 
     Rows of the coupling block are weight pairs (n, p) with n + p = x, the
     columns are the admissible total spins I; representation theory makes
     the block square, and its classical limit is an orthogonal matrix, so
-    the jet inverse exists.  Keyed off (J, K, x); returns (pairs, spins,
-    inverse rows) with inverse[(I-row)][(n,p)-column] jets.
+    the jet inverse exists.  With a = the radicands of the first column and
+    b = those of the first row over the corner's, each entry is
+    sqrt(a_row b_col) times a rational jet R, so the inverse is
+    diag(1/sqrt b) R^{-1} diag(1/sqrt a), exactly.  Keyed off (J, K, x);
+    returns (pairs, spins, inverse rows) with inverse[(I-row)][(n,p)-column]
+    root jets.
     """
     pairs = [
         (dn, dx - dn)
@@ -182,11 +247,23 @@ def _decoupling_block(dJ, dK, dx, order, dps):
         [quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in spins]
         for (dn, dp) in pairs
     ]
-    inv = jet_matrix_inverse(M, order)
-    return tuple(pairs), tuple(spins), tuple(tuple(row) for row in inv)
+    a = [row[0].radicand for row in M]
+    b = [cell.radicand / M[0][0].radicand for cell in M[0]]
+    R = [
+        [
+            cell.rational(1 / (a[r] * b[c]), ("coupling", dJ, dK, spins[c], *pairs[r], dx))
+            for c, cell in enumerate(row)
+        ]
+        for r, row in enumerate(M)
+    ]
+    inv = jet_matrix_inverse(R, order)
+    return tuple(pairs), tuple(spins), tuple(
+        tuple(RootJet(1 / (a[r] * b[c]), inv[c][r]) for r in range(len(pairs)))
+        for c in range(len(spins))
+    )
 
 
-def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
+def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     """Decoupling coefficient of (I, m) -> (J, n) (x) (K, p): zero unless
     n + p = m.  The exact inverse of the coupling matrix for J (x) K, so
     the completeness relations hold by construction (the classical limit
@@ -199,34 +276,39 @@ def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> TruncatedSeries:
         and dn + dp == dm
         and _triangle(dI, dJ, dK)
     ):
-        return series_to_big(constant_series(0, order))
-    pairs, spins, inv = _decoupling_block(dJ, dK, dm, order, mpmath.mp.dps)
+        return RootJet(1, constant_series(0, order))
+    pairs, spins, inv = _decoupling_block(dJ, dK, dm, order)
     return inv[spins.index(dI)][pairs.index((dn, dp))]
 
 
 # ---------------------------------------------------------------------------
-# Symbolic p: jets of polynomials in p with mpc coefficients
+# Symbolic p: jets of polynomials in p
 # ---------------------------------------------------------------------------
 
 
 def _q_power_p_symbolic(d_sigma: int, order: int) -> TruncatedSeries:
     """q^{2 sigma p} = e^{sigma p h} as a jet of polynomials in p."""
     sigma = Fraction(d_sigma, 2)
-    zero = to_big(0)
     coeffs = []
     fact = 1
     for k in range(order + 1):
         if k:
             fact *= k
-        coeffs.append(ParamPolynomial([zero] * k + [to_big(sigma**k) / fact]))
+        coeffs.append(ParamPolynomial([0] * k + [sigma**k / fact]))
     return TruncatedSeries(order, coeffs)
 
 
-def _lambda_terms(dA, dB, dC, dD, order):
-    """The sigma-sum skeleton: [(d_sigma, decoupling * coupling jet), ...]."""
-    out = []
-    lo = -min(dB, dC)
-    for d_sigma in range(lo, min(dB, dC) + 1):
+@memoized
+def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
+    """Structure constant Lambda^{A B C}_D(p).
+
+    Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
+    D) column weights, as a RootJet: every sigma term has the same radical.
+    ``p`` is any Gaussian rational (complex values allowed), giving a jet
+    over Q(i), or SYMBOLIC, giving a jet of polynomials in p.
+    """
+    terms = []
+    for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
         if (d_sigma - dC) % 2 or (d_sigma - dB) % 2:
             continue
         left = quantum_cg_decoupling(dA, dC, dB, 0, d_sigma, -d_sigma, order)
@@ -235,36 +317,14 @@ def _lambda_terms(dA, dB, dC, dD, order):
         right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
         if right.is_zero():
             continue
-        out.append((d_sigma, left * right))
-    return out
-
-
-def lambda_coeff(dA, dB, dC, dD, p, order) -> TruncatedSeries:
-    """Structure constant Lambda^{A B C}_D(p).
-
-    Sum over sigma of decoupling(A -> C, B) q^{2 sigma p} coupling(B, C -> D)
-    column weights.  ``p`` is any Gaussian-rational (complex values allowed),
-    giving a BigComplex jet, or SYMBOLIC, giving a jet of polynomials in p
-    with mpc coefficients.
-    """
-    return _lambda_coeff(dA, dB, dC, dD, _p_key(p), order, mpmath.mp.dps)
-
-
-def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> TruncatedSeries:
-    """Lambda^{A B C}_D with p left symbolic: a jet of polynomials in p."""
-    return lambda_coeff(dA, dB, dC, dD, SYMBOLIC, order)
-
-
-@memoized
-def _lambda_coeff(dA, dB, dC, dD, p, order, dps):
-    symbolic = p is SYMBOLIC
-    zero = ParamPolynomial() if symbolic else to_big(0)
-    total = TruncatedSeries(order, [zero] * (order + 1))
-    for d_sigma, pair in _lambda_terms(dA, dB, dC, dD, order):
-        if symbolic:
-            pair = pair.map_coeffs(lambda c: ParamPolynomial([c]))
+        if p == SYMBOLIC:
             weight = _q_power_p_symbolic(d_sigma, order)
         else:
-            weight = series_to_big(exp_scaled(Fraction(d_sigma, 2) * p, order))
-        total = total + pair * weight
-    return total
+            weight = exp_scaled(Fraction(d_sigma, 2) * p, order)
+        terms.append(RootJet(1, weight) * left * right)
+    return _root_sum(terms, constant_series(0, order), ("Lambda", dA, dB, dC, dD))
+
+
+def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> RootJet:
+    """Lambda^{A B C}_D with p left symbolic: a jet of polynomials in p."""
+    return lambda_coeff(dA, dB, dC, dD, SYMBOLIC, order)

@@ -36,12 +36,11 @@ from .errors import InternalConsistencyError, ResourceGuardError
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_framed, jones_z_interpolated, jones_zero_framed
 from .qlorentz import SYMBOLIC, braid_sum, load_lambda_cache, save_lambda_cache
-from .scalars import GaussianRational, big_to_str, precision
+from .scalars import GaussianRational
 from .weights import lambda_mp_direct, lambda_mp_factorized, lambda_z_sl2
 
 DEFAULTS = {
     "order": 6,
-    "precision": 60,
     "cutoff": None,
     "format": "pretty",
 }
@@ -71,8 +70,6 @@ def _setting(args, config, key):
         value = DEFAULTS.get(key)
     if key == "order" and value is not None and int(value) < 0:
         raise ValueError("order must be nonnegative")
-    if key == "precision" and value is not None and int(value) < 30:
-        raise ValueError("precision must be at least 30 digits")
     return value
 
 
@@ -150,26 +147,6 @@ def _emit_series(series, fmt, out):
             writer.writerow([n, str(c)])
     else:
         out.write(str(series) + "\n")
-
-
-def _emit_big_series(series, fmt, digits, out):
-    if fmt == "json":
-        doc = {
-            "order": series.order,
-            "coeffs": [big_to_str(c, digits) for c in series.coeffs],
-        }
-        out.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(["h_order", "re", "im"])
-        for n, c in enumerate(series.coeffs):
-            re, im = big_to_str(c, digits)
-            writer.writerow([n, re, im])
-    else:
-        import mpmath
-
-        for n, c in enumerate(series.coeffs):
-            out.write(f"h^{n}: {mpmath.nstr(c, min(digits, 25))}\n")
 
 
 def _cache_dir():
@@ -252,14 +229,13 @@ def _cmd_jones(args, config, out):
 def _cmd_lorentz(args, config, out):
     fmt = _setting(args, config, "format")
     order = int(_setting(args, config, "order"))
-    digits = int(_setting(args, config, "precision"))
     braid = _resolve_braid(args, config)
     m = int(_setting(args, config, "m") or 0)
     p = _setting(args, config, "p")
     if args.check_equivalence:
         if p is None:
             raise ValueError("--check-equivalence needs --p")
-        report = equivalence_check(braid, int(p), order, digits)
+        report = equivalence_check(braid, int(p), order)
         out.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["pass"] else 1
     inv = x_invariant(braid, m, order)
@@ -276,38 +252,21 @@ def _cmd_lorentz(args, config, out):
 def _cmd_qlg(args, config, out):
     fmt = _setting(args, config, "format")
     order = int(_setting(args, config, "order"))
-    digits = int(_setting(args, config, "precision"))
     cutoff = _resolve_cutoff(args, config, order)
     braid = _resolve_braid(args, config)
     p = _setting(args, config, "p")
-    p_text = "symbolic" if p is None else str(p)
-    with precision(digits):
-        if args.load_cache:
-            load_lambda_cache(_cache_dir() / args.load_cache)
-        if p_text == "symbolic":
-            series = braid_sum(braid, SYMBOLIC, order, label_cutoff=cutoff)
-            if fmt == "json":
-                doc = {
-                    "order": series.order,
-                    "coeffs": [
-                        [big_to_str(c, digits) for c in poly.coeffs]
-                        for poly in series.coeffs
-                    ],
-                }
-                out.write(json.dumps(doc, indent=2) + "\n")
-            else:
-                for n, poly in enumerate(series.coeffs):
-                    text = " + ".join(
-                        f"({big_to_str(c, 12)[0]})*p^{k}" for k, c in enumerate(poly.coeffs)
-                    )
-                    out.write(f"h^{n}: {text or '0'}\n")
-        else:
-            p = GaussianRational(Fraction(p_text))
-            series = braid_sum(braid, p, order, label_cutoff=cutoff)
-            _emit_big_series(series, fmt, digits, out)
-        if args.save_cache:
-            _cache_dir().mkdir(parents=True, exist_ok=True)
-            save_lambda_cache(_cache_dir() / args.save_cache)
+    if args.load_cache:
+        load_lambda_cache(_cache_dir() / args.load_cache)
+    if p is None or str(p) == SYMBOLIC:
+        series = braid_sum(braid, SYMBOLIC, order, label_cutoff=cutoff)
+        _emit_poly_series(series, fmt, out)
+    else:
+        p = GaussianRational(Fraction(str(p)))
+        series = braid_sum(braid, p, order, label_cutoff=cutoff)
+        _emit_series(series, fmt, out)
+    if args.save_cache:
+        _cache_dir().mkdir(parents=True, exist_ok=True)
+        save_lambda_cache(_cache_dir() / args.save_cache)
     return 0
 
 
@@ -363,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--framed", action="store_true", help="blackboard framing")
 
     p = sub.add_parser("lorentz", help="two-parameter invariants")
-    shared(p, "--format", "--order", "--precision")
+    shared(p, "--format", "--order")
     p.add_argument("--braid")
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
@@ -372,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-equivalence", action="store_true")
 
     p = sub.add_parser("qlg", help="quantum Lorentz braid sums")
-    shared(p, "--format", "--order", "--precision")
+    shared(p, "--format", "--order")
     p.add_argument("--braid")
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")

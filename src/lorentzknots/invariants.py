@@ -8,7 +8,7 @@ p = 1 beyond order zero.
 
 The cross-pipeline comparison divides out the square of the quantum
 dimension at spin (p-1)/2 against the ordinary dimension squared and
-checks the braid-sum side coefficient by coefficient.
+checks the braid-sum side for exact equality.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .braids import BraidWord, mirror
 from .errors import InternalConsistencyError
 from .jones import jones_z_interpolated, jones_zero_framed
 from .polynomials import ParamPolynomial, PolySeries, specialize
 from .qlorentz import braid_sum
-from .scalars import precision
-from .series import TruncatedSeries, q_dim, series_to_big
+from .series import TruncatedSeries, q_dim
 
 __all__ = [
     "LorentzInvariant",
@@ -86,36 +83,27 @@ def x_invariant(b: BraidWord, m: int, order: int) -> LorentzInvariant:
     return LorentzInvariant(m=m, series=left * right)
 
 
-def equivalence_check(
-    b: BraidWord, p: int, order: int, digits: int = 60
-) -> dict:
+def equivalence_check(b: BraidWord, p: int, order: int) -> dict:
     """Compare the braid sum with the rescaled m = 0 invariant at integer p.
 
     The braid-sum side is S_b; the invariant side is X(0, p) times
-    (2*alpha+1)^2 / [2*alpha+1]^2 with alpha = (p-1)/2.  Returns a report
-    with per-order differences; passes iff all are within 10^-(digits-15).
+    (2*alpha+1)^2 / [2*alpha+1]^2 with alpha = (p-1)/2.  Both are exact;
+    the report carries their coefficients as [re_num, re_den, im_num,
+    im_den] and passes iff they are equal.
     """
     if p < 1:
         raise ValueError("the comparison needs integer p >= 1")
-    with precision(digits):
-        lhs = braid_sum(b, p, order)
-        inv = x_invariant(b, 0, order)
-        x_at_p = specialize(inv.series, p)
-        qd_inv = series_to_big(q_dim(p - 1, order)).inverse()
-        rhs = series_to_big(x_at_p) * (p * p) * qd_inv * qd_inv
-        tolerance = mpmath.mpf(10) ** -(digits - 15)
-        diffs = [abs(a - c) for a, c in zip(lhs.coeffs, rhs.coeffs)]
-        return {
-            "braid": b.text() or "empty",
-            "p": p,
-            "order": order,
-            "digits": digits,
-            "tolerance": float(tolerance),
-            "diffs": [float(d) for d in diffs],
-            "lhs": [mpmath.nstr(c, 25) for c in lhs.coeffs],
-            "rhs": [mpmath.nstr(c, 25) for c in rhs.coeffs],
-            "pass": bool(max(diffs) <= tolerance),
-        }
+    lhs = braid_sum(b, p, order)
+    qd = q_dim(p - 1, order)
+    rhs = specialize(x_invariant(b, 0, order).series, p) * (p * p) / (qd * qd)
+    return {
+        "braid": b.text() or "empty",
+        "p": p,
+        "order": order,
+        "lhs": [c.to_json() for c in lhs.coeffs],
+        "rhs": [c.to_json() for c in rhs.coeffs],
+        "pass": lhs == rhs,
+    }
 
 
 def jones_relation_check(b: BraidWord, two_z: int, two_w: int, order: int) -> dict:

@@ -431,6 +431,16 @@ def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
     coefficient, N = 2z+1, is checked against 1/Delta(e^x).  The result is
     the quotient times the unknot's expansion, which is fitted the same way
     from its own samples at two_alpha = 0..2*order+2.
+
+    An expansion of the same braid memoized at a higher order is served cut
+    at h^order: its coefficients do not depend on the truncation, and it
+    was checked at more surplus spins.
     """
     _require_knot(b)
+    table = _interpolated.table
+    if (b.strands, b.letters, order) not in table:
+        higher = [k[2] for k in table if k[:2] == (b.strands, b.letters) and k[2] > order]
+        if higher:
+            full = table[(b.strands, b.letters, min(higher))]
+            return TruncatedSeries(order, full.coeffs[: order + 1])
     return _interpolated(b.strands, b.letters, order)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, to_big
-from .scalars import _mpc_from_json, _mpc_to_json
+from .scalars import GaussianRational, GR_ONE, GR_ZERO
 from .series import TruncatedSeries
 
 __all__ = [
@@ -30,14 +29,6 @@ __all__ = [
 ]
 
 
-def _coerce_coeff(c):
-    # GaussianRational and mpc are tested first: isinstance against Fraction
-    # goes through the numbers ABCs and is slow on this hot path.
-    if isinstance(c, (GaussianRational, BigComplex)):
-        return c
-    return GaussianRational.coerce(c)
-
-
 def _trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -46,19 +37,15 @@ def _trim(coeffs):
 
 
 class ParamPolynomial:
-    """Polynomial in one formal parameter over an exact or float field.
+    """Polynomial in one formal parameter over Q(i).
 
-    Coefficients are GaussianRationals (ints and Fractions are coerced) or
-    mpmath ``mpc`` values; one polynomial keeps to one of the two.  Exact
-    evaluation, division and substitution need GaussianRational
-    coefficients (on ``mpc`` ones they raise TypeError); :meth:`evaluate_big`
-    works for both.
+    Coefficients are GaussianRationals; ints and Fractions are coerced.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(_coerce_coeff(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", _trim(GaussianRational.coerce(c) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPolynomial is immutable")
@@ -75,18 +62,7 @@ class ParamPolynomial:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def _require_exact(self, operation: str):
-        # One polynomial keeps to one coefficient kind, so the leading
-        # coefficient tells which.
-        if self.coeffs and isinstance(self.coeffs[-1], BigComplex):
-            raise TypeError(
-                f"ParamPolynomial.{operation} needs Gaussian-rational "
-                "coefficients; read a polynomial with mpc coefficients "
-                "with evaluate_big"
-            )
-
     def constant(self) -> GaussianRational:
-        self._require_exact("constant")
         return self.coeffs[0] if self.coeffs else GR_ZERO
 
     def is_even(self) -> bool:
@@ -94,7 +70,6 @@ class ParamPolynomial:
         return all(not c for c in self.coeffs[1::2])
 
     def coefficient(self, k: int) -> GaussianRational:
-        self._require_exact("coefficient")
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
 
     # -- ring operations --------------------------------------------------
@@ -103,7 +78,7 @@ class ParamPolynomial:
     def _coerce(x):
         if isinstance(x, ParamPolynomial):
             return x
-        if isinstance(x, (GaussianRational, BigComplex, int, Fraction)):
+        if isinstance(x, (GaussianRational, int, Fraction)):
             return ParamPolynomial([x])
         return None
 
@@ -144,20 +119,12 @@ class ParamPolynomial:
             for j, y in enumerate(b):
                 cur = out[i + j]
                 out[i + j] = x * y if cur is None else cur + x * y
-        # A slot that only zero coefficients of self reach (the constant
-        # slot of x * q, say) gets the field's zero, made once if needed.
-        zero = None
-        for k, c in enumerate(out):
-            if c is None:
-                if zero is None:
-                    zero = a[-1] - a[-1]
-                out[k] = zero
-        return ParamPolynomial(out)
+        # a slot that only zero coefficients of self reach is zero
+        return ParamPolynomial(GR_ZERO if c is None else c for c in out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        self._require_exact("__truediv__")
         if isinstance(other, (int, Fraction, GaussianRational)):
             inv = GR_ONE / GaussianRational.coerce(other)
             return self * inv
@@ -168,7 +135,6 @@ class ParamPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of a polynomial are not defined")
-        self._require_exact("__pow__")
         result = ParamPolynomial([GR_ONE])
         for _ in range(n):
             result = result * self
@@ -178,24 +144,14 @@ class ParamPolynomial:
 
     def evaluate(self, point) -> GaussianRational:
         """Exact evaluation at a Gaussian-rational point (Horner)."""
-        self._require_exact("evaluate")
         point = GaussianRational.coerce(point)
         acc = GR_ZERO
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
-    def evaluate_big(self, point):
-        """Evaluation at an mpc point at current working precision."""
-        acc = to_big(0)
-        point = to_big(point)
-        for c in reversed(self.coeffs):
-            acc = acc * point + to_big(c)
-        return acc
-
     def compose_affine(self, a, b) -> "ParamPolynomial":
         """Substitute x -> a*y + b, returning the polynomial in y."""
-        self._require_exact("compose_affine")
         a = GaussianRational.coerce(a)
         b = GaussianRational.coerce(b)
         lin = ParamPolynomial([b, a])
@@ -237,22 +193,12 @@ class ParamPolynomial:
         return " + ".join(parts)
 
     def to_json(self) -> list:
-        """Coefficients in ascending degree, each encoded exactly.
-
-        A GaussianRational is [re_num, re_den, im_num, im_den]; an mpc is the
-        pair of its mpf (sign, mantissa, exponent, bits) tuples.
-        """
-        return [
-            _mpc_to_json(c) if isinstance(c, BigComplex) else c.to_json()
-            for c in self.coeffs
-        ]
+        """Coefficients in ascending degree, each [re_num, re_den, im_num, im_den]."""
+        return [c.to_json() for c in self.coeffs]
 
     @staticmethod
     def from_json(data) -> "ParamPolynomial":
-        return ParamPolynomial(
-            _mpc_from_json(c) if isinstance(c[0], list) else GaussianRational.from_json(c)
-            for c in data
-        )
+        return ParamPolynomial(GaussianRational.from_json(c) for c in data)
 
 
 # A PolySeries is a TruncatedSeries whose coefficients are ParamPolynomials.

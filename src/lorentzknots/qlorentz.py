@@ -5,6 +5,15 @@ modules; matrix generators act as matrix elements, the group-like element
 is diagonal, and the dual generators act through Clebsch-Gordan data and
 the structure constants Lambda (see :mod:`lorentzknots.cg`).
 
+Everything is exact.  The walk runs in the rescaled basis
+f(beta, i) = s(beta, i) e(beta, i), s(beta, i)^2 = (2 beta + 1)
+(beta - i)! (beta + i)!, and the same rescaling of each crossing label's
+module leaves the matrix-element factor a bare delta; the label's two
+factors land on the dual-generator entry.  A diagonal change of basis
+leaves sum X_ij (x) g_ji and the vacuum amplitude unchanged, and in this
+basis every dual-generator entry is a rational jet: over Q(i) at numeric p,
+of polynomials in p at symbolic p.
+
 A braid whose closure is a knot becomes a single operator word by walking
 the closed-up diagram once: each crossing contributes its matrix-element
 factor on the overcrossing passage and its dual factor (with an inverse
@@ -16,7 +25,8 @@ dropped tail starts above the truncation order.  Evaluation streams the
 word against the vacuum vector, branching over labels the first time a
 crossing is met and closing them with delta constraints at the partner
 factor; branches whose accumulated h-order plus current spin exceed the
-truncation order can no longer contribute and are pruned.
+truncation order can no longer contribute and are pruned, and the h-order
+is read off exactly (the first nonzero coefficient).
 
 The sum is invariant under conjugation, so every cyclic rotation of the
 braid word, read from either end of the open strand, gives it; the cost of
@@ -30,22 +40,20 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-
-import mpmath
+from math import factorial
 
 from .braids import BraidWord
 from .cg import (
     SYMBOLIC,
+    RootJet,
     _is_spin_index,
-    _lambda_coeff,
-    _p_key,
     lambda_coeff,
     quantum_cg,
     quantum_cg_decoupling,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .polynomials import ParamPolynomial
-from .scalars import GaussianRational, _mpc_from_json, _mpc_to_json
+from .polynomials import POLY_ONE, POLY_ZERO
+from .scalars import GR_ONE, GR_ZERO, GaussianRational
 from .series import (
     TruncatedSeries,
     accumulate,
@@ -54,7 +62,6 @@ from .series import (
     memoized,
     q_dim,
     q_power,
-    series_to_big,
 )
 
 __all__ = [
@@ -114,6 +121,13 @@ def tangle_word(b: BraidWord):
 # ---------------------------------------------------------------------------
 
 
+def _s_squared(d_beta: int, d_i: int) -> int:
+    """s(beta, i)^2 = (2 beta + 1) (beta - i)! (beta + i)!, the square of the
+    rescaling of basis vector (beta, i)."""
+    return (d_beta + 1) * factorial((d_beta - d_i) // 2) * factorial((d_beta + d_i) // 2)
+
+
+@memoized
 def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     """Column (or transposed column) of the dual generator's action.
 
@@ -121,14 +135,12 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     backward: row through (gamma, i_gamma) -> [(beta, i_beta, jet), ...].
     Output spins are integers within |beta -+ alpha|; the sum over the
     internal coupling label is finite, no approximation happens here.
+
+    Each entry is the matrix element from (beta, i_beta) to (gamma, i_gamma)
+    in the rescaled basis, times s(alpha, j) / s(alpha, i) from the label's
+    matrix-element partner: sqrt of s(beta)^2 s(alpha, j)^2 / (s(gamma)^2
+    s(alpha, i)^2) times the root jet, a rational jet (checked exactly).
     """
-    return _g_action(
-        d_alpha, d_i, d_j, d_beta, d_ibeta, _p_key(p), order, forward, mpmath.mp.dps
-    )
-
-
-@memoized
-def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, dps):
     out = {}
     if forward:
         dx = d_j + d_ibeta
@@ -146,8 +158,10 @@ def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, dps):
                 if cgl.is_zero():
                     continue
                 lam = lambda_coeff(d_gamma, d_alpha, dD, d_beta, p, order)
-                term = cgl * cgr * lam
+                if lam.is_zero():
+                    continue
                 state = (d_gamma, d_igamma)
+                term = _rescaled(lam * cgl * cgr, state, (d_beta, d_ibeta), d_alpha, d_i, d_j)
                 out[state] = out[state] + term if state in out else term
     else:
         d_gamma, d_igamma = d_beta, d_ibeta  # arguments name the bra state here
@@ -166,29 +180,45 @@ def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, dps):
                 if cgr.is_zero():
                     continue
                 lam = lambda_coeff(d_gamma, d_alpha, dD, d_b, p, order)
-                term = cgl * cgr * lam
+                if lam.is_zero():
+                    continue
                 state = (d_b, d_ib)
+                term = _rescaled(lam * cgl * cgr, (d_gamma, d_igamma), state, d_alpha, d_i, d_j)
                 out[state] = out[state] + term if state in out else term
     return tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
 
 
+def _rescaled(term: RootJet, target, source, d_alpha, d_i, d_j) -> TruncatedSeries:
+    """``term``, a matrix element from ``source`` to ``target`` of the dual
+    generator g_{ij} of spin alpha, in the rescaled basis and with the
+    label's factor s(alpha, j)/s(alpha, i): a rational jet."""
+    square = Fraction(
+        _s_squared(*source) * _s_squared(d_alpha, d_j),
+        _s_squared(*target) * _s_squared(d_alpha, d_i),
+    )
+    return term.rational(square, ("g", d_alpha, d_i, d_j, source, target))
+
+
 def group_like_action(d_idx: int, order: int):
     """Diagonal weight q^{2 i} = e^{i h} of the group-like element."""
-    return _group_like_weight(d_idx, order, mpmath.mp.dps)
+    return q_power(d_idx, order).coeffs
 
 
 @memoized
-def _group_like_weight(d_idx: int, order: int, dps: int):
-    return tuple(series_to_big(q_power(d_idx, order)).coeffs)
+def _antipode_factor(d_alpha: int, d_i: int, d_j: int, order: int):
+    """Scalar q^{j - i} (-1)^{i - j} s(alpha, i)^2 / s(alpha, j)^2.
 
-
-@memoized
-def _antipode_factor(d_i: int, d_j: int, order: int, dps: int):
-    """Scalar q^{j - i} (-1)^{i - j} from the inverse antipode, at ``dps``."""
-    series = q_power(Fraction(d_j - d_i, 2), order)
+    The first two factors are the inverse antipode's.  The matrix-element
+    partner X_ij needs s(alpha, i)/s(alpha, j) on the dual entry, but
+    ``g_action`` called at (-i, -j) folds in s(alpha, j)/s(alpha, i)
+    (s(alpha, -i) = s(alpha, i)); the last factor is the difference.
+    """
+    series = q_power(Fraction(d_j - d_i, 2), order) * Fraction(
+        _s_squared(d_alpha, d_i), _s_squared(d_alpha, d_j)
+    )
     if ((d_i - d_j) // 2) % 2:
         series = -series
-    return tuple(series_to_big(series).coeffs)
+    return series.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +226,10 @@ def _antipode_factor(d_i: int, d_j: int, order: int, dps: int):
 # ---------------------------------------------------------------------------
 
 
-def _negligible_scalar(c, eps):
-    if isinstance(c, ParamPolynomial):
-        return all(abs(x) < eps for x in c.coeffs)
-    return abs(c) < eps
-
-
-def _leading_order(coeffs, eps):
+def _leading_order(coeffs):
+    """Index of the first nonzero coefficient; None for the zero jet."""
     for k, c in enumerate(coeffs):
-        if not _negligible_scalar(c, eps):
+        if c:
             return k
     return None
 
@@ -313,9 +338,9 @@ def braid_sum(
 ):
     """Truncated knot sum for the balanced representation with parameter p.
 
-    ``p`` is an exact numeric value or the module constant ``SYMBOLIC``
-    (then coefficients are ParamPolynomials in p with mpc coefficients;
-    read them with ``evaluate_big``).  Crossing spins run through 0, 1/2,
+    ``p`` is an exact numeric value, giving a jet over Q(i), or the module
+    constant ``SYMBOLIC``, giving a jet of ParamPolynomials in p; either is
+    exact.  Crossing spins run through 0, 1/2,
     ..., label_cutoff (default: the series order), which the h-adic order
     bound makes exact for coefficients up to that order.
 
@@ -326,17 +351,11 @@ def braid_sum(
     operator, and the rotation and direction walked.
     """
     rotation, forward, ops, signs = cheapest_walk(b)
-    symbolic = p is SYMBOLIC
+    symbolic = p == SYMBOLIC
     if label_cutoff is None:
         label_cutoff = order
     d_cut = int(2 * label_cutoff)
-    dps = mpmath.mp.dps
-    eps = mpmath.mpf(10) ** (-(dps - 8))
-
-    if symbolic:
-        one, zero = ParamPolynomial([mpmath.mpc(1)]), ParamPolynomial()
-    else:
-        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+    one, zero = (POLY_ONE, POLY_ZERO) if symbolic else (GR_ONE, GR_ZERO)
     unit = (one,) + (zero,) * order
 
     # key: (d_spin, d_idx, pending) with pending a frozenset of
@@ -376,7 +395,7 @@ def braid_sum(
             k = op[1]
             sign = signs[k]
             for (ds, di, pend), coeffs in vec.items():
-                lead = _leading_order(coeffs, eps)
+                lead = _leading_order(coeffs)
                 if lead is None or 2 * lead + _min_headroom(ds, pend) > 2 * order:
                     continue
                 known = next((lab for lab in pend if lab[0] == k), None)
@@ -405,14 +424,14 @@ def braid_sum(
                     ai, aj = djj, dii
                     base = coeffs
                     if sign < 0:
-                        antipode = _antipode_factor(dii, djj, order, dps)
+                        antipode = _antipode_factor(da, dii, djj, order)
                         base = conv(coeffs, antipode, order)
                         ai, aj = -dii, -djj
                     for (ds2, di2), entry in g_action(
-                        da, ai, aj, ds, di, p, order, forward=forward
+                        da, ai, aj, ds, di, p, order, forward
                     ):
                         contrib = conv(base, entry, order)
-                        lead2 = _leading_order(contrib, eps)
+                        lead2 = _leading_order(contrib)
                         if lead2 is None or 2 * lead2 + _min_headroom(
                             ds2, newpend
                         ) > 2 * order:
@@ -431,26 +450,21 @@ def braid_sum(
     if any(pend for _, _, pend in vec):
         raise InternalConsistencyError("crossing label left unresolved")
     # Branches are keyed by state, so at most one ends at spin 0.
-    total = vec.get((0, 0, frozenset()), (zero,) * (order + 1))
-    if symbolic:
-        return TruncatedSeries(order, total)
-    return TruncatedSeries(order, [mpmath.mpc(c) for c in total])
+    return TruncatedSeries(order, vec.get((0, 0, frozenset()), (zero,) * (order + 1)))
 
 
 def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
     """Independent one-dimensional reduction of the left-handed trefoil sum:
     the quantum-dimension-weighted product of two structure constants,
-    summed over integer spins up to the cutoff."""
+    summed over integer spins up to the cutoff.  The two constants share
+    their radical, so each product is a rational jet."""
     if label_cutoff is None:
         label_cutoff = order
-    total = series_to_big(constant_series(0, order))
+    total = constant_series(0, order)
     for alpha in range(0, int(label_cutoff) + 1):
         da = 2 * alpha
-        lam1 = lambda_coeff(0, da, da, da, p, order)
-        lam2 = lambda_coeff(da, da, da, 0, p, order)
-        if lam1.is_zero() or lam2.is_zero():
-            continue
-        total = total + series_to_big(q_dim(da, order)) * lam1 * lam2
+        pair = lambda_coeff(0, da, da, da, p, order) * lambda_coeff(da, da, da, 0, p, order)
+        total = total + q_dim(da, order) * pair.rational(1, ("closed sum", alpha))
     return total
 
 
@@ -458,7 +472,7 @@ def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
 # Structure-constant cache persistence
 # ---------------------------------------------------------------------------
 
-_CACHE_FORMAT_VERSION = 2
+_CACHE_FORMAT_VERSION = 3
 
 
 def _entries_digest(entries):
@@ -472,18 +486,22 @@ def _entries_digest(entries):
 
 
 def save_lambda_cache(path):
-    """Dump the memoized structure constants at numeric p with a manifest."""
+    """Dump the memoized structure constants at numeric p with a manifest.
+
+    Each entry is exact: the radicand as [num, den] and the jet's
+    coefficients as [re_num, re_den, im_num, im_den].
+    """
     entries = []
-    for (dA, dB, dC, dD, p, order, dps), series in _lambda_coeff.table.items():
-        if p is SYMBOLIC:
+    for (dA, dB, dC, dD, p, order), value in lambda_coeff.table.items():
+        if p == SYMBOLIC:
             continue
         entries.append(
             {
                 "labels": [dA, dB, dC, dD],
-                "p": p.to_json(),
+                "p": GaussianRational.coerce(p).to_json(),
                 "order": order,
-                "dps": dps,
-                "coeffs": [_mpc_to_json(c) for c in series.coeffs],
+                "radicand": [value.radicand.numerator, value.radicand.denominator],
+                "coeffs": [c.to_json() for c in value.jet.coeffs],
             }
         )
     doc = {
@@ -500,29 +518,23 @@ def save_lambda_cache(path):
     return len(entries)
 
 
-def _check_recomputed(path, key, series):
-    """Recompute one loaded entry at its own precision; raise on mismatch."""
-    dA, dB, dC, dD, p, order, dps = key
-    with mpmath.workdps(dps):
-        fresh = lambda_coeff(dA, dB, dC, dD, p, order)
-        tol = mpmath.mpf(10) ** (8 - dps)
-        if any(
-            abs(a - b) > tol * max(1, abs(b))
-            for a, b in zip(series.coeffs, fresh.coeffs)
-        ):
-            raise ValueError(
-                f"{path}: cache entry with labels {[dA, dB, dC, dD]} "
-                f"(p={p}, order {order}, dps {dps}) disagrees with its "
-                "recomputation"
-            )
+def _check_recomputed(path, key, value):
+    """Recompute one loaded entry; raise unless it is exactly equal."""
+    dA, dB, dC, dD, p, order = key
+    if lambda_coeff(dA, dB, dC, dD, p, order) != value:
+        raise ValueError(
+            f"{path}: cache entry with labels {[dA, dB, dC, dD]} "
+            f"(p={p}, order {order}) disagrees with its recomputation"
+        )
 
 
 def load_lambda_cache(path):
-    """Load a dumped cache; entries at other precisions are kept distinct.
+    """Load a dumped cache of format 3.
 
     Nothing is loaded unless the manifest's SHA-256 matches the entries and
-    the first entry, recomputed at its own (labels, p, order, dps), agrees
-    within 10^-(dps-8); otherwise ValueError names the file (and the entry).
+    the first entry, recomputed at its own (labels, p, order), equals its
+    stored value exactly; otherwise ValueError names the file (and the
+    entry).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -539,13 +551,14 @@ def load_lambda_cache(path):
         for entry in entries:
             dA, dB, dC, dD = entry["labels"]
             p = GaussianRational.from_json(entry["p"])
-            order, dps = int(entry["order"]), int(entry["dps"])
-            coeffs = [_mpc_from_json(c) for c in entry["coeffs"]]
-            key = (dA, dB, dC, dD, p, order, dps)
-            loaded[key] = TruncatedSeries(order, coeffs)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+            order = int(entry["order"])
+            num, den = entry["radicand"]
+            coeffs = [GaussianRational.from_json(c) for c in entry["coeffs"]]
+            key = (dA, dB, dC, dD, p, order)
+            loaded[key] = RootJet(Fraction(num, den), TruncatedSeries(order, coeffs))
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: malformed cache entry: {exc}") from exc
     if loaded:
         _check_recomputed(path, *next(iter(loaded.items())))
-    _lambda_coeff.table.update(loaded)
+    lambda_coeff.table.update(loaded)
     return len(loaded)

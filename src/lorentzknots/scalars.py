@@ -1,42 +1,53 @@
-"""Coefficient fields: exact Gaussian rationals and arbitrary-precision complexes.
+"""Exact coefficient field: Gaussian rationals.
 
-Two backends back every series computation in this package:
-
-* :class:`GaussianRational` -- exact arithmetic in Q(i), used wherever the
-  mathematics stays rational (chord-diagram weights, the quantum sl2 engine,
-  character polynomials).
-* ``BigComplex`` -- arbitrary-precision complex floats (mpmath), used where
-  square roots of quantum factorials force irrational values.  Working
-  precision is controlled with :func:`precision`.
+Every series computation in this package runs over :class:`GaussianRational`,
+exact arithmetic in Q(i): chord-diagram weights, the quantum sl2 engine,
+character polynomials, coupling coefficients and the braid sums.  The one
+irrational ingredient, the square root of a classical Clebsch-Gordan
+radicand, is carried symbolically (see :mod:`lorentzknots.cg`), and
+:func:`rational_sqrt` takes the exact square roots that the rescaled bases
+make rational.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
-from mpmath import mpc, mpf
 
 __all__ = [
     "GaussianRational",
-    "BigComplex",
     "GR_ZERO",
     "GR_ONE",
     "GR_I",
     "precision",
-    "to_big",
-    "upper_half_sqrt",
-    "big_to_str",
+    "rational_sqrt",
 ]
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+    # type() first: isinstance against Fraction goes through the numbers
+    # ABCs, which is slow on the hot paths below.
+    if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+_ZERO = Fraction(0)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(re: Fraction, im: Fraction = _ZERO) -> "GaussianRational":
+    """A GaussianRational from two Fractions, without checks."""
+    z = _new(GaussianRational)
+    _set(z, "re", re)
+    _set(z, "im", im)
+    return z
 
 
 class GaussianRational:
@@ -45,8 +56,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        _set(self, "re", _as_fraction(re))
+        _set(self, "im", _as_fraction(im) if im else _ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -57,43 +68,52 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+        if isinstance(x, int):
+            return _make(Fraction(x))
+        if isinstance(x, Fraction):
+            return _make(x)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not self.im and not other.im:
+            return _make(self.re + other.re)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        if not self.im and not other.im:
+            return _make(self.re - other.re)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         try:
             other = GaussianRational.coerce(other)
         except TypeError:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
+            return _make(self.re * other.re)
+        return _make(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -123,7 +143,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im if self.im else _ZERO)
 
     def __pos__(self):
         return self
@@ -139,6 +159,14 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self.im
 
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
     def __eq__(self, other):
         try:
             other = GaussianRational.coerce(other)
@@ -147,7 +175,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes like the equal int or Fraction, so memo keys
+        # holding p = 2 and p = GaussianRational(2) are one key.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         if not self.im:
@@ -184,70 +214,27 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-# ---------------------------------------------------------------------------
-# Arbitrary-precision complex backend (mpmath)
-# ---------------------------------------------------------------------------
+def rational_sqrt(x) -> Fraction:
+    """The nonnegative exact square root of a nonnegative rational ``x``.
 
-BigComplex = mpc
-
-
-def _mpc_to_json(z):
-    """An mpc as its two mpf (sign, mantissa, exponent, bits) tuples, exactly."""
-    # mantissas may be gmpy integers; json needs plain ints
-    return [[int(x) for x in z.real._mpf_], [int(x) for x in z.imag._mpf_]]
-
-
-def _mpc_from_json(data):
-    """Inverse of :func:`_mpc_to_json`, exact at any working precision."""
-    re, im = data
-    # mpf() rounds to the working precision; decode at the stored bit count.
-    with mpmath.workprec(max(re[3], im[3], 1)):
-        return mpmath.mpc(mpmath.mpf(tuple(re)), mpmath.mpf(tuple(im)))
-
-
-DEFAULT_DIGITS = 60
-# mpmath works with a few guard digits beyond the requested precision so that
-# rounding never eats into the advertised tolerance.
-GUARD_DIGITS = 20
+    Raises ValueError when ``x`` is negative or not the square of a rational.
+    """
+    x = _as_fraction(x)
+    if x >= 0:
+        num, den = isqrt(x.numerator), isqrt(x.denominator)
+        if num * num == x.numerator and den * den == x.denominator:
+            return Fraction(num, den)
+    raise ValueError(f"{x} is not the square of a rational")
 
 
 @contextmanager
-def precision(digits: int = DEFAULT_DIGITS):
-    """Run a block at ``digits`` decimal digits of working precision."""
+def precision(digits: int = 60):
+    """Run a block at ``digits`` decimal digits of mpmath working precision.
+
+    Nothing in the package reads the precision any more: every value is
+    exact.  The context stays for callers that still set it.
+    """
     if digits < 1:
         raise ValueError("precision must be at least one digit")
-    with mpmath.workdps(digits + GUARD_DIGITS):
+    with mpmath.workdps(digits):
         yield
-
-
-def to_big(x) -> BigComplex:
-    """Convert an exact scalar (int, Fraction, GaussianRational) to mpc."""
-    if isinstance(x, GaussianRational):
-        re = mpf(x.re.numerator) / x.re.denominator
-        im = mpf(x.im.numerator) / x.im.denominator
-        return mpc(re, im)
-    if isinstance(x, Fraction):
-        return mpc(mpf(x.numerator) / x.denominator)
-    if isinstance(x, (int, float, mpf)):
-        return mpc(x)
-    if isinstance(x, mpc):
-        return x
-    raise TypeError(f"cannot convert {x!r} to BigComplex")
-
-
-def upper_half_sqrt(z: BigComplex) -> BigComplex:
-    """Square root with the argument taken in [0, 2*pi).
-
-    For arg(z) = theta in [0, 2*pi) the root is sqrt(|z|) e^{i theta/2}, so
-    the result always lies in the closed upper half plane.  This differs from
-    the principal branch only for numbers with negative imaginary part.
-    """
-    w = mpmath.sqrt(z)
-    if w.imag < 0:
-        return -w
-    return w
-
-
-def big_to_str(z: BigComplex, digits: int = DEFAULT_DIGITS) -> list:
-    """Encode an mpc value as a pair of decimal strings."""
-    return [mpmath.nstr(z.real, digits), mpmath.nstr(z.imag, digits)]

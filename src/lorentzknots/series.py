@@ -8,7 +8,9 @@ immutable and safe to share.
 The deformation parameter q never exists as its own symbol: q = e^{h/2}, and
 every power q^r is expanded immediately via :func:`q_power`.  With that
 convention the q-integers, q-factorials and quantum dimensions used by the
-braid engines all have exact Gaussian-rational jets.
+braid engines all have exact Gaussian-rational jets.  Square roots are
+exact too: :func:`sqrt_series` roots a jet whose constant term is a square
+in Q(i), which is how the coupling coefficients take theirs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from functools import wraps
 from math import factorial
 
 from .errors import InternalConsistencyError
-from .scalars import BigComplex, GaussianRational, GR_ONE, GR_ZERO, upper_half_sqrt, to_big
-from .scalars import _mpc_to_json
+from .scalars import GaussianRational, GR_ONE, GR_ZERO, rational_sqrt
 
 __all__ = [
     "TruncatedSeries",
@@ -34,7 +35,6 @@ __all__ = [
     "q_factorial",
     "q_dim",
     "sqrt_series",
-    "series_to_big",
     "memoized",
     "clear_caches",
 ]
@@ -44,7 +44,7 @@ class TruncatedSeries:
     """A jet c_0 + c_1 h + ... + c_N h^N over a commutative coefficient ring.
 
     The coefficient ring is duck-typed: anything supporting +, -, * (and,
-    for :meth:`inverse`, division) works -- GaussianRational, mpmath ``mpc``,
+    for :meth:`inverse`, division) works -- Fraction, GaussianRational,
     :class:`~lorentzknots.polynomials.ParamPolynomial`.
     """
 
@@ -166,9 +166,7 @@ class TruncatedSeries:
     def to_json(self) -> dict:
         coeffs = []
         for c in self.coeffs:
-            if isinstance(c, BigComplex):
-                coeffs.append(_mpc_to_json(c))
-            elif isinstance(c, Fraction):
+            if isinstance(c, Fraction):
                 coeffs.append(GaussianRational(c).to_json())
             else:  # GaussianRational or ParamPolynomial
                 coeffs.append(c.to_json())
@@ -184,7 +182,7 @@ def conv(a, b, order: int) -> tuple:
     """Truncated Cauchy product: c_k = sum_{j <= k} a_j b_{k-j}, k = 0..order.
 
     Each sum starts from a_0 b_k, so no ring-specific zero is needed and any
-    coefficient ring works (ints, Fraction, GaussianRational, mpc,
+    coefficient ring works (ints, Fraction, GaussianRational,
     ParamPolynomial).
     """
     out = []
@@ -206,8 +204,8 @@ def accumulate(store: dict, key, coeffs: tuple):
 
 
 def _constant_inverse(A):
-    """Gauss-Jordan inverse of a square matrix over a field, pivoting on the
-    entry of largest ``abs`` in each column."""
+    """Gauss-Jordan inverse of a square matrix over an exact field, pivoting
+    on the first nonzero entry of each column."""
     n = len(A)
     zero = A[0][0] * 0
     one = zero + 1
@@ -216,8 +214,8 @@ def _constant_inverse(A):
         for i, row in enumerate(A)
     ]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if not aug[piv][col]:
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
             raise InternalConsistencyError(
                 f"jet matrix inverse: the {n}x{n} block is singular at h = 0"
             )
@@ -336,10 +334,10 @@ def clear_caches():
 
 
 # ---------------------------------------------------------------------------
-# The q-jet kernel.  Jets are exact and do not depend on the mpmath precision,
-# so each is computed once per (argument, order) and shared (TruncatedSeries
-# and GaussianRational are immutable).  The public functions normalize and
-# validate their arguments; the recursion stays inside the memoized jets.
+# The q-jet kernel.  Jets are exact, so each is computed once per (argument,
+# order) and shared (TruncatedSeries and GaussianRational are immutable).
+# The public functions normalize and validate their arguments; the
+# recursion stays inside the memoized jets.
 # ---------------------------------------------------------------------------
 
 
@@ -393,12 +391,23 @@ def q_dim(two_alpha: int, order: int) -> TruncatedSeries:
     return q_integer(two_alpha + 1, order)
 
 
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Square root of a BigComplex-coefficient jet with c_0 != 0.
+def _gaussian_sqrt(z) -> GaussianRational:
+    """The exact square root of a Gaussian rational in the closed upper half
+    plane (argument in [0, 2*pi), halved); ValueError if it is not in Q(i)."""
+    z = GaussianRational.coerce(z)
+    norm = rational_sqrt(z.re * z.re + z.im * z.im)
+    x = rational_sqrt((norm + z.re) / 2)
+    y = rational_sqrt((norm - z.re) / 2)
+    return GaussianRational(x if z.im >= 0 else -x, y)
 
-    The branch of sqrt(c_0) takes the argument in [0, 2*pi) and halves it;
-    the remaining coefficients follow from the exact recursion
-    t_k = (s_k - sum_{0<j<k} t_j t_{k-j}) / (2 t_0).
+
+def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
+    """Exact square root of a jet over Q(i) whose constant term is a square.
+
+    The root of c_0 lies in the closed upper half plane (its argument in
+    [0, 2*pi) is halved); the remaining coefficients follow from the exact
+    recursion t_k = (s_k - sum_{0<j<k} t_j t_{k-j}) / (2 t_0).  Raises
+    ValueError when c_0 is zero or has no square root in Q(i).
     """
     c0 = s.coeffs[0]
     if not c0:
@@ -406,17 +415,12 @@ def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
             "sqrt of a series with zero constant term; extract the exact "
             "radical upstream instead"
         )
-    t0 = upper_half_sqrt(to_big(c0))
+    t0 = _gaussian_sqrt(c0)
     out = [t0]
     half = 1 / (2 * t0)
     for k in range(1, s.order + 1):
-        acc = to_big(s.coeffs[k])
+        acc = s.coeffs[k]
         for j in range(1, k):
             acc = acc - out[j] * out[k - j]
         out.append(acc * half)
     return TruncatedSeries(s.order, out)
-
-
-def series_to_big(s: TruncatedSeries) -> TruncatedSeries:
-    """Convert an exact jet to the BigComplex backend at current precision."""
-    return s.map_coeffs(to_big)

@@ -1,4 +1,4 @@
-"""Quantum coupling coefficients and balanced structure constants."""
+"""Quantum coupling coefficients and balanced structure constants, exactly."""
 
 import math
 from fractions import Fraction
@@ -6,8 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from lorentzknots import cg
 from lorentzknots.cg import (
+    RootJet,
     _decoupling_block,
+    _root_sum,
     cache_state,
     clear_caches,
     lambda_coeff,
@@ -15,21 +18,25 @@ from lorentzknots.cg import (
     quantum_cg,
     quantum_cg_decoupling,
 )
-from lorentzknots.scalars import GaussianRational, precision
-from lorentzknots.series import constant_series, q_power, series_to_big
-
-TOL = mpmath.mpf(10) ** -45
-
-
-def close(a, b, tol=TOL):
-    return max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs)) < tol
+from lorentzknots.errors import InternalConsistencyError
+from lorentzknots.polynomials import specialize
+from lorentzknots.scalars import GaussianRational
+from lorentzknots.series import TruncatedSeries, constant_series, q_power
 
 
-def is_value(series, constant, tol=TOL):
-    return all(
-        abs(c - (constant if k == 0 else 0)) < tol
-        for k, c in enumerate(series.coeffs)
-    )
+def is_value(value, constant):
+    """The root jet equals the constant ``constant`` exactly."""
+    return value.rational() == constant_series(constant, value.jet.order)
+
+
+def at_point(value, p):
+    """A symbolic-p root jet specialized at the point p."""
+    return RootJet(value.radicand, specialize(value.jet, p))
+
+
+def h0(value):
+    """The classical (h^0) part of a root jet."""
+    return RootJet(value.radicand, TruncatedSeries(0, value.jet.coeffs[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -38,38 +45,38 @@ def is_value(series, constant, tol=TOL):
 
 
 def test_trivial_coupling():
-    with precision(60):
-        assert is_value(quantum_cg(0, 0, 0, 0, 0, 0, 4), 1)
+    assert is_value(quantum_cg(0, 0, 0, 0, 0, 0, 4), 1)
 
 
 def test_selection_rules():
-    with precision(60):
-        assert quantum_cg(1, 1, 2, 1, 1, 0, 3).is_zero()  # m + n != p
-        assert quantum_cg(1, 1, 6, 1, 1, 2, 3).is_zero()  # triangle fails
-        assert quantum_cg(1, 1, 2, 3, -1, 2, 3).is_zero()  # index out of range
+    assert quantum_cg(1, 1, 2, 1, 1, 0, 3).is_zero()  # m + n != p
+    assert quantum_cg(1, 1, 6, 1, 1, 2, 3).is_zero()  # triangle fails
+    assert quantum_cg(1, 1, 2, 3, -1, 2, 3).is_zero()  # index out of range
 
 
 def _classical_cg(j1, j2, j, m1, m2, m):
-    """Racah's closed form for classical coefficients (floats); test oracle."""
+    """Racah's closed form for classical coefficients; test oracle.
+
+    Returns (radicand, rational) with the coefficient sqrt(radicand) *
+    rational, both exact.
+    """
     if m1 + m2 != m:
-        return 0.0
+        return Fraction(1), Fraction(0)
     if not (abs(j1 - j2) <= j <= j1 + j2):
-        return 0.0
+        return Fraction(1), Fraction(0)
     if abs(m1) > j1 or abs(m2) > j2 or abs(m) > j:
-        return 0.0
+        return Fraction(1), Fraction(0)
 
     def f(x):
-        return math.factorial(int(round(x)))
+        return math.factorial(int(x))
 
-    pref = (2 * j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j) * f(-j1 + j2 + j) / f(
-        j1 + j2 + j + 1
+    pref = Fraction(
+        (2 * j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j) * f(-j1 + j2 + j),
+        f(j1 + j2 + j + 1),
     )
-    pref *= (
-        f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
-    )
-    total = 0.0
-    k = 0
-    while True:
+    pref *= f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+    total = Fraction(0)
+    for k in range(int(2 * (j1 + j2 + j)) + 3):
         args = [
             j1 + j2 - j - k,
             j1 - m1 - k,
@@ -77,16 +84,12 @@ def _classical_cg(j1, j2, j, m1, m2, m):
             j - j2 + m1 + k,
             j - j1 - m2 + k,
         ]
-        if min(args[:3]) < -1e-9 and k > j1 + j2:
-            break
-        if all(a >= -1e-9 for a in args):
-            total += (-1) ** k / (
-                f(k) * f(args[0]) * f(args[1]) * f(args[2]) * f(args[3]) * f(args[4])
-            )
-        k += 1
-        if k > int(2 * (j1 + j2 + j)) + 2:
-            break
-    return math.sqrt(pref) * total
+        if all(a >= 0 for a in args):
+            denom = f(k)
+            for a in args:
+                denom *= f(a)
+            total += Fraction((-1) ** k, denom)
+    return pref, total
 
 
 @pytest.mark.parametrize(
@@ -101,36 +104,57 @@ def _classical_cg(j1, j2, j, m1, m2, m):
     ],
 )
 def test_classical_limit_matches_racah(labels):
-    with precision(60):
-        series = quantum_cg(*labels, 4)
-        classical = _classical_cg(*(Fraction(x, 2) for x in labels))
-        assert abs(series.coeffs[0] - classical) < mpmath.mpf(10) ** -12
-        assert abs(series.coeffs[0].imag) < TOL
+    value = quantum_cg(*labels, 4)
+    radicand, rational = _classical_cg(*(Fraction(x, 2) for x in labels))
+    assert h0(value) == RootJet(radicand, constant_series(rational, 0))
+    assert value.jet.coeffs[0].is_real()
 
 
 def test_coupling_orthogonality():
     """Rows of the coupling block pair to the identity against decoupling."""
-    with precision(60):
-        order = 3
-        for dJ, dK in ((1, 1), (1, 2), (2, 2)):
-            spins = range(abs(dJ - dK), dJ + dK + 1, 2)
-            for dI in spins:
-                for dIp in spins:
-                    for dm in range(-min(dI, dIp), min(dI, dIp) + 1, 2):
-                        acc = series_to_big(constant_series(0, order))
-                        for dn in range(-dJ, dJ + 1, 2):
-                            dp = dm - dn
-                            acc = acc + quantum_cg_decoupling(
-                                dI, dJ, dK, dm, dn, dp, order
-                            ) * quantum_cg(dJ, dK, dIp, dn, dp, dm, order)
-                        assert is_value(acc, 1 if dI == dIp else 0)
+    order = 3
+    for dJ, dK in ((1, 1), (1, 2), (2, 2)):
+        spins = range(abs(dJ - dK), dJ + dK + 1, 2)
+        for dI in spins:
+            for dIp in spins:
+                for dm in range(-min(dI, dIp), min(dI, dIp) + 1, 2):
+                    terms = [
+                        quantum_cg_decoupling(dI, dJ, dK, dm, dn, dm - dn, order)
+                        * quantum_cg(dJ, dK, dIp, dn, dm - dn, dm, order)
+                        for dn in range(-dJ, dJ + 1, 2)
+                    ]
+                    acc = _root_sum(terms, constant_series(0, order), "orthogonality")
+                    assert is_value(acc, 1 if dI == dIp else 0)
 
 
 def test_decoupling_classical_limit_is_transpose():
-    with precision(60):
-        d = quantum_cg_decoupling(2, 1, 1, 0, 1, -1, 3)
-        c = quantum_cg(1, 1, 2, 1, -1, 0, 3)
-        assert abs(d.coeffs[0] - c.coeffs[0]) < mpmath.mpf(10) ** -12
+    d = quantum_cg_decoupling(2, 1, 1, 0, 1, -1, 3)
+    c = quantum_cg(1, 1, 2, 1, -1, 0, 3)
+    assert h0(d) == h0(c)
+
+
+def test_coupling_radicands_factor_by_row_and_column():
+    # Every 2x2 minor of a block's radicands is a rational square, so the
+    # block inverse needs only row and column surds.
+    from lorentzknots.scalars import rational_sqrt
+
+    for dJ in range(5):
+        for dK in range(5):
+            for dx in range(-dJ - dK, dJ + dK + 1, 2):
+                pairs, spins, _ = _decoupling_block(dJ, dK, dx, 1)
+                c0 = [[quantum_cg(dJ, dK, dI, dn, dp, dx, 1).radicand for dI in spins]
+                      for dn, dp in pairs]
+                for r in range(len(pairs)):
+                    for c in range(len(spins)):
+                        rational_sqrt(c0[r][c] * c0[0][0] / (c0[r][0] * c0[0][c]))
+
+
+def test_irrational_combination_names_its_labels():
+    value = RootJet(2, constant_series(1, 1))
+    with pytest.raises(InternalConsistencyError, match=r"radicand 6 at labels \('demo', 3\)"):
+        value.rational(3, ("demo", 3))
+    assert value.rational(2) == constant_series(2, 1)
+    assert RootJet(2, constant_series(0, 1)).rational() == constant_series(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,118 +163,123 @@ def test_decoupling_classical_limit_is_transpose():
 
 
 def test_lambda_alpha_zero_alpha_is_one():
-    with precision(60):
-        for da in (0, 2, 4, 6):
-            assert is_value(lambda_coeff(da, 0, da, da, 1, 4), 1)
-            assert is_value(lambda_coeff(da, 0, da, da, 3, 4), 1)
+    for da in (0, 2, 4, 6):
+        assert is_value(lambda_coeff(da, 0, da, da, 1, 4), 1)
+        assert is_value(lambda_coeff(da, 0, da, da, 3, 4), 1)
 
 
 def test_lambda_triple_alpha_zero_for_half_integer():
-    with precision(60):
-        for da in (1, 3):
-            assert lambda_coeff(da, da, da, 0, 2, 3).is_zero()
-        for da in (2, 4):
-            assert not lambda_coeff(da, da, da, 0, 2, 3).is_zero()
+    for da in (1, 3):
+        assert lambda_coeff(da, da, da, 0, 2, 3).is_zero()
+    for da in (2, 4):
+        assert not lambda_coeff(da, da, da, 0, 5, 3).is_zero()
+    # At spin 2 every h-order carries the factor (p - 1)(p - 2), so the
+    # constant vanishes exactly at p = 2 (floats left a 10^-81 residue).
+    sym = lambda_coeff_symbolic(4, 4, 4, 0, 3)
+    assert sym.jet.coeffs[2].coeffs == tuple(
+        GaussianRational(Fraction(c, 12)) for c in (2, -3, 1)
+    )
+    assert lambda_coeff(4, 4, 4, 0, 2, 3).is_zero()
 
 
 @pytest.mark.parametrize("C", [0, 1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_lambda_spin_half_closed_forms(C, p):
-    """The four explicit formulas for spin-1/2 columns, at tolerance 1e-45."""
-    with precision(60):
-        order = 4
-        qp = series_to_big(q_power(p, order))
-        qmp = series_to_big(q_power(-p, order))
-        one = series_to_big(constant_series(1, order))
-        q2C2 = series_to_big(q_power(2 * C + 2, order))
-        if C >= 1:
-            q2C = series_to_big(q_power(2 * C, order))
-            rhs = (
-                series_to_big(q_power(C, order)) * (qp + qmp) * (q2C + one).inverse()
-            )
-            assert close(lambda_coeff(2 * C, 1, 2 * C - 1, 2 * C, p, order), rhs)
-        rhs = (
-            -1
-            * series_to_big(q_power(C + 1, order))
-            * (qp + qmp)
-            * (q2C2 + one).inverse()
-        )
-        assert close(lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C, p, order), rhs)
-        rhs = (q2C2 * qp - qmp) * (q2C2 + one).inverse()
-        assert close(lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order), rhs)
-        rhs = (q2C2 * qmp - qp) * (q2C2 + one).inverse()
-        assert close(lambda_coeff(2 * C + 2, 1, 2 * C + 1, 2 * C, p, order), rhs)
+    """The four explicit formulas for spin-1/2 columns, exactly."""
+    order = 4
+    qp, qmp = q_power(p, order), q_power(-p, order)
+    one = constant_series(1, order)
+    q2C2 = q_power(2 * C + 2, order)
+    if C >= 1:
+        rhs = q_power(C, order) * (qp + qmp) / (q_power(2 * C, order) + one)
+        assert lambda_coeff(2 * C, 1, 2 * C - 1, 2 * C, p, order).rational() == rhs
+    rhs = -1 * q_power(C + 1, order) * (qp + qmp) / (q2C2 + one)
+    assert lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C, p, order).rational() == rhs
+    rhs = (q2C2 * qp - qmp) / (q2C2 + one)
+    assert lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order).rational() == rhs
+    rhs = (q2C2 * qmp - qp) / (q2C2 + one)
+    assert lambda_coeff(2 * C + 2, 1, 2 * C + 1, 2 * C, p, order).rational() == rhs
 
 
 def test_lambda_closed_form_at_gaussian_point():
-    """Symbolic-mode polynomials evaluated at a complex rational point match
-    the closed form with exact complex exponentials."""
-    with precision(60):
-        order = 3
-        C = 1
-        p = GaussianRational(Fraction(1, 2), Fraction(3, 2))  # complex point
-        sym = lambda_coeff_symbolic(2 * C, 1, 2 * C + 1, 2 * C + 2, order)
-        at_p = [poly.evaluate_big(p) for poly in sym.coeffs]
-        q2C2 = series_to_big(q_power(2 * C + 2, order))
-        one = series_to_big(constant_series(1, order))
-        qp = series_to_big(q_power(p, order))
-        qmp = series_to_big(q_power(-1 * p, order))
-        rhs = (q2C2 * qp - qmp) * (q2C2 + one).inverse()
-        assert max(abs(a - b) for a, b in zip(at_p, rhs.coeffs)) < TOL
+    """Symbolic-mode polynomials evaluated at a complex rational point, and
+    the numeric constant there, equal the closed form with exact complex
+    exponentials."""
+    order = 3
+    C = 1
+    p = GaussianRational(Fraction(1, 2), Fraction(3, 2))  # complex point
+    sym = lambda_coeff_symbolic(2 * C, 1, 2 * C + 1, 2 * C + 2, order)
+    q2C2 = q_power(2 * C + 2, order)
+    one = constant_series(1, order)
+    rhs = (q2C2 * q_power(p, order) - q_power(-1 * p, order)) / (q2C2 + one)
+    assert at_point(sym, p).rational() == rhs
+    assert lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order).rational() == rhs
 
 
 def test_symbolic_matches_numeric():
-    with precision(60):
-        order = 3
-        sym = lambda_coeff_symbolic(2, 2, 2, 0, order)
-        for p in (1, 2, 5):
-            num = lambda_coeff(2, 2, 2, 0, p, order)
-            diff = max(
-                abs(poly.evaluate_big(p) - c) for poly, c in zip(sym.coeffs, num.coeffs)
-            )
-            assert diff < TOL
+    order = 3
+    sym = lambda_coeff_symbolic(2, 2, 2, 0, order)
+    for p in (1, 2, 5):
+        assert at_point(sym, p) == lambda_coeff(2, 2, 2, 0, p, order)
 
 
 def test_symbolic_degree_bound():
-    with precision(60):
-        sym = lambda_coeff_symbolic(2, 2, 2, 0, 4)
-        for n, poly in enumerate(sym.coeffs):
-            assert poly.degree() <= n
+    sym = lambda_coeff_symbolic(2, 2, 2, 0, 4)
+    for n, poly in enumerate(sym.jet.coeffs):
+        assert poly.degree() <= n
 
 
 def test_cache_round_trip(tmp_path):
     from lorentzknots.qlorentz import load_lambda_cache, save_lambda_cache
 
-    with precision(60):
-        clear_caches()
-        expected = lambda_coeff(2, 1, 3, 2, 2, 3)
-        path = tmp_path / "lambda.cache"
-        count = save_lambda_cache(path)
-        assert count >= 1
-        clear_caches()
-        loaded = load_lambda_cache(path)
-        assert loaded == count
-        again = lambda_coeff(2, 1, 3, 2, 2, 3)
-        assert all(a == b for a, b in zip(expected.coeffs, again.coeffs))
+    clear_caches()
+    expected = lambda_coeff(2, 1, 3, 2, 2, 3)
+    path = tmp_path / "lambda.cache"
+    count = save_lambda_cache(path)
+    assert count >= 1
+    clear_caches()
+    loaded = load_lambda_cache(path)
+    assert loaded == count
+    again = lambda_coeff(2, 1, 3, 2, 2, 3)
+    assert again.radicand == expected.radicand and again.jet == expected.jet
 
 
-def test_cache_file_of_format_2_still_loads():
-    # Saved by the format-2 writer at 30 digits (dps 50): Lambda^{222}_0 and
-    # Lambda^{213}_2 at p = 3, order 2.  Loaded at the default precision,
-    # the entries keep every bit (the first is irrational).
+FORMAT_3_FILE = "lambda_cache_v3.json"
+
+
+def test_cache_file_of_format_3_still_loads():
+    # Saved by the format-3 writer: Lambda^{222}_0 (irrational) and
+    # Lambda^{213}_2 at p = 3, order 2.  Loaded, the entries equal their
+    # recomputation exactly.
     from pathlib import Path
 
     from lorentzknots.qlorentz import load_lambda_cache
 
-    path = Path(__file__).parent / "data" / "lambda_cache_v2.json"
+    path = Path(__file__).parent / "data" / FORMAT_3_FILE
     clear_caches()
     assert load_lambda_cache(path) == 2
-    with mpmath.workdps(50):
-        cached = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
-        clear_caches()
-        fresh = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
-    assert [s.coeffs for s in cached] == [s.coeffs for s in fresh]
+    cached = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
     clear_caches()
+    fresh = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
+    assert [(s.radicand, s.jet) for s in cached] == [(s.radicand, s.jet) for s in fresh]
+    with pytest.raises(InternalConsistencyError):
+        cached[0].rational()  # Lambda^{222}_0 is irrational
+    clear_caches()
+
+
+def test_cache_of_format_2_is_refused(tmp_path):
+    import json
+
+    from lorentzknots.qlorentz import load_lambda_cache
+
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({
+        "manifest": {"format_version": 2, "kind": "balanced-structure-constants",
+                     "entries": 0, "sha256": ""},
+        "entries": [],
+    }))
+    with pytest.raises(ValueError, match="unrecognized cache format version"):
+        load_lambda_cache(path)
 
 
 def _tripled_constant_terms(path, resign):
@@ -260,7 +289,7 @@ def _tripled_constant_terms(path, resign):
 
     doc = json.loads(path.read_text())
     for entry in doc["entries"]:
-        entry["coeffs"][0][0][1] *= 3  # real mantissa of the h^0 coefficient
+        entry["coeffs"][0][0] *= 3  # real numerator of the h^0 coefficient
     if resign:
         doc["manifest"]["sha256"] = _entries_digest(doc["entries"])
     path.write_text(json.dumps(doc))
@@ -273,17 +302,16 @@ def test_cache_load_rejects_altered_entries(tmp_path, resign, message):
     from lorentzknots.qlorentz import load_lambda_cache, save_lambda_cache
 
     path = tmp_path / "lambda.cache"
-    with precision(60):
-        clear_caches()
-        lambda_coeff(2, 1, 3, 2, 2, 3)
-        save_lambda_cache(path)
-        _tripled_constant_terms(path, resign)
-        clear_caches()
-        with pytest.raises(ValueError, match=message) as info:
-            load_lambda_cache(path)
-        assert str(path) in str(info.value)
-        # nothing from the file was kept; only the recomputation is cached
-        assert cache_state()[1] == (1 if resign else 0)
+    clear_caches()
+    lambda_coeff(2, 1, 3, 2, 2, 3)
+    save_lambda_cache(path)
+    _tripled_constant_terms(path, resign)
+    clear_caches()
+    with pytest.raises(ValueError, match=message) as info:
+        load_lambda_cache(path)
+    assert str(path) in str(info.value)
+    # nothing from the file was kept; only the recomputation is cached
+    assert cache_state()[1] == (1 if resign else 0)
 
 
 @pytest.mark.parametrize("text", ["[]", '{"manifest": 2}', "{}"])
@@ -297,22 +325,20 @@ def test_cache_load_rejects_other_documents(tmp_path, text):
 
 
 def test_clear_caches_empties_every_memo_table():
-    from lorentzknots import cg, jones, qlorentz, series
+    from lorentzknots import jones, qlorentz, series
     from lorentzknots.braids import parse_braid
 
     trefoil = parse_braid("s1 s1 s1", 2)
-    with precision(60):
-        qlorentz.braid_sum(parse_braid("-s1 -s1 -s1", 2), 2, 1)
-        jones.jones_z_interpolated(trefoil, 1)
+    qlorentz.braid_sum(parse_braid("-s1 -s1 -s1", 2), 2, 1)
+    jones.jones_z_interpolated(trefoil, 1)
     tables = [
         series._q_power_jet,
         series._q_integer_jet,
         series._q_factorial_jet,
-        cg._quantum_cg,
+        cg.quantum_cg,
         _decoupling_block,
-        cg._lambda_coeff,
-        qlorentz._g_action,
-        qlorentz._group_like_weight,
+        cg.lambda_coeff,
+        qlorentz.g_action,
         qlorentz._antipode_factor,
         jones._braiding_table,
         jones._tangle_scalar,
@@ -327,18 +353,17 @@ def test_clear_caches_empties_every_memo_table():
     assert cache_state() == (0, 0)
 
 
-def test_cache_file_of_format_2_is_reproduced_byte_for_byte(tmp_path):
-    # Recomputing the two entries of the stored file at dps 50, in its order,
-    # and saving them gives the same bytes the format-2 writer wrote.
+def test_cache_file_of_format_3_is_reproduced_byte_for_byte(tmp_path):
+    # Recomputing the two entries of the stored file, in its order, and
+    # saving them gives the same bytes the format-3 writer wrote.
     from pathlib import Path
 
     from lorentzknots.qlorentz import save_lambda_cache
 
-    stored = Path(__file__).parent / "data" / "lambda_cache_v2.json"
+    stored = Path(__file__).parent / "data" / FORMAT_3_FILE
     clear_caches()
-    with mpmath.workdps(50):
-        lambda_coeff(2, 2, 2, 0, 3, 2)
-        lambda_coeff(2, 1, 3, 2, 3, 2)
+    lambda_coeff(2, 2, 2, 0, 3, 2)
+    lambda_coeff(2, 1, 3, 2, 3, 2)
     path = tmp_path / "again.json"
     assert save_lambda_cache(path) == 2
     clear_caches()
@@ -349,15 +374,25 @@ def test_symbolic_entries_are_memoized_but_not_saved(tmp_path):
     from lorentzknots.qlorentz import save_lambda_cache
 
     clear_caches()
-    with precision(30):
-        lambda_coeff_symbolic(2, 2, 2, 0, 2)
-        assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(
-            2, 2, 2, 0, 2
-        )
-        lambda_coeff(2, 2, 2, 0, 3, 2)
-        assert cache_state()[1] == 2
-        assert save_lambda_cache(tmp_path / "c.json") == 1
+    lambda_coeff_symbolic(2, 2, 2, 0, 2)
+    assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(2, 2, 2, 0, 2)
+    lambda_coeff(2, 2, 2, 0, 3, 2)
+    assert cache_state()[1] == 2
+    assert save_lambda_cache(tmp_path / "c.json") == 1
     clear_caches()
+
+
+def _g_action_jets(*args):
+    from lorentzknots.qlorentz import g_action
+
+    return g_action(*args)
+
+
+def _trefoil_sum(p):
+    from lorentzknots.braids import parse_braid
+    from lorentzknots.qlorentz import braid_sum
+
+    return braid_sum(parse_braid("-s1 -s1 -s1", 2), p, 2)
 
 
 @pytest.mark.parametrize(
@@ -368,33 +403,38 @@ def test_symbolic_entries_are_memoized_but_not_saved(tmp_path):
         ("lambda_coeff_symbolic", lambda: lambda_coeff_symbolic(2, 2, 2, 0, 3)),
         ("g_action", lambda: _g_action_jets(2, 0, 0, 0, 0, 2, 3)),
         ("g_action_symbolic", lambda: _g_action_jets(2, 0, 0, 0, 0, "symbolic", 3)),
+        ("braid_sum", lambda: _trefoil_sum(2)),
+        ("braid_sum_symbolic", lambda: _trefoil_sum("symbolic")),
     ],
 )
-def test_value_built_at_15_digits_is_not_served_at_80(name, compute):
+def test_values_do_not_depend_on_the_working_precision(name, compute):
+    import inspect
+
+    from lorentzknots import qlorentz
+
+    tables = [quantum_cg, _decoupling_block, lambda_coeff, qlorentz.g_action,
+              qlorentz._antipode_factor]
     clear_caches()
     with mpmath.workdps(15):
         low = compute()
+    sizes = [len(t.table) for t in tables]
     with mpmath.workdps(80):
         served = compute()
+        # no memo key carries a precision: nothing new was computed
+        assert [len(t.table) for t in tables] == sizes
         clear_caches()
         fresh = compute()
-    assert _flat(served) == _flat(fresh)
-    assert _flat(low) != _flat(fresh)
+    assert _exact(low) == _exact(served) == _exact(fresh)
+    for table in tables:
+        arity = len(inspect.signature(table).parameters)
+        assert all(len(key) <= arity for key in table.table)
     clear_caches()
 
 
-def _g_action_jets(*args):
-    from lorentzknots.qlorentz import g_action
-
-    return [jet for _, jet in g_action(*args)]
-
-
-def _flat(value):
-    """Every mpc of a jet, a list of jets or a symbolic jet, in order."""
-    if isinstance(value, list):
-        return [x for jet in value for x in _flat(jet)]
-    coeffs = value.coeffs if hasattr(value, "coeffs") else value
-    out = []
-    for c in coeffs:
-        out.extend(c.coeffs if hasattr(c, "coeffs") else [c])
-    return out
+def _exact(value):
+    """The value's exact data: radicand and coefficients, or coefficients."""
+    if isinstance(value, RootJet):
+        return value.radicand, value.jet.coeffs
+    if isinstance(value, tuple):
+        return value
+    return value.coeffs

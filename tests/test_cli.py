@@ -85,47 +85,56 @@ def test_lorentz_equivalence_report():
     code, text = run_cli(
         [
             "lorentz", "--knot", "unknot", "--m", "0", "--order", "2",
-            "--p", "1", "--check-equivalence", "--precision", "45",
+            "--p", "1", "--check-equivalence",
         ]
     )
     assert code == 0
-    assert json.loads(text)["pass"] is True
+    report = json.loads(text)
+    assert report["pass"] is True
+    assert report["lhs"] == report["rhs"] == [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]
 
 
 def test_qlg_matches_lorentz_invariant_at_point():
     code, text = run_cli(
         [
             "lorentz", "--knot", "trefoil-left", "--m", "0", "--order", "2",
-            "--p", "2", "--check-equivalence", "--precision", "45",
+            "--p", "2", "--check-equivalence",
         ]
     )
     assert code == 0
     report = json.loads(text)
     assert report["pass"] is True
-    assert max(report["diffs"]) <= report["tolerance"]
+    assert report["lhs"] == report["rhs"]
+    # qlg prints the same exact braid sum, in the encoding of jones
+    code, text = run_cli(
+        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "2", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(text) == {"order": 2, "coeffs": report["lhs"]}
 
 
 def test_qlg_symbolic_runs():
     code, text = run_cli(
-        ["qlg", "--braid", "-s1 -s1 -s1", "--order", "1", "--precision", "40",
-         "--format", "json"]
+        ["qlg", "--braid", "-s1 -s1 -s1", "--order", "2", "--format", "json"]
     )
     assert code == 0
     doc = json.loads(text)
-    assert doc["order"] == 1
+    assert doc["order"] == 2
+    # h^2 coefficient 2 - 2 p^2, exactly
+    assert doc["coeffs"][2] == [[2, 1, 0, 1], [0, 1, 0, 1], [-2, 1, 0, 1]]
 
 
 def test_qlg_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("LORENTZKNOTS_CACHE_DIR", str(tmp_path))
     code, _ = run_cli(
         ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "1",
-         "--precision", "40", "--save-cache", "trefoil.cache", "--format", "csv"]
+         "--save-cache", "trefoil.cache", "--format", "csv"]
     )
     assert code == 0
     assert (tmp_path / "trefoil.cache").exists()
     code, _ = run_cli(
         ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "1",
-         "--precision", "40", "--load-cache", "trefoil.cache", "--format", "csv"]
+         "--load-cache", "trefoil.cache", "--format", "csv"]
     )
     assert code == 0
 
@@ -137,7 +146,7 @@ def test_qlg_rejects_cache_with_altered_values(tmp_path, monkeypatch, capsys):
     path = tmp_path / "c1"
     doc = json.loads(path.read_text())
     for entry in doc["entries"]:
-        entry["coeffs"][0][0][1] *= 3  # triple each constant-term mantissa
+        entry["coeffs"][0][0] *= 3  # triple each constant term's real numerator
     path.write_text(json.dumps(doc))
     code, text = run_cli(argv + ["--load-cache", "c1"])
     assert code == 2 and text == ""
@@ -160,7 +169,7 @@ def test_config_precedence(tmp_path):
 def test_qlg_config_p_zero_is_the_point_zero(tmp_path):
     # A config p of 0 is the numeric point p = 0, as with the flag, not
     # symbolic p.
-    argv = ["qlg", "--knot", "trefoil-left", "--order", "1", "--precision", "30"]
+    argv = ["qlg", "--knot", "trefoil-left", "--order", "1"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 0}))
     code, from_config = run_cli(["--config", str(cfg)] + argv)
@@ -182,13 +191,10 @@ def test_resource_guard_exit_code():
 
 
 def test_run_config_invariants_enforced():
-    code, _ = run_cli(
-        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "2", "--precision", "20"]
-    )
+    code, _ = run_cli(["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "-1"])
     assert code == 2
     code, _ = run_cli(
-        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "3",
-         "--precision", "40", "--cutoff", "2"]
+        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "3", "--cutoff", "2"]
     )
     assert code == 2
 
@@ -229,7 +235,9 @@ def test_verify_rejects_unknown_criterion():
         ["jones", "--knot", "unknot", "--spin", "1", "--precision", "40"],
         ["jones", "--knot", "unknot", "--interpolate", "--workers", "7"],
         ["lorentz", "--knot", "unknot", "--order", "1", "--workers", "2"],
+        ["lorentz", "--knot", "unknot", "--order", "1", "--precision", "40"],
         ["qlg", "--knot", "unknot", "--order", "1", "--workers", "2"],
+        ["qlg", "--knot", "unknot", "--order", "1", "--precision", "40"],
         ["verify", "--criteria", "1", "--format", "json"],
         ["verify", "--criteria", "1", "--order", "3"],
         ["verify", "--criteria", "1", "--precision", "40"],
@@ -256,6 +264,8 @@ def test_config_rejects_workers_key(tmp_path):
         ({"precision": 5}, ["jones", "--knot", "unknot", "--spin", "1", "--order", "1"]),
         ({"m": 1}, ["diagrams", "--quotient-dim", "2"]),
         ({"p": 2}, ["weights", "--diagram", "AA"]),
+        ({"precision": 40}, ["qlg", "--knot", "unknot", "--order", "1"]),
+        ({"precision": 40}, ["lorentz", "--knot", "unknot", "--order", "1"]),
     ],
 )
 def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys, config, argv):
@@ -270,7 +280,7 @@ def test_qlg_config_with_every_key_it_reads(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "braid": "-s1 -s1 -s1", "strands": 2, "p": 2, "order": 1,
-        "precision": 40, "cutoff": 1, "format": "json",
+        "cutoff": 1, "format": "json",
     }))
     code, text = run_cli(["--config", str(cfg), "qlg"])
     assert code == 0

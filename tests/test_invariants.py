@@ -94,7 +94,7 @@ def test_jones_relation_rejects_non_integer_difference():
 def test_equivalence_check_trivial_point():
     report = equivalence_check(UNKNOT, 1, 3)
     assert report["pass"]
-    assert max(report["diffs"]) <= report["tolerance"]
+    assert report["lhs"] == report["rhs"] == [[1, 1, 0, 1]] + [[0, 1, 0, 1]] * 3
 
 
 def test_equivalence_check_trefoil_small():

@@ -332,6 +332,18 @@ def test_repeated_interpolation_is_a_memo_hit():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+def test_lower_order_is_cut_from_a_memoized_higher_order():
+    clear_caches()
+    full = jones_z_interpolated(FIG8, 4)
+    misses = jones._tangle_scalar.cache_info().misses
+    cut = jones_z_interpolated(FIG8, 3)
+    assert jones._tangle_scalar.cache_info().misses == misses
+    assert cut.coeffs == full.coeffs[:4]
+    clear_caches()
+    assert jones_z_interpolated(FIG8, 3) == cut
+    clear_caches()
+
+
 def test_trefoil_second_order_frozen():
     # Frozen from this engine after it passed the independent pins above
     # (unknot closed form, framing factor, mirror parity); re-derivations

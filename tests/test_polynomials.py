@@ -112,7 +112,7 @@ def test_interpolation_roundtrip_random(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# One polynomial type over exact and mpc coefficients
+# One polynomial type over Gaussian-rational coefficients
 # ---------------------------------------------------------------------------
 
 
@@ -130,90 +130,71 @@ def test_conv_of_polynomial_tuples_matches_schoolbook(a, b):
 
 
 def test_coefficients_kept_or_coerced():
-    import mpmath
-
     exact = ParamPolynomial([1, F(1, 2), G(0, 1)])
     assert all(type(c) is GaussianRational for c in exact.coeffs)
-    floats = ParamPolynomial([mpmath.mpc(1), mpmath.mpc(0, 2), mpmath.mpc(0)])
-    assert floats.degree() == 1
-    assert all(type(c) is mpmath.mpc for c in floats.coeffs)
+    with pytest.raises(TypeError):
+        ParamPolynomial([0.5])
 
 
-def test_mpc_polynomial_ring_ops_match_evaluation():
-    import mpmath
-
-    from lorentzknots.scalars import precision
-
-    with precision(30):
-        a = ParamPolynomial([mpmath.mpc(1, 1), mpmath.mpc(0), mpmath.mpc(3)])
-        b = ParamPolynomial([mpmath.mpc(0), mpmath.mpc(-2, 1)])
-        for point in (F(1, 3), G(2, -1)):
-            pa, pb = a.evaluate_big(point), b.evaluate_big(point)
-            tol = mpmath.mpf(10) ** -40
-            assert abs((a * b).evaluate_big(point) - pa * pb) < tol
-            assert abs((a + b).evaluate_big(point) - (pa + pb)) < tol
-            assert abs((b - a).evaluate_big(point) - (pb - pa)) < tol
-        assert (a - a).is_zero()
-        assert all(type(c) is mpmath.mpc for c in (a * b).coeffs)
+def test_gaussian_polynomial_ring_ops_match_evaluation():
+    a = ParamPolynomial([G(1, 1), 0, 3])
+    b = ParamPolynomial([0, G(-2, 1)])
+    for point in (F(1, 3), G(2, -1)):
+        pa, pb = a.evaluate(point), b.evaluate(point)
+        assert (a * b).evaluate(point) == pa * pb
+        assert (a + b).evaluate(point) == pa + pb
+        assert (b - a).evaluate(point) == pb - pa
+    assert (a - a).is_zero()
+    assert all(type(c) is GaussianRational for c in (a * b).coeffs)
 
 
-def test_symbolic_braid_sum_coefficients_are_mpc_polynomials():
-    import mpmath
-
+def test_symbolic_braid_sum_coefficients_are_exact_polynomials():
     from lorentzknots.braids import parse_braid
     from lorentzknots.qlorentz import SYMBOLIC, braid_sum
-    from lorentzknots.scalars import precision
 
-    with precision(30):
-        sym = braid_sum(parse_braid("-s1 -s1 -s1", 2), SYMBOLIC, 2)
+    sym = braid_sum(parse_braid("-s1 -s1 -s1", 2), SYMBOLIC, 2)
     assert all(isinstance(poly, ParamPolynomial) for poly in sym.coeffs)
-    assert all(type(c) is mpmath.mpc for poly in sym.coeffs for c in poly.coeffs)
-    assert sym.coeffs[2].degree() >= 1
+    assert all(type(c) is GaussianRational for poly in sym.coeffs for c in poly.coeffs)
+    assert sym.coeffs[2] == ParamPolynomial([2, 0, -2])
 
 
 def _symbolic_structure_constant():
     from lorentzknots.cg import lambda_coeff_symbolic
-    from lorentzknots.scalars import precision
 
-    with precision(30):
-        return lambda_coeff_symbolic(2, 2, 2, 0, 2)
+    return lambda_coeff_symbolic(2, 2, 2, 0, 2).jet
 
 
 @pytest.mark.parametrize(
-    "operation",
+    "operation, oracle",
     [
-        lambda p: p.evaluate(2),
-        lambda p: p.coefficient(0),
-        lambda p: p.constant(),
-        lambda p: p.compose_affine(F(1, 2), 0),
-        lambda p: p / 2,
-        lambda p: p**2,
+        (lambda p: p.evaluate(2), lambda p: p.evaluate(2)),
+        (lambda p: p.coefficient(0), lambda p: p.evaluate(0)),
+        (lambda p: p.constant(), lambda p: p.evaluate(0)),
+        (lambda p: p.compose_affine(F(1, 2), 0).evaluate(4), lambda p: p.evaluate(2)),
+        (lambda p: (p / 2).evaluate(3), lambda p: p.evaluate(3) / 2),
+        (lambda p: (p**2).evaluate(3), lambda p: p.evaluate(3) * p.evaluate(3)),
     ],
     ids=["evaluate", "coefficient", "constant", "compose_affine", "truediv", "pow"],
 )
-def test_exact_operations_name_evaluate_big_on_mpc_coefficients(operation):
+def test_exact_operations_on_symbolic_structure_constants(operation, oracle):
+    from lorentzknots.cg import lambda_coeff
+
     poly = _symbolic_structure_constant().coeffs[1]
     assert not poly.is_zero()
-    with pytest.raises(TypeError, match="evaluate_big"):
-        operation(poly)
+    assert type(operation(poly)) is GaussianRational
+    assert operation(poly) == oracle(poly)
+    # the symbolic constant specializes to the numeric one
+    assert poly.evaluate(2) == lambda_coeff(2, 2, 2, 0, 2, 2).jet.coeffs[1]
 
 
 def test_symbolic_series_json_round_trip():
     import json
 
-    from lorentzknots.scalars import precision
-
     sym = _symbolic_structure_constant()
     doc = json.loads(json.dumps(sym.to_json()))
     assert doc["order"] == sym.order
-    # decoded at the default working precision, still exact
     back = [ParamPolynomial.from_json(c) for c in doc["coeffs"]]
-    assert [p.coeffs for p in back] == [p.coeffs for p in sym.coeffs]
+    assert back == list(sym.coeffs)
     assert any(p.degree() >= 1 for p in back)
-    with precision(30):
-        for point in (2, 3, G(1, 2)):
-            assert [p.evaluate_big(point) for p in back] == [
-                p.evaluate_big(point) for p in sym.coeffs
-            ]
     exact = ParamPolynomial([F(1, 3), G(0, -2)])
     assert ParamPolynomial.from_json(exact.to_json()) == exact

@@ -1,8 +1,8 @@
-"""Balanced-representation actions and truncated braid sums."""
+"""Balanced-representation actions and truncated braid sums, exactly."""
 
 import re
+from fractions import Fraction
 
-import mpmath
 import pytest
 
 from lorentzknots import qlorentz
@@ -25,23 +25,16 @@ from lorentzknots.qlorentz import (
     tangle_word,
     trefoil_closed_sum,
 )
-from lorentzknots.scalars import precision
-
-TOL = mpmath.mpf(10) ** -45
+from lorentzknots.polynomials import specialize
+from lorentzknots.scalars import GaussianRational, precision
+from lorentzknots.series import constant_series
 
 TREFOIL_R = parse_braid("s1 s1 s1", 2)
 TREFOIL_L = parse_braid("-s1 -s1 -s1", 2)
 
 
-def series_close(a, b, tol=TOL):
-    return max(abs(x - y) for x, y in zip(a.coeffs, b.coeffs)) < tol
-
-
-def series_is(series, constant, tol=TOL):
-    return all(
-        abs(c - (constant if k == 0 else 0)) < tol
-        for k, c in enumerate(series.coeffs)
-    )
+def series_is(series, constant):
+    return series == constant_series(constant, series.order)
 
 
 # ---------------------------------------------------------------------------
@@ -84,95 +77,88 @@ def test_tangle_word_rejects_links():
 
 
 def test_group_like_is_exponential_weight():
-    with precision(60):
-        w = group_like_action(2, 4)  # q^{2i} with i = 1: e^{h}
-        expect = [1, 1, mpmath.mpf(1) / 2, mpmath.mpf(1) / 6, mpmath.mpf(1) / 24]
-        assert max(abs(a - b) for a, b in zip(w, expect)) < TOL
+    w = group_like_action(2, 4)  # q^{2i} with i = 1: e^{h}
+    assert w == tuple(GaussianRational(Fraction(1, d)) for d in (1, 1, 2, 6, 24))
 
 
-def test_group_like_weight_follows_working_precision():
-    # A weight first built at 15 digits must not be served at 60.
+def test_group_like_weight_does_not_depend_on_precision():
+    # A weight first built at 15 digits is the exact one served at 60.
     with precision(15):
-        group_like_action(1, 3)
+        low = group_like_action(1, 3)
     with precision(60):
         w = group_like_action(1, 3)  # e^{h/2}: h^3 coefficient 1/48
-        assert abs(w[3] - mpmath.mpf(1) / 48) < TOL
+    assert w == low and w[3] == Fraction(1, 48)
 
 
 def test_trivial_dual_generator_is_identity():
-    with precision(60):
-        for state in ((0, 0), (2, 2), (4, -2)):
-            cols = g_action(0, 0, 0, state[0], state[1], 2, 3)
-            assert len(cols) == 1
-            ((s, entry),) = cols
-            assert s == state
-            assert abs(entry[0] - 1) < TOL
-            assert all(abs(c) < TOL for c in entry[1:])
+    for state in ((0, 0), (2, 2), (4, -2)):
+        cols = g_action(0, 0, 0, state[0], state[1], 2, 3)
+        assert cols == ((state, (1, 0, 0, 0)),)
 
 
 def test_g_action_matrix_element_order_bound():
     # order of <gamma| g^alpha |beta> is at least |beta - gamma| in h
-    with precision(60):
-        for da in (1, 2):
-            for dbeta in (0, 2):
-                for di in range(-da, da + 1, 2):
-                    for dj in range(-da, da + 1, 2):
-                        for (dg, _), entry in g_action(
-                            da, di, dj, dbeta, 0, 2, 4
-                        ):
-                            gap = abs(dbeta - dg) // 2
-                            for k in range(min(gap, 4)):
-                                assert abs(entry[k]) < TOL
+    for da in (1, 2):
+        for dbeta in (0, 2):
+            for di in range(-da, da + 1, 2):
+                for dj in range(-da, da + 1, 2):
+                    for (dg, _), entry in g_action(da, di, dj, dbeta, 0, 2, 4):
+                        gap = abs(dbeta - dg) // 2
+                        assert not any(entry[: min(gap, 4)])
+
+
+def test_g_action_entries_are_exact():
+    # Gaussian rationals at numeric p (a complex one too), polynomials in p
+    # over them at symbolic p.
+    from lorentzknots.polynomials import ParamPolynomial
+
+    for p, kind in ((2, GaussianRational), (GaussianRational(1, 2), GaussianRational),
+                    (SYMBOLIC, ParamPolynomial)):
+        entries = [c for _, entry in g_action(2, 0, 2, 2, 0, p, 3) for c in entry]
+        assert entries and all(type(c) is kind for c in entries)
 
 
 def test_vacuum_row_factorizes_into_cg_and_lambda():
     # The (0,0)-row of the dual generator's action is a single decoupling
-    # coefficient times a structure constant with trivial first label.
+    # coefficient times a structure constant with trivial first label, in
+    # the rescaled basis: times s(beta, i_beta) s(alpha, j) / s(alpha, i).
     from lorentzknots.cg import lambda_coeff, quantum_cg_decoupling
 
-    with precision(60):
-        p, order = 2, 3
-        for da in (1, 2):
-            for d_i in range(-da, da + 1, 2):
-                for d_j in range(-da, da + 1, 2):
-                    for dbeta in (0, 2):
-                        for dib in range(-dbeta, dbeta + 1, 2):
-                            cols = dict(
-                                g_action(da, d_i, d_j, dbeta, dib, p, order, True)
-                            )
-                            got = cols.get((0, 0))
-                            dx = d_j + dib
-                            if dx != d_i:
-                                assert got is None
-                                continue
-                            expect = quantum_cg_decoupling(
-                                da, da, dbeta, d_i, d_j, dib, order
-                            ) * lambda_coeff(0, da, da, dbeta, p, order)
-                            if got is None:
-                                assert expect.is_zero() or max(
-                                    abs(c) for c in expect.coeffs
-                                ) < TOL
-                            else:
-                                assert max(
-                                    abs(a - b)
-                                    for a, b in zip(got, expect.coeffs)
-                                ) < TOL
+    p, order = 2, 3
+    for da in (1, 2):
+        for d_i in range(-da, da + 1, 2):
+            for d_j in range(-da, da + 1, 2):
+                for dbeta in (0, 2):
+                    for dib in range(-dbeta, dbeta + 1, 2):
+                        cols = dict(g_action(da, d_i, d_j, dbeta, dib, p, order, True))
+                        got = cols.get((0, 0))
+                        dx = d_j + dib
+                        if dx != d_i:
+                            assert got is None
+                            continue
+                        square = Fraction(
+                            qlorentz._s_squared(dbeta, dib) * qlorentz._s_squared(da, d_j),
+                            qlorentz._s_squared(da, d_i),
+                        )
+                        expect = (
+                            lambda_coeff(0, da, da, dbeta, p, order)
+                            * quantum_cg_decoupling(da, da, dbeta, d_i, d_j, dib, order)
+                        ).rational(square)
+                        if got is None:
+                            assert expect.is_zero()
+                        else:
+                            assert got == expect.coeffs
 
 
 def test_g_action_transpose_consistency():
-    with precision(50):
-        da, p, order = 1, 2, 2
-        for d_i in (-1, 1):
-            for d_j in (-1, 1):
-                for dbeta, dib in ((0, 0), (2, 0), (2, 2)):
-                    fwd = dict(g_action(da, d_i, d_j, dbeta, dib, p, order, True))
-                    for (dg, dig), entry in fwd.items():
-                        bwd = dict(
-                            g_action(da, d_i, d_j, dg, dig, p, order, False)
-                        )
-                        back = bwd.get((dbeta, dib))
-                        assert back is not None
-                        assert max(abs(a - b) for a, b in zip(entry, back)) < TOL
+    da, p, order = 1, 2, 2
+    for d_i in (-1, 1):
+        for d_j in (-1, 1):
+            for dbeta, dib in ((0, 0), (2, 0), (2, 2)):
+                fwd = dict(g_action(da, d_i, d_j, dbeta, dib, p, order, True))
+                for (dg, dig), entry in fwd.items():
+                    bwd = dict(g_action(da, d_i, d_j, dg, dig, p, order, False))
+                    assert bwd.get((dbeta, dib)) == entry
 
 
 # ---------------------------------------------------------------------------
@@ -181,63 +167,47 @@ def test_g_action_transpose_consistency():
 
 
 def test_unknot_sum_is_one():
-    with precision(60):
-        assert series_is(braid_sum(BraidWord(1), 2, 3), 1)
+    assert series_is(braid_sum(BraidWord(1), 2, 3), 1)
 
 
 @pytest.mark.parametrize("word", ["s1 s1 -s1", "-s1 -s1 s1", "s1 -s1 s1", "-s1 s1 -s1"])
 def test_mixed_sign_unknot_words(word):
     # These closures are unknots; positive and negative crossing data must
     # compose to the identity for the sums to collapse to 1.
-    with precision(60):
-        assert series_is(braid_sum(parse_braid(word, 2), 2, 2), 1)
+    assert series_is(braid_sum(parse_braid(word, 2), 2, 2), 1)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_left_trefoil_matches_closed_reduction(p):
-    with precision(60):
-        lhs = braid_sum(TREFOIL_L, p, 3)
-        rhs = trefoil_closed_sum(p, 3)
-        assert series_close(lhs, rhs)
+    assert braid_sum(TREFOIL_L, p, 3) == trefoil_closed_sum(p, 3)
 
 
 def test_trefoil_mirror_sums_equal():
-    with precision(60):
-        assert series_close(braid_sum(TREFOIL_R, 2, 3), braid_sum(TREFOIL_L, 2, 3))
+    assert braid_sum(TREFOIL_R, 2, 3) == braid_sum(TREFOIL_L, 2, 3)
 
 
 def test_closed_sum_order_zero_is_one():
-    with precision(60):
-        s = trefoil_closed_sum(2, 3)
-        assert abs(s.coeffs[0] - 1) < TOL
+    assert trefoil_closed_sum(2, 3).coeffs[0] == 1
 
 
 def test_truncation_soundness():
-    with precision(60):
-        a = braid_sum(TREFOIL_L, 2, 3, label_cutoff=3)
-        b = braid_sum(TREFOIL_L, 2, 3, label_cutoff=4)
-        assert series_close(a, b)
+    a = braid_sum(TREFOIL_L, 2, 3, label_cutoff=3)
+    b = braid_sum(TREFOIL_L, 2, 3, label_cutoff=4)
+    assert a == b
 
 
 def test_markov_invariance_small_order():
-    with precision(60):
-        base = braid_sum(TREFOIL_R, 2, 2)
-        for v in markov_variants(TREFOIL_R)[:6]:
-            assert series_close(braid_sum(v, 2, 2), base)
+    base = braid_sum(TREFOIL_R, 2, 2)
+    for v in markov_variants(TREFOIL_R)[:6]:
+        assert braid_sum(v, 2, 2) == base
 
 
 def test_symbolic_mode_matches_numeric():
-    with precision(60):
-        sym = braid_sum(TREFOIL_L, SYMBOLIC, 2)
-        for p in (2, 3):
-            num = braid_sum(TREFOIL_L, p, 2)
-            diff = max(
-                abs(poly.evaluate_big(p) - c)
-                for poly, c in zip(sym.coeffs, num.coeffs)
-            )
-            assert diff < TOL
-        for n, poly in enumerate(sym.coeffs):
-            assert poly.degree() <= 2 * n
+    sym = braid_sum(TREFOIL_L, SYMBOLIC, 2)
+    for p in (2, 3, GaussianRational(Fraction(1, 2), 2)):
+        assert specialize(sym, p) == braid_sum(TREFOIL_L, p, 2)
+    for n, poly in enumerate(sym.coeffs):
+        assert poly.degree() <= 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +279,11 @@ def test_walk_cost_key():
 
 @pytest.mark.parametrize("b", WALK_WORDS, ids=lambda b: b.text() or "unknot")
 def test_every_walk_gives_the_same_sum(monkeypatch, b):
-    with precision(60):
-        chosen = braid_sum(b, 2, 2)
-        for walk in _walk_candidates(b):
-            assert series_close(_forced_sum(monkeypatch, b, walk, 2, 2), chosen), (
-                f"rotation {walk[0]}, forward={walk[1]}"
-            )
+    chosen = braid_sum(b, 2, 2)
+    for walk in _walk_candidates(b):
+        assert _forced_sum(monkeypatch, b, walk, 2, 2) == chosen, (
+            f"rotation {walk[0]}, forward={walk[1]}"
+        )
 
 
 # Symbolic p on the words whose 2L walks all cost well under a second.
@@ -328,22 +297,16 @@ SYMBOLIC_WALK_WORDS = [
 
 @pytest.mark.parametrize("b", SYMBOLIC_WALK_WORDS, ids=lambda b: b.text())
 def test_every_walk_gives_the_same_symbolic_sum(monkeypatch, b):
-    with precision(60):
-        numeric = {p: braid_sum(b, p, 2) for p in (2, 3)}
-        for walk in _walk_candidates(b):
-            sym = _forced_sum(monkeypatch, b, walk, SYMBOLIC, 2)
-            for p, num in numeric.items():
-                diff = max(
-                    abs(poly.evaluate_big(p) - c)
-                    for poly, c in zip(sym.coeffs, num.coeffs)
-                )
-                assert diff < TOL, f"rotation {walk[0]}, forward={walk[1]}, p={p}"
+    numeric = {p: braid_sum(b, p, 2) for p in (2, 3)}
+    for walk in _walk_candidates(b):
+        sym = _forced_sum(monkeypatch, b, walk, SYMBOLIC, 2)
+        for p, num in numeric.items():
+            assert specialize(sym, p) == num, f"rotation {walk[0]}, forward={walk[1]}, p={p}"
 
 
 def test_branch_guard():
     with pytest.raises(ResourceGuardError) as info:
-        with precision(40):
-            braid_sum(TREFOIL_L, 2, 2, max_branches=1)
+        braid_sum(TREFOIL_L, 2, 2, max_branches=1)
     message = str(info.value)
     # the count reached, the operator's position and kind, the walk (the
     # left trefoil's cheapest is rotation 0 read transposed) and the limit

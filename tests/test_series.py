@@ -3,7 +3,6 @@
 from fractions import Fraction
 from itertools import permutations
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +12,8 @@ from lorentzknots.scalars import (
     GaussianRational,
     GR_I,
     GR_ONE,
-    upper_half_sqrt,
     precision,
-    to_big,
+    rational_sqrt,
 )
 from lorentzknots import series
 from lorentzknots.series import (
@@ -29,7 +27,6 @@ from lorentzknots.series import (
     q_factorial,
     q_integer,
     q_power,
-    series_to_big,
     sqrt_series,
 )
 
@@ -138,13 +135,11 @@ def test_conv_matches_schoolbook_exact(ia, ib, fa, fb):
         assert conv(fa, fb, order) == schoolbook(fa, fb, order)
 
 
-def test_conv_matches_schoolbook_mpc():
-    with precision(30):
-        a = [mpmath.mpc(k + 1, -k) / 3 for k in range(4)]
-        b = [mpmath.mpc(2 - k, k * k) / 7 for k in range(4)]
-        for order in range(4):
-            got, want = conv(a, b, order), schoolbook(a, b, order)
-            assert max(abs(x - y) for x, y in zip(got, want)) < mpmath.mpf(10) ** -28
+def test_conv_matches_schoolbook_gaussian():
+    a = [G(F(k + 1, 3), F(-k, 3)) for k in range(4)]
+    b = [G(F(2 - k, 7), F(k * k, 7)) for k in range(4)]
+    for order in range(4):
+        assert conv(a, b, order) == schoolbook(a, b, order)
 
 
 def det(rows):
@@ -199,19 +194,22 @@ def test_jet_matrix_inverse_exact_on_fraction_blocks(block):
 
 
 def test_jet_matrix_inverse_on_coupling_block():
+    # The spin-1 (x) spin-1 block at weight 0, with its row and column
+    # surds divided out as the decoupling block does: a rational jet matrix.
     from lorentzknots.cg import quantum_cg
 
     order, dJ, dK, dx = 3, 2, 2, 0
-    with precision(40):
-        tol = mpmath.mpf(10) ** -(mpmath.mp.dps - 8)
-        pairs = [(-2, 2), (0, 0), (2, -2)]
-        M = [[quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in (0, 2, 4)]
-             for dn, dp in pairs]
-        product = matmul(M, jet_matrix_inverse(M, order))
-        for i in range(3):
-            for c in range(3):
-                for k, value in enumerate(product[i][c].coeffs):
-                    assert abs(value - (1 if i == c and k == 0 else 0)) < tol
+    pairs = [(-2, 2), (0, 0), (2, -2)]
+    M = [[quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in (0, 2, 4)]
+         for dn, dp in pairs]
+    a = [row[0].radicand for row in M]
+    b = [cell.radicand / M[0][0].radicand for cell in M[0]]
+    R = [[cell.rational(1 / (a[r] * b[c])) for c, cell in enumerate(row)]
+         for r, row in enumerate(M)]
+    product = matmul(R, jet_matrix_inverse(R, order))
+    for i in range(3):
+        for c in range(3):
+            assert product[i][c] == constant_series(int(i == c), order)
 
 
 def test_jet_matrix_inverse_rejects_block_singular_at_zero():
@@ -371,46 +369,45 @@ def test_jets_do_not_depend_on_precision():
 
 
 # ---------------------------------------------------------------------------
-# sqrt_series (float backend)
+# sqrt_series (exact)
 # ---------------------------------------------------------------------------
 
 
 def test_sqrt_of_one():
-    with precision(60):
-        s = series_to_big(constant_series(1, 4))
-        r = sqrt_series(s)
-        assert abs(r.coeffs[0] - 1) < mpmath.mpf(10) ** -50
-        assert all(abs(c) < mpmath.mpf(10) ** -50 for c in r.coeffs[1:])
+    assert sqrt_series(constant_series(1, 4)) == constant_series(1, 4)
 
 
 def test_sqrt_self_consistency():
-    with precision(60):
-        s = series_to_big(q_integer(2, 6))
-        r = sqrt_series(s)
-        prod = r * r
-        for a, b in zip(prod.coeffs, series_to_big(q_integer(2, 6)).coeffs):
-            assert abs(a - b) < mpmath.mpf(10) ** -50
+    s = q_integer(4, 6)  # constant term 4
+    r = sqrt_series(s)
+    assert r.coeffs[0] == 2
+    assert r * r == s
 
 
 def test_sqrt_negative_constant_takes_upper_half_plane():
-    with precision(60):
-        s = series_to_big(constant_series(-1, 2))
-        r = sqrt_series(s)
-        assert abs(r.coeffs[0] - mpmath.mpc(0, 1)) < mpmath.mpf(10) ** -50
+    r = sqrt_series(constant_series(-1, 2))
+    assert r.coeffs[0] == GR_I
 
 
 def test_sqrt_zero_constant_rejected():
-    with precision(40):
-        s = series_to_big(q_power(1, 3) - q_power(-1, 3))
-        with pytest.raises(ValueError):
-            sqrt_series(s)
+    s = q_power(1, 3) - q_power(-1, 3)
+    with pytest.raises(ValueError):
+        sqrt_series(s)
+
+
+def test_sqrt_of_a_non_square_constant_rejected():
+    with pytest.raises(ValueError, match="square of a rational"):
+        sqrt_series(q_integer(2, 3))
+    with pytest.raises(ValueError):
+        rational_sqrt(F(-4))
+    assert rational_sqrt(F(9, 49)) == F(3, 7)
 
 
 def test_upper_half_sqrt_branch():
-    with precision(40):
-        w = upper_half_sqrt(to_big(GaussianRational(0, -1)))
-        # arg(-i) = 3*pi/2 in [0, 2*pi), so the root has arg 3*pi/4
-        assert w.real < 0 < w.imag
+    w = sqrt_series(constant_series(G(0, -2), 1)).coeffs[0]
+    # arg(-2i) = 3*pi/2 in [0, 2*pi), so the root -1 + i has arg 3*pi/4
+    assert w == G(-1, 1)
+    assert sqrt_series(constant_series(G(0, 2), 1)).coeffs[0] == G(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +421,3 @@ def test_series_json_exact():
     assert doc["order"] == 2
     assert doc["coeffs"][0] == [2, 1, 0, 1]
     assert doc["coeffs"][2] == [1, 4, 0, 1]
-
-
-def test_series_json_mpc_coefficients_exact():
-    import json
-
-    import mpmath
-
-    from lorentzknots.cg import lambda_coeff
-    from lorentzknots.scalars import _mpc_from_json, precision
-
-    with precision(60):
-        s = lambda_coeff(2, 2, 2, 0, 3, 2)
-    # the h^1 coefficient is irrational: 60 decimal digits would round it
-    assert mpmath.nstr(s.coeffs[1].real, 60) != mpmath.nstr(s.coeffs[1].real, 80)
-    doc = json.loads(json.dumps(s.to_json()))
-    assert doc["order"] == 2
-    assert [_mpc_from_json(c) for c in doc["coeffs"]] == list(s.coeffs)
