@@ -421,3 +421,22 @@ def test_series_json_exact():
     assert doc["order"] == 2
     assert doc["coeffs"][0] == [2, 1, 0, 1]
     assert doc["coeffs"][2] == [1, 4, 0, 1]
+
+
+def test_series_json_of_irrational_constant_exact():
+    import json
+
+    from lorentzknots.cg import clear_caches as clear_cg_caches
+    from lorentzknots.cg import lambda_coeff
+
+    clear_cg_caches()
+    s = lambda_coeff(2, 2, 2, 0, 3, 2)
+    # Lambda^{222}_0 = sqrt(radicand) * jet with an irrational square root
+    # and a nonzero h^1 coefficient; the jet's JSON keeps it exactly.
+    with pytest.raises(InternalConsistencyError):
+        s.rational()
+    assert s.jet.coeffs[1] != 0
+    doc = json.loads(json.dumps(s.jet.to_json()))
+    assert doc["order"] == 2
+    assert [G.from_json(c) for c in doc["coeffs"]] == list(s.jet.coeffs)
+    clear_cg_caches()
