@@ -17,12 +17,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .acceptance import CRITERIA, run_acceptance
 from .braids import catalog_knot, parse_braid
@@ -35,7 +32,7 @@ from .diagrams import (
 from .errors import InternalConsistencyError, ResourceGuardError
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_framed, jones_z_interpolated, jones_zero_framed
-from .qlorentz import SYMBOLIC, braid_sum, load_lambda_cache, save_lambda_cache
+from .qlorentz import SYMBOLIC, braid_sum
 from .scalars import GaussianRational
 from .weights import lambda_mp_direct, lambda_mp_factorized, lambda_z_sl2
 
@@ -46,6 +43,8 @@ DEFAULTS = {
 }
 
 CONFIG_KEYS = set(DEFAULTS) | {"braid", "strands", "knot", "m", "p"}
+
+INTEGER_KEYS = {"order", "m", "strands"}
 
 
 def _load_config(path, args):
@@ -62,13 +61,26 @@ def _load_config(path, args):
     return data
 
 
+def _integer(value, key):
+    """``value`` as an int; a usage error naming ``key`` unless it is integral."""
+    try:
+        number = Fraction(str(value))
+    except ValueError:
+        number = None
+    if number is None or number.denominator != 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _setting(args, config, key):
     value = getattr(args, key, None)
     if value is None and key in config:
         value = config[key]
     if value is None:
         value = DEFAULTS.get(key)
-    if key == "order" and value is not None and int(value) < 0:
+    if key in INTEGER_KEYS and value is not None:
+        value = _integer(value, key)
+    if key == "order" and value is not None and value < 0:
         raise ValueError("order must be nonnegative")
     return value
 
@@ -89,7 +101,7 @@ def _resolve_braid(args, config):
         strands = _setting(args, config, "strands")
         if strands is None:
             strands = max((int(t.strip("-s")) for t in braid_text.split()), default=0) + 1
-        return parse_braid(braid_text, int(strands))
+        return parse_braid(braid_text, strands)
     raise ValueError("need --braid or --knot")
 
 
@@ -149,10 +161,6 @@ def _emit_series(series, fmt, out):
         out.write(str(series) + "\n")
 
 
-def _cache_dir():
-    return Path(os.environ.get("LORENTZKNOTS_CACHE_DIR", ".lorentzknots-cache"))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -190,7 +198,7 @@ def _cmd_weights(args, config, out):
         poly = lambda_z_sl2(d)
         doc = {"diagram": d.gauss_text(), "variable": "z", "coeffs": poly.to_json()}
     else:
-        m = int(_setting(args, config, "m") or 0)
+        m = _setting(args, config, "m") or 0
         route = lambda_mp_direct if args.direct else lambda_mp_factorized
         poly = route(d, m)
         doc = {
@@ -208,7 +216,7 @@ def _cmd_weights(args, config, out):
 
 def _cmd_jones(args, config, out):
     fmt = _setting(args, config, "format")
-    order = int(_setting(args, config, "order"))
+    order = _setting(args, config, "order")
     braid = _resolve_braid(args, config)
     if args.interpolate:
         series = jones_z_interpolated(braid, order)
@@ -228,14 +236,14 @@ def _cmd_jones(args, config, out):
 
 def _cmd_lorentz(args, config, out):
     fmt = _setting(args, config, "format")
-    order = int(_setting(args, config, "order"))
+    order = _setting(args, config, "order")
     braid = _resolve_braid(args, config)
-    m = int(_setting(args, config, "m") or 0)
+    m = _setting(args, config, "m") or 0
     p = _setting(args, config, "p")
     if args.check_equivalence:
         if p is None:
             raise ValueError("--check-equivalence needs --p")
-        report = equivalence_check(braid, int(p), order)
+        report = equivalence_check(braid, _integer(p, "p"), order)
         out.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["pass"] else 1
     inv = x_invariant(braid, m, order)
@@ -251,12 +259,10 @@ def _cmd_lorentz(args, config, out):
 
 def _cmd_qlg(args, config, out):
     fmt = _setting(args, config, "format")
-    order = int(_setting(args, config, "order"))
+    order = _setting(args, config, "order")
     cutoff = _resolve_cutoff(args, config, order)
     braid = _resolve_braid(args, config)
     p = _setting(args, config, "p")
-    if args.load_cache:
-        load_lambda_cache(_cache_dir() / args.load_cache)
     if p is None or str(p) == SYMBOLIC:
         series = braid_sum(braid, SYMBOLIC, order, label_cutoff=cutoff)
         _emit_poly_series(series, fmt, out)
@@ -264,9 +270,6 @@ def _cmd_qlg(args, config, out):
         p = GaussianRational(Fraction(str(p)))
         series = braid_sum(braid, p, order, label_cutoff=cutoff)
         _emit_series(series, fmt, out)
-    if args.save_cache:
-        _cache_dir().mkdir(parents=True, exist_ok=True)
-        save_lambda_cache(_cache_dir() / args.save_cache)
     return 0
 
 
@@ -337,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knot")
     p.add_argument("--p", help="integer, rational, or 'symbolic'")
     p.add_argument("--cutoff", type=Fraction, help="crossing-spin cutoff")
-    p.add_argument("--save-cache", metavar="NAME")
-    p.add_argument("--load-cache", metavar="NAME")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", help="comma-separated criterion numbers")

@@ -38,7 +38,6 @@ and still pending, then the pending labels summed along the word.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -53,7 +52,7 @@ from .cg import (
 )
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import POLY_ONE, POLY_ZERO
-from .scalars import GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_ONE, GR_ZERO
 from .series import (
     TruncatedSeries,
     accumulate,
@@ -71,8 +70,6 @@ __all__ = [
     "cheapest_walk",
     "braid_sum",
     "trefoil_closed_sum",
-    "save_lambda_cache",
-    "load_lambda_cache",
 ]
 
 
@@ -466,99 +463,3 @@ def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
         pair = lambda_coeff(0, da, da, da, p, order) * lambda_coeff(da, da, da, 0, p, order)
         total = total + q_dim(da, order) * pair.rational(1, ("closed sum", alpha))
     return total
-
-
-# ---------------------------------------------------------------------------
-# Structure-constant cache persistence
-# ---------------------------------------------------------------------------
-
-_CACHE_FORMAT_VERSION = 3
-
-
-def _entries_digest(entries):
-    """SHA-256 of the entries in canonical JSON (sorted keys, no spaces)."""
-    # Imported here: hashlib loads OpenSSL, about 3.6 MB of resident memory
-    # that braid sums which never touch a cache file should not pay.
-    import hashlib
-
-    canonical = json.dumps(entries, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def save_lambda_cache(path):
-    """Dump the memoized structure constants at numeric p with a manifest.
-
-    Each entry is exact: the radicand as [num, den] and the jet's
-    coefficients as [re_num, re_den, im_num, im_den].
-    """
-    entries = []
-    for (dA, dB, dC, dD, p, order), value in lambda_coeff.table.items():
-        if p == SYMBOLIC:
-            continue
-        entries.append(
-            {
-                "labels": [dA, dB, dC, dD],
-                "p": GaussianRational.coerce(p).to_json(),
-                "order": order,
-                "radicand": [value.radicand.numerator, value.radicand.denominator],
-                "coeffs": [c.to_json() for c in value.jet.coeffs],
-            }
-        )
-    doc = {
-        "manifest": {
-            "format_version": _CACHE_FORMAT_VERSION,
-            "kind": "balanced-structure-constants",
-            "entries": len(entries),
-            "sha256": _entries_digest(entries),
-        },
-        "entries": entries,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return len(entries)
-
-
-def _check_recomputed(path, key, value):
-    """Recompute one loaded entry; raise unless it is exactly equal."""
-    dA, dB, dC, dD, p, order = key
-    if lambda_coeff(dA, dB, dC, dD, p, order) != value:
-        raise ValueError(
-            f"{path}: cache entry with labels {[dA, dB, dC, dD]} "
-            f"(p={p}, order {order}) disagrees with its recomputation"
-        )
-
-
-def load_lambda_cache(path):
-    """Load a dumped cache of format 3.
-
-    Nothing is loaded unless the manifest's SHA-256 matches the entries and
-    the first entry, recomputed at its own (labels, p, order), equals its
-    stored value exactly; otherwise ValueError names the file (and the
-    entry).
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    manifest = doc.get("manifest") if isinstance(doc, dict) else None
-    if not isinstance(manifest, dict) or (
-        manifest.get("format_version") != _CACHE_FORMAT_VERSION
-    ):
-        raise ValueError(f"{path}: unrecognized cache format version")
-    entries = doc.get("entries", [])
-    if manifest.get("sha256") != _entries_digest(entries):
-        raise ValueError(f"{path}: entries do not match the manifest's SHA-256")
-    loaded = {}
-    try:
-        for entry in entries:
-            dA, dB, dC, dD = entry["labels"]
-            p = GaussianRational.from_json(entry["p"])
-            order = int(entry["order"])
-            num, den = entry["radicand"]
-            coeffs = [GaussianRational.from_json(c) for c in entry["coeffs"]]
-            key = (dA, dB, dC, dD, p, order)
-            loaded[key] = RootJet(Fraction(num, den), TruncatedSeries(order, coeffs))
-    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{path}: malformed cache entry: {exc}") from exc
-    if loaded:
-        _check_recomputed(path, *next(iter(loaded.items())))
-    lambda_coeff.table.update(loaded)
-    return len(loaded)

@@ -301,7 +301,9 @@ def memoized(fn):
 
     The wrapper has ``cache_info()`` (hits, misses, currsize) and
     ``cache_clear()`` (which also resets the counts), and ``table``, the dict
-    from argument tuple to value, for code that saves or restores entries.
+    from argument tuple to value, for code that serves one argument tuple
+    from another's entry (``jones.jones_z_interpolated`` truncates a
+    higher order's expansion to a lower order).
     """
     table = {}
     counts = [0, 0]  # hits, misses

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per pinned criterion, printing its verdict.
 
-Parameters (orders, tolerances, working precision) are pinned inside
+Parameters (orders, knots and points) are pinned inside
 :mod:`lorentzknots.acceptance`; nothing here is tunable.  The same registry
 backs the ``lorentzknots verify`` subcommand.
 """

@@ -219,6 +219,7 @@ def test_lambda_closed_form_at_gaussian_point():
 def test_symbolic_matches_numeric():
     order = 3
     sym = lambda_coeff_symbolic(2, 2, 2, 0, order)
+    assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(2, 2, 2, 0, 2)
     for p in (1, 2, 5):
         assert at_point(sym, p) == lambda_coeff(2, 2, 2, 0, p, order)
 
@@ -227,101 +228,6 @@ def test_symbolic_degree_bound():
     sym = lambda_coeff_symbolic(2, 2, 2, 0, 4)
     for n, poly in enumerate(sym.jet.coeffs):
         assert poly.degree() <= n
-
-
-def test_cache_round_trip(tmp_path):
-    from lorentzknots.qlorentz import load_lambda_cache, save_lambda_cache
-
-    clear_caches()
-    expected = lambda_coeff(2, 1, 3, 2, 2, 3)
-    path = tmp_path / "lambda.cache"
-    count = save_lambda_cache(path)
-    assert count >= 1
-    clear_caches()
-    loaded = load_lambda_cache(path)
-    assert loaded == count
-    again = lambda_coeff(2, 1, 3, 2, 2, 3)
-    assert again.radicand == expected.radicand and again.jet == expected.jet
-
-
-FORMAT_3_FILE = "lambda_cache_v3.json"
-
-
-def test_cache_file_of_format_3_still_loads():
-    # Saved by the format-3 writer: Lambda^{222}_0 (irrational) and
-    # Lambda^{213}_2 at p = 3, order 2.  Loaded, the entries equal their
-    # recomputation exactly.
-    from pathlib import Path
-
-    from lorentzknots.qlorentz import load_lambda_cache
-
-    path = Path(__file__).parent / "data" / FORMAT_3_FILE
-    clear_caches()
-    assert load_lambda_cache(path) == 2
-    cached = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
-    clear_caches()
-    fresh = [lambda_coeff(2, 2, 2, 0, 3, 2), lambda_coeff(2, 1, 3, 2, 3, 2)]
-    assert [(s.radicand, s.jet) for s in cached] == [(s.radicand, s.jet) for s in fresh]
-    with pytest.raises(InternalConsistencyError):
-        cached[0].rational()  # Lambda^{222}_0 is irrational
-    clear_caches()
-
-
-def test_cache_of_format_2_is_refused(tmp_path):
-    import json
-
-    from lorentzknots.qlorentz import load_lambda_cache
-
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps({
-        "manifest": {"format_version": 2, "kind": "balanced-structure-constants",
-                     "entries": 0, "sha256": ""},
-        "entries": [],
-    }))
-    with pytest.raises(ValueError, match="unrecognized cache format version"):
-        load_lambda_cache(path)
-
-
-def _tripled_constant_terms(path, resign):
-    import json
-
-    from lorentzknots.qlorentz import _entries_digest
-
-    doc = json.loads(path.read_text())
-    for entry in doc["entries"]:
-        entry["coeffs"][0][0] *= 3  # real numerator of the h^0 coefficient
-    if resign:
-        doc["manifest"]["sha256"] = _entries_digest(doc["entries"])
-    path.write_text(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "resign, message", [(False, "SHA-256"), (True, r"labels \[2, 1, 3, 2\]")]
-)
-def test_cache_load_rejects_altered_entries(tmp_path, resign, message):
-    from lorentzknots.qlorentz import load_lambda_cache, save_lambda_cache
-
-    path = tmp_path / "lambda.cache"
-    clear_caches()
-    lambda_coeff(2, 1, 3, 2, 2, 3)
-    save_lambda_cache(path)
-    _tripled_constant_terms(path, resign)
-    clear_caches()
-    with pytest.raises(ValueError, match=message) as info:
-        load_lambda_cache(path)
-    assert str(path) in str(info.value)
-    # nothing from the file was kept; only the recomputation is cached
-    assert cache_state()[1] == (1 if resign else 0)
-
-
-@pytest.mark.parametrize("text", ["[]", '{"manifest": 2}', "{}"])
-def test_cache_load_rejects_other_documents(tmp_path, text):
-    from lorentzknots.qlorentz import load_lambda_cache
-
-    path = tmp_path / "other.cache"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="format version"):
-        load_lambda_cache(path)
 
 
 def test_clear_caches_empties_every_memo_table():
@@ -351,35 +257,6 @@ def test_clear_caches_empties_every_memo_table():
     assert not any(t.cache_info().currsize for t in tables)
     assert not any(t.table for t in tables)
     assert cache_state() == (0, 0)
-
-
-def test_cache_file_of_format_3_is_reproduced_byte_for_byte(tmp_path):
-    # Recomputing the two entries of the stored file, in its order, and
-    # saving them gives the same bytes the format-3 writer wrote.
-    from pathlib import Path
-
-    from lorentzknots.qlorentz import save_lambda_cache
-
-    stored = Path(__file__).parent / "data" / FORMAT_3_FILE
-    clear_caches()
-    lambda_coeff(2, 2, 2, 0, 3, 2)
-    lambda_coeff(2, 1, 3, 2, 3, 2)
-    path = tmp_path / "again.json"
-    assert save_lambda_cache(path) == 2
-    clear_caches()
-    assert path.read_bytes().strip() == stored.read_bytes().strip()
-
-
-def test_symbolic_entries_are_memoized_but_not_saved(tmp_path):
-    from lorentzknots.qlorentz import save_lambda_cache
-
-    clear_caches()
-    lambda_coeff_symbolic(2, 2, 2, 0, 2)
-    assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(2, 2, 2, 0, 2)
-    lambda_coeff(2, 2, 2, 0, 3, 2)
-    assert cache_state()[1] == 2
-    assert save_lambda_cache(tmp_path / "c.json") == 1
-    clear_caches()
 
 
 def _g_action_jets(*args):

@@ -124,35 +124,6 @@ def test_qlg_symbolic_runs():
     assert doc["coeffs"][2] == [[2, 1, 0, 1], [0, 1, 0, 1], [-2, 1, 0, 1]]
 
 
-def test_qlg_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("LORENTZKNOTS_CACHE_DIR", str(tmp_path))
-    code, _ = run_cli(
-        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "1",
-         "--save-cache", "trefoil.cache", "--format", "csv"]
-    )
-    assert code == 0
-    assert (tmp_path / "trefoil.cache").exists()
-    code, _ = run_cli(
-        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "1",
-         "--load-cache", "trefoil.cache", "--format", "csv"]
-    )
-    assert code == 0
-
-
-def test_qlg_rejects_cache_with_altered_values(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LORENTZKNOTS_CACHE_DIR", str(tmp_path))
-    argv = ["qlg", "--braid", "s1 s1 s1", "--p", "2", "--order", "2"]
-    assert run_cli(argv + ["--save-cache", "c1"])[0] == 0
-    path = tmp_path / "c1"
-    doc = json.loads(path.read_text())
-    for entry in doc["entries"]:
-        entry["coeffs"][0][0] *= 3  # triple each constant term's real numerator
-    path.write_text(json.dumps(doc))
-    code, text = run_cli(argv + ["--load-cache", "c1"])
-    assert code == 2 and text == ""
-    assert str(path) in capsys.readouterr().err
-
-
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"order": 1, "format": "json", "knot": "unknot"}))
@@ -238,6 +209,8 @@ def test_verify_rejects_unknown_criterion():
         ["lorentz", "--knot", "unknot", "--order", "1", "--precision", "40"],
         ["qlg", "--knot", "unknot", "--order", "1", "--workers", "2"],
         ["qlg", "--knot", "unknot", "--order", "1", "--precision", "40"],
+        ["qlg", "--knot", "unknot", "--order", "1", "--save-cache", "x"],
+        ["qlg", "--knot", "unknot", "--order", "1", "--load-cache", "x"],
         ["verify", "--criteria", "1", "--format", "json"],
         ["verify", "--criteria", "1", "--order", "3"],
         ["verify", "--criteria", "1", "--precision", "40"],
@@ -274,6 +247,26 @@ def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys, conf
     code, text = run_cli(["--config", str(cfg)] + argv)
     assert code == 2 and text == ""
     assert f"config keys not read by {argv[0]}: {sorted(config)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"p": 2.5}, ["lorentz", "--knot", "trefoil-left", "--order", "1",
+                      "--check-equivalence"]),
+        ({"m": 1.5}, ["weights", "--diagram", "AA"]),
+        ({"m": 1.5}, ["lorentz", "--knot", "unknot", "--order", "1"]),
+        ({"order": 2.5}, ["jones", "--knot", "unknot", "--spin", "1"]),
+        ({"strands": 2.5}, ["qlg", "--braid", "s1", "--p", "2", "--order", "1"]),
+    ],
+)
+def test_config_rejects_non_integral_integer_keys(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli(["--config", str(cfg)] + argv)
+    assert code == 2 and text == ""
+    (key,) = config
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 def test_qlg_config_with_every_key_it_reads(tmp_path):
