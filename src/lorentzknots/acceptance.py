@@ -18,7 +18,7 @@ always certifies the same statements:
  7. the four closed forms for spin-1/2 structure-constant columns;
  8. the trefoil braid sum against its one-dimensional reduction;
  9. the cross-pipeline equivalence S_b = X(0, p) (2a+1)^2/[2a+1]^2;
-10. truncation soundness of the label cutoff.
+10. truncation soundness: the order-3 sum is the order-4 sum cut at h^3.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .jones import jones_z_interpolated
 from .polynomials import ParamPolynomial, poly_variable, specialize
 from .qlorentz import braid_sum, cheapest_walk, trefoil_closed_sum
 from .scalars import GaussianRational
-from .series import constant_series, q_power
+from .series import TruncatedSeries, constant_series, q_power
 from .weights import (
     CASIMIR_LEFT_TERMS,
     CASIMIR_RIGHT_TERMS,
@@ -240,13 +240,15 @@ def criterion_9_equivalence():
 
 
 def criterion_10_truncation_soundness():
-    """Raising the label cutoff beyond the order changes no coefficient."""
+    """The spin bound and the headroom pruning drop nothing below the order:
+    the order-3 sum is the order-4 sum cut at h^3."""
     order = 3
-    a = braid_sum(TREFOIL_L, 2, order, label_cutoff=order)
-    b = braid_sum(TREFOIL_L, 2, order, label_cutoff=order + 1)
-    if a != b:
-        return False, "coefficients moved"
-    return True, f"cutoff {order} -> {order + 1}: coefficients unchanged"
+    for braid, name in ((TREFOIL_L, "T-"), (FIG8, "fig8")):
+        low = braid_sum(braid, 2, order)
+        high = braid_sum(braid, 2, order + 1)
+        if low != TruncatedSeries(order, high.coeffs[: order + 1]):
+            return False, f"{name}: order {order} differs from order {order + 1} cut at h^{order}"
+    return True, f"T- and fig8 at p=2: order {order} = order {order + 1} cut at h^{order}"
 
 
 CRITERIA = (

@@ -9,20 +9,18 @@ quantum factorials.  R's constant term c0, the classical radicand, is a
 positive rational and R/c0 has constant term 1, so sqrt(R/c0) is a rational
 jet: the coefficient is a :class:`RootJet`, sqrt(c0) times a rational jet.
 
-Within a coupling block the radicands factor as a row part times a column
-part times a rational square, so the decoupling block (its inverse) is
-inverted exactly as diag(1/sqrt b) R^{-1} diag(1/sqrt a).  Products of root
-jets multiply radicands; sums (over sigma in Lambda, over the internal spin
-in the dual-generator action) only ever add terms whose radicands differ by
-a rational square, which :meth:`RootJet.rational` checks exactly.
+For real q the coupling matrices are orthogonal (Kirillov-Reshetikhin), so
+the decoupling coefficient is the transposed coupling coefficient; the
+tests check both completeness relations exactly.  Products of root jets
+multiply radicands; sums (over sigma in Lambda, over the internal spin in
+the dual-generator action) only ever add terms whose radicands differ by a
+rational square, which :meth:`RootJet.rational` checks exactly.
 
 The structure constants Lambda^{ABC}_D(p) of the balanced representation
 combine a decoupling and a coupling coefficient with q^{2 sigma p} weights;
 ``p`` may be an exact numeric value (Gaussian rational) or symbolic, in
-which case coefficients are polynomials in p.  The decoupling symbol is the
-coupling symbol with rotated arguments (orthonormality of the coupling
-matrices, verified in the tests, makes transpose = inverse); the closed
-forms for spin-1/2 columns certify the convention end to end.
+which case coefficients are polynomials in p.  The closed forms for
+spin-1/2 columns certify the convention end to end.
 """
 
 from __future__ import annotations
@@ -30,14 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalConsistencyError
-from .polynomials import ParamPolynomial
+from .polynomials import poly_variable
 from .scalars import rational_sqrt
 from .series import (
     TruncatedSeries,
     clear_caches,
     constant_series,
     exp_scaled,
-    jet_matrix_inverse,
     memoized,
     q_dim,
     q_factorial,
@@ -213,89 +210,17 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     return RootJet(c0.re, exact * root * sign)
 
 
-@memoized
-def _decoupling_block(dJ, dK, dx, order):
-    """Inverse of the coupling block at total weight x for J (x) K.
-
-    Rows of the coupling block are weight pairs (n, p) with n + p = x, the
-    columns are the admissible total spins I; representation theory makes
-    the block square, and its classical limit is an orthogonal matrix, so
-    the jet inverse exists.  With a = the radicands of the first column and
-    b = those of the first row over the corner's, each entry is
-    sqrt(a_row b_col) times a rational jet R, so the inverse is
-    diag(1/sqrt b) R^{-1} diag(1/sqrt a), exactly.  Keyed off (J, K, x);
-    returns (pairs, spins, inverse rows) with inverse[(I-row)][(n,p)-column]
-    root jets.
-    """
-    pairs = [
-        (dn, dx - dn)
-        for dn in range(-dJ, dJ + 1, 2)
-        if _is_spin_index(dK, dx - dn)
-    ]
-    spins = [
-        dI
-        for dI in range(abs(dJ - dK), dJ + dK + 1, 2)
-        if _is_spin_index(dI, dx)
-    ]
-    if len(pairs) != len(spins):
-        raise InternalConsistencyError(
-            "coupling block is not square; label bookkeeping is wrong"
-        )
-    if not pairs:
-        return (), (), ()
-    M = [
-        [quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in spins]
-        for (dn, dp) in pairs
-    ]
-    a = [row[0].radicand for row in M]
-    b = [cell.radicand / M[0][0].radicand for cell in M[0]]
-    R = [
-        [
-            cell.rational(1 / (a[r] * b[c]), ("coupling", dJ, dK, spins[c], *pairs[r], dx))
-            for c, cell in enumerate(row)
-        ]
-        for r, row in enumerate(M)
-    ]
-    inv = jet_matrix_inverse(R, order)
-    return tuple(pairs), tuple(spins), tuple(
-        tuple(RootJet(1 / (a[r] * b[c]), inv[c][r]) for r in range(len(pairs)))
-        for c in range(len(spins))
-    )
-
-
 def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     """Decoupling coefficient of (I, m) -> (J, n) (x) (K, p): zero unless
-    n + p = m.  The exact inverse of the coupling matrix for J (x) K, so
-    the completeness relations hold by construction (the classical limit
-    is the transpose, but beyond order zero the coupling block is no
-    longer orthogonal)."""
-    if not (
-        _is_spin_index(dI, dm)
-        and _is_spin_index(dJ, dn)
-        and _is_spin_index(dK, dp)
-        and dn + dp == dm
-        and _triangle(dI, dJ, dK)
-    ):
-        return RootJet(1, constant_series(0, order))
-    pairs, spins, inv = _decoupling_block(dJ, dK, dm, order)
-    return inv[spins.index(dI)][pairs.index((dn, dp))]
+    n + p = m.  The coupling matrices are orthogonal, so this is the
+    transposed coupling coefficient of (J, n) (x) (K, p) -> (I, m); the
+    tests check both completeness relations."""
+    return quantum_cg(dJ, dK, dI, dn, dp, dm, order)
 
 
 # ---------------------------------------------------------------------------
 # Symbolic p: jets of polynomials in p
 # ---------------------------------------------------------------------------
-
-
-def _q_power_p_symbolic(d_sigma: int, order: int) -> TruncatedSeries:
-    """q^{2 sigma p} = e^{sigma p h} as a jet of polynomials in p."""
-    sigma = Fraction(d_sigma, 2)
-    coeffs = []
-    fact = 1
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        coeffs.append(ParamPolynomial([0] * k + [sigma**k / fact]))
-    return TruncatedSeries(order, coeffs)
 
 
 @memoized
@@ -307,6 +232,7 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     ``p`` is any Gaussian rational (complex values allowed), giving a jet
     over Q(i), or SYMBOLIC, giving a jet of polynomials in p.
     """
+    rate = poly_variable() if p == SYMBOLIC else p
     terms = []
     for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
         if (d_sigma - dC) % 2 or (d_sigma - dB) % 2:
@@ -317,10 +243,7 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
         right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
         if right.is_zero():
             continue
-        if p == SYMBOLIC:
-            weight = _q_power_p_symbolic(d_sigma, order)
-        else:
-            weight = exp_scaled(Fraction(d_sigma, 2) * p, order)
+        weight = exp_scaled(Fraction(d_sigma, 2) * rate, order)
         terms.append(RootJet(1, weight) * left * right)
     return _root_sum(terms, constant_series(0, order), ("Lambda", dA, dB, dC, dD))
 

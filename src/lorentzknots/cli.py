@@ -38,7 +38,6 @@ from .weights import lambda_mp_direct, lambda_mp_factorized, lambda_z_sl2
 
 DEFAULTS = {
     "order": 6,
-    "cutoff": None,
     "format": "pretty",
 }
 
@@ -83,13 +82,6 @@ def _setting(args, config, key):
     if key == "order" and value is not None and value < 0:
         raise ValueError("order must be nonnegative")
     return value
-
-
-def _resolve_cutoff(args, config, order):
-    cutoff = _setting(args, config, "cutoff")
-    if cutoff is not None and Fraction(cutoff) < order:
-        raise ValueError("crossing-spin cutoff must be at least the order")
-    return cutoff
 
 
 def _resolve_braid(args, config):
@@ -260,15 +252,14 @@ def _cmd_lorentz(args, config, out):
 def _cmd_qlg(args, config, out):
     fmt = _setting(args, config, "format")
     order = _setting(args, config, "order")
-    cutoff = _resolve_cutoff(args, config, order)
     braid = _resolve_braid(args, config)
     p = _setting(args, config, "p")
     if p is None or str(p) == SYMBOLIC:
-        series = braid_sum(braid, SYMBOLIC, order, label_cutoff=cutoff)
+        series = braid_sum(braid, SYMBOLIC, order)
         _emit_poly_series(series, fmt, out)
     else:
         p = GaussianRational(Fraction(str(p)))
-        series = braid_sum(braid, p, order, label_cutoff=cutoff)
+        series = braid_sum(braid, p, order)
         _emit_series(series, fmt, out)
     return 0
 
@@ -339,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
     p.add_argument("--p", help="integer, rational, or 'symbolic'")
-    p.add_argument("--cutoff", type=Fraction, help="crossing-spin cutoff")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", help="comma-separated criterion numbers")

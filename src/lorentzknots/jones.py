@@ -36,7 +36,6 @@ from .polynomials import (
     ParamPolynomial,
     PolySeries,
     lagrange_interpolate,
-    poly_constant,
     specialize,
 )
 from .scalars import GaussianRational
@@ -45,6 +44,7 @@ from .series import (
     accumulate,
     constant_series,
     conv,
+    exp_scaled,
     jet_matrix_inverse,
     memoized,
     q_dim,
@@ -260,22 +260,12 @@ def kink_exponent_polynomial() -> ParamPolynomial:
 
 def framing_factor(order: int, framing: int = 1) -> PolySeries:
     """Spin-polynomial jet of the framing-change factor e^{framing*c(z)*h}."""
-    exponent = framing * kink_exponent_polynomial()
-    coeffs = [poly_constant(1)]
-    power = poly_constant(1)
-    fact = 1
-    for k in range(1, order + 1):
-        power = power * exponent
-        fact *= k
-        coeffs.append(power * Fraction(1, fact))
-    return TruncatedSeries(order, coeffs)
+    return exp_scaled(framing * kink_exponent_polynomial(), order)
 
 
 def framing_factor_numeric(two_alpha: int, order: int, framing: int = 1):
     """The same factor evaluated at spin alpha = two_alpha/2, as an exact jet."""
     c = kink_exponent_polynomial().evaluate(Fraction(two_alpha, 2))
-    from .series import exp_scaled
-
     return exp_scaled(framing * c, order)
 
 

@@ -330,16 +330,14 @@ def braid_sum(
     b: BraidWord,
     p,
     order: int,
-    label_cutoff: int | None = None,
     max_branches: int = 2_000_000,
 ):
     """Truncated knot sum for the balanced representation with parameter p.
 
     ``p`` is an exact numeric value, giving a jet over Q(i), or the module
     constant ``SYMBOLIC``, giving a jet of ParamPolynomials in p; either is
-    exact.  Crossing spins run through 0, 1/2,
-    ..., label_cutoff (default: the series order), which the h-adic order
-    bound makes exact for coefficients up to that order.
+    exact.  Crossing spins run through 0, 1/2, ..., order: the h-adic order
+    bound admits no larger spin, so the sum is exact through that order.
 
     The sum is a conjugation invariant, so it walks the word as
     ``cheapest_walk`` picks: the cyclic rotation and reading direction with
@@ -349,9 +347,6 @@ def braid_sum(
     """
     rotation, forward, ops, signs = cheapest_walk(b)
     symbolic = p == SYMBOLIC
-    if label_cutoff is None:
-        label_cutoff = order
-    d_cut = int(2 * label_cutoff)
     one, zero = (POLY_ONE, POLY_ZERO) if symbolic else (GR_ONE, GR_ZERO)
     unit = (one,) + (zero,) * order
 
@@ -405,7 +400,7 @@ def braid_sum(
                     # label needs |alpha - s| + alpha orders of headroom.
                     labels = [
                         (da, dii, djj, pend | {(k, da, dii, djj, True)})
-                        for da in range(0, d_cut + 1)
+                        for da in range(0, 2 * order + 1)
                         if 2 * lead + abs(da - ds) + da <= 2 * order
                         for dii in range(-da, da + 1, 2)
                         for djj in range(-da, da + 1, 2)
@@ -450,15 +445,13 @@ def braid_sum(
     return TruncatedSeries(order, vec.get((0, 0, frozenset()), (zero,) * (order + 1)))
 
 
-def trefoil_closed_sum(p, order: int, label_cutoff: int | None = None):
+def trefoil_closed_sum(p, order: int):
     """Independent one-dimensional reduction of the left-handed trefoil sum:
     the quantum-dimension-weighted product of two structure constants,
-    summed over integer spins up to the cutoff.  The two constants share
+    summed over integer spins up to the order.  The two constants share
     their radical, so each product is a rational jet."""
-    if label_cutoff is None:
-        label_cutoff = order
     total = constant_series(0, order)
-    for alpha in range(0, int(label_cutoff) + 1):
+    for alpha in range(0, order + 1):
         da = 2 * alpha
         pair = lambda_coeff(0, da, da, da, p, order) * lambda_coeff(da, da, da, 0, p, order)
         total = total + q_dim(da, order) * pair.rational(1, ("closed sum", alpha))

@@ -148,9 +148,6 @@ class GaussianRational:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates / protocol ----------------------------------------
 
     def __bool__(self):

@@ -21,7 +21,7 @@ from functools import wraps
 from math import factorial
 
 from .errors import InternalConsistencyError
-from .scalars import GaussianRational, GR_ONE, GR_ZERO, rational_sqrt
+from .scalars import GaussianRational, GR_ZERO, rational_sqrt
 
 __all__ = [
     "TruncatedSeries",
@@ -126,9 +126,6 @@ class TruncatedSeries:
         return self * (Fraction(1, 1) / other)
 
     # -- structure -------------------------------------------------------
-
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [fn(c) for c in self.coeffs])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -275,10 +272,16 @@ def constant_series(value, order: int) -> TruncatedSeries:
 
 
 def exp_scaled(rate, order: int) -> TruncatedSeries:
-    """The jet of e^{rate*h}: coefficient of h^k is rate^k / k!."""
-    rate = GaussianRational.coerce(rate)
-    coeffs = [GR_ONE]
-    power = GR_ONE
+    """The jet of e^{rate*h}: coefficient of h^k is rate^k / k!.
+
+    An int or Fraction rate is coerced to a Gaussian rational; any other
+    rate (a Gaussian rational, a ParamPolynomial) is taken as it is, and
+    every coefficient lies in its ring.
+    """
+    if isinstance(rate, (int, Fraction)):
+        rate = GaussianRational.coerce(rate)
+    power = rate * 0 + 1
+    coeffs = [power]
     for k in range(1, order + 1):
         power = power * rate
         coeffs.append(power / factorial(k))

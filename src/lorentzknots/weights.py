@@ -109,11 +109,6 @@ class InfinitesimalRMatrix:
             self.alphabet, tuple((-c, a, b) for c, a, b in self.terms)
         )
 
-    def scaled(self, factor) -> "InfinitesimalRMatrix":
-        return InfinitesimalRMatrix(
-            self.alphabet, tuple((c * factor, a, b) for c, a, b in self.terms)
-        )
-
 
 F2 = Fraction(1, 2)
 F4 = Fraction(1, 4)

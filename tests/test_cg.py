@@ -9,7 +9,6 @@ import pytest
 from lorentzknots import cg
 from lorentzknots.cg import (
     RootJet,
-    _decoupling_block,
     _root_sum,
     cache_state,
     clear_caches,
@@ -19,7 +18,7 @@ from lorentzknots.cg import (
     quantum_cg_decoupling,
 )
 from lorentzknots.errors import InternalConsistencyError
-from lorentzknots.polynomials import specialize
+from lorentzknots.polynomials import ParamPolynomial, specialize
 from lorentzknots.scalars import GaussianRational
 from lorentzknots.series import TruncatedSeries, constant_series, q_power
 
@@ -110,40 +109,58 @@ def test_classical_limit_matches_racah(labels):
     assert value.jet.coeffs[0].is_real()
 
 
+def _coupling_block(dJ, dK, dx, order):
+    """The coupling block of J (x) K at total weight x: rows are the weight
+    pairs (n, p) with n + p = x, columns the total spins I."""
+    pairs = [(dn, dx - dn) for dn in range(-dJ, dJ + 1, 2) if abs(dx - dn) <= dK]
+    spins = [dI for dI in range(abs(dJ - dK), dJ + dK + 1, 2) if abs(dx) <= dI]
+    block = [[quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in spins]
+             for dn, dp in pairs]
+    return pairs, spins, block
+
+
 def test_coupling_orthogonality():
-    """Rows of the coupling block pair to the identity against decoupling."""
-    order = 3
-    for dJ, dK in ((1, 1), (1, 2), (2, 2)):
-        spins = range(abs(dJ - dK), dJ + dK + 1, 2)
-        for dI in spins:
-            for dIp in spins:
-                for dm in range(-min(dI, dIp), min(dI, dIp) + 1, 2):
-                    terms = [
-                        quantum_cg_decoupling(dI, dJ, dK, dm, dn, dm - dn, order)
-                        * quantum_cg(dJ, dK, dIp, dn, dm - dn, dm, order)
-                        for dn in range(-dJ, dJ + 1, 2)
-                    ]
-                    acc = _root_sum(terms, constant_series(0, order), "orthogonality")
-                    assert is_value(acc, 1 if dI == dIp else 0)
+    """C C^T = 1 and C^T C = 1 for every coupling block with J, K <= 2, to
+    order 4: the decoupling coefficient is the transposed coupling one."""
+    order = 4
+    zero = constant_series(0, order)
+    count = 0
+    for dJ in range(5):
+        for dK in range(5):
+            for dx in range(-dJ - dK, dJ + dK + 1, 2):
+                pairs, spins, C = _coupling_block(dJ, dK, dx, order)
+                assert len(pairs) == len(spins)
+                for gram in (C, [list(col) for col in zip(*C)]):
+                    for r, row in enumerate(gram):
+                        for s, other in enumerate(gram):
+                            acc = _root_sum(
+                                [x * y for x, y in zip(row, other)],
+                                zero,
+                                ("orthogonality", dJ, dK, dx, r, s),
+                            )
+                            assert is_value(acc, int(r == s))
+                            count += 1
+    assert count == 1034
 
 
 def test_decoupling_classical_limit_is_transpose():
     d = quantum_cg_decoupling(2, 1, 1, 0, 1, -1, 3)
     c = quantum_cg(1, 1, 2, 1, -1, 0, 3)
     assert h0(d) == h0(c)
+    assert d == c  # to every order, not only the classical limit
+    assert quantum_cg_decoupling(2, 1, 1, 0, 1, 1, 3).is_zero()  # n + p != m
 
 
 def test_coupling_radicands_factor_by_row_and_column():
-    # Every 2x2 minor of a block's radicands is a rational square, so the
-    # block inverse needs only row and column surds.
+    # Every 2x2 minor of a block's radicands is a rational square: the
+    # block's surds are a row part times a column part.
     from lorentzknots.scalars import rational_sqrt
 
     for dJ in range(5):
         for dK in range(5):
             for dx in range(-dJ - dK, dJ + dK + 1, 2):
-                pairs, spins, _ = _decoupling_block(dJ, dK, dx, 1)
-                c0 = [[quantum_cg(dJ, dK, dI, dn, dp, dx, 1).radicand for dI in spins]
-                      for dn, dp in pairs]
+                pairs, spins, block = _coupling_block(dJ, dK, dx, 1)
+                c0 = [[cell.radicand for cell in row] for row in block]
                 for r in range(len(pairs)):
                     for c in range(len(spins)):
                         rational_sqrt(c0[r][c] * c0[0][0] / (c0[r][0] * c0[0][c]))
@@ -175,10 +192,12 @@ def test_lambda_triple_alpha_zero_for_half_integer():
         assert not lambda_coeff(da, da, da, 0, 5, 3).is_zero()
     # At spin 2 every h-order carries the factor (p - 1)(p - 2), so the
     # constant vanishes exactly at p = 2 (floats left a 10^-81 residue).
+    # Its h^2 coefficient is sqrt(504/5) (p - 1)(p - 2)/12.
     sym = lambda_coeff_symbolic(4, 4, 4, 0, 3)
-    assert sym.jet.coeffs[2].coeffs == tuple(
-        GaussianRational(Fraction(c, 12)) for c in (2, -3, 1)
-    )
+    h2 = RootJet(sym.radicand, TruncatedSeries(0, sym.jet.coeffs[2:3]))
+    assert h2 == RootJet(Fraction(504, 5), TruncatedSeries(0, [
+        ParamPolynomial([2, -3, 1]) * Fraction(1, 12)
+    ]))
     assert lambda_coeff(4, 4, 4, 0, 2, 3).is_zero()
 
 
@@ -242,7 +261,6 @@ def test_clear_caches_empties_every_memo_table():
         series._q_integer_jet,
         series._q_factorial_jet,
         cg.quantum_cg,
-        _decoupling_block,
         cg.lambda_coeff,
         qlorentz.g_action,
         qlorentz._antipode_factor,
@@ -289,8 +307,7 @@ def test_values_do_not_depend_on_the_working_precision(name, compute):
 
     from lorentzknots import qlorentz
 
-    tables = [quantum_cg, _decoupling_block, lambda_coeff, qlorentz.g_action,
-              qlorentz._antipode_factor]
+    tables = [quantum_cg, lambda_coeff, qlorentz.g_action, qlorentz._antipode_factor]
     clear_caches()
     with mpmath.workdps(15):
         low = compute()

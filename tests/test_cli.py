@@ -164,10 +164,17 @@ def test_resource_guard_exit_code():
 def test_run_config_invariants_enforced():
     code, _ = run_cli(["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "-1"])
     assert code == 2
-    code, _ = run_cli(
-        ["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "3", "--cutoff", "2"]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # there is no crossing-spin cutoff
+        main(["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "3", "--cutoff", "4"])
+    assert exc.value.code == 2
+
+
+def test_cutoff_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff": 3}))
+    code, text = run_cli(["--config", str(cfg), "qlg", "--knot", "trefoil-left", "--p", "2"])
+    assert code == 2 and text == ""
+    assert "cutoff" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -272,8 +279,7 @@ def test_config_rejects_non_integral_integer_keys(tmp_path, capsys, config, argv
 def test_qlg_config_with_every_key_it_reads(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "braid": "-s1 -s1 -s1", "strands": 2, "p": 2, "order": 1,
-        "cutoff": 1, "format": "json",
+        "braid": "-s1 -s1 -s1", "strands": 2, "p": 2, "order": 1, "format": "json",
     }))
     code, text = run_cli(["--config", str(cfg), "qlg"])
     assert code == 0

@@ -27,10 +27,11 @@ from lorentzknots.qlorentz import (
 )
 from lorentzknots.polynomials import specialize
 from lorentzknots.scalars import GaussianRational, precision
-from lorentzknots.series import constant_series
+from lorentzknots.series import TruncatedSeries, constant_series
 
 TREFOIL_R = parse_braid("s1 s1 s1", 2)
 TREFOIL_L = parse_braid("-s1 -s1 -s1", 2)
+FIG8 = parse_braid("s1 -s2 s1 -s2", 3)
 
 
 def series_is(series, constant):
@@ -191,9 +192,11 @@ def test_closed_sum_order_zero_is_one():
 
 
 def test_truncation_soundness():
-    a = braid_sum(TREFOIL_L, 2, 3, label_cutoff=3)
-    b = braid_sum(TREFOIL_L, 2, 3, label_cutoff=4)
-    assert a == b
+    # the order-3 sum is the order-4 sum cut at h^3: the spin bound and the
+    # headroom pruning drop nothing below the order
+    for braid in (TREFOIL_L, FIG8):
+        high = braid_sum(braid, 2, 4)
+        assert braid_sum(braid, 2, 3) == TruncatedSeries(3, high.coeffs[:4])
 
 
 def test_markov_invariance_small_order():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzknots.errors import InternalConsistencyError
+from lorentzknots.polynomials import ParamPolynomial, poly_variable
 from lorentzknots.scalars import (
     GaussianRational,
     GR_I,
@@ -194,8 +195,9 @@ def test_jet_matrix_inverse_exact_on_fraction_blocks(block):
 
 
 def test_jet_matrix_inverse_on_coupling_block():
-    # The spin-1 (x) spin-1 block at weight 0, with its row and column
-    # surds divided out as the decoupling block does: a rational jet matrix.
+    # The spin-1 (x) spin-1 block at weight 0, with its row surds sqrt(a)
+    # and column surds sqrt(b) divided out: a rational jet matrix R.  The
+    # block is orthogonal, so R^{-1} = diag(b) R^T diag(a).
     from lorentzknots.cg import quantum_cg
 
     order, dJ, dK, dx = 3, 2, 2, 0
@@ -206,10 +208,12 @@ def test_jet_matrix_inverse_on_coupling_block():
     b = [cell.radicand / M[0][0].radicand for cell in M[0]]
     R = [[cell.rational(1 / (a[r] * b[c])) for c, cell in enumerate(row)]
          for r, row in enumerate(M)]
-    product = matmul(R, jet_matrix_inverse(R, order))
+    inverse = jet_matrix_inverse(R, order)
+    product = matmul(R, inverse)
     for i in range(3):
         for c in range(3):
             assert product[i][c] == constant_series(int(i == c), order)
+            assert inverse[c][i] == R[i][c] * (a[i] * b[c])
 
 
 def test_jet_matrix_inverse_rejects_block_singular_at_zero():
@@ -236,6 +240,11 @@ def test_exp_scaled_half():
 def test_exp_scaled_group_law():
     s = exp_scaled(F(-1, 2), 2) * exp_scaled(F(1, 2), 2)
     assert s == constant_series(1, 2)
+    # a ParamPolynomial rate gives a jet of polynomials in p
+    p = poly_variable()
+    s = exp_scaled(F(3, 2) * p, 4) * exp_scaled(-1 * p, 4)
+    assert s == exp_scaled(F(1, 2) * p, 4)
+    assert s.coeffs[3] == ParamPolynomial([0, 0, 0, F(1, 48)])
 
 
 # ---------------------------------------------------------------------------
