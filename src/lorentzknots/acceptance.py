@@ -17,7 +17,8 @@ always certifies the same statements:
     sums over at least seven distinct walks;
  7. the four closed forms for spin-1/2 structure-constant columns;
  8. the trefoil braid sum against its one-dimensional reduction;
- 9. the cross-pipeline equivalence S_b = X(0, p) (2a+1)^2/[2a+1]^2;
+ 9. the cross-pipeline equivalence S_b = X(0, p) (2a+1)^2/[2a+1]^2 at
+    p = 1, 2, 3, and S_b(p) U(p)^2 = X(0, p), U(p) = [p]/p, at symbolic p;
 10. truncation soundness: the order-3 sum is the order-4 sum cut at h^3.
 """
 
@@ -33,7 +34,7 @@ from .diagrams import enumerate_diagrams, four_t_generators
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_z_interpolated
 from .polynomials import ParamPolynomial, poly_variable, specialize
-from .qlorentz import braid_sum, cheapest_walk, trefoil_closed_sum
+from .qlorentz import SYMBOLIC, braid_sum, cheapest_walk, trefoil_closed_sum
 from .scalars import GaussianRational
 from .series import TruncatedSeries, constant_series, q_power
 from .weights import (
@@ -222,10 +223,11 @@ def criterion_8_trefoil_closed_sum():
 
 
 def criterion_9_equivalence():
-    """S_b(e^{h/2}, p) = X(0,p,K) (2a+1)^2/[2a+1]^2 with a=(p-1)/2."""
+    """S_b(e^{h/2}, p) = X(0,p,K) (2a+1)^2/[2a+1]^2 with a=(p-1)/2, at p = 1,
+    2, 3 and, as S_b(p) U(p)^2 = X(0,p) with U(p) = [p]/p, at symbolic p."""
     order = 4
     for braid, name in ((TREFOIL_R, "T+"), (TREFOIL_L, "T-"), (FIG8, "fig8")):
-        for p in (1, 2, 3):
+        for p in (1, 2, 3, SYMBOLIC):
             report = equivalence_check(braid, p, order)
             if not report["pass"]:
                 return False, f"{name} at p={p}: {report['lhs']} != {report['rhs']}"
@@ -236,7 +238,7 @@ def criterion_9_equivalence():
                 for n in range(1, order + 1):
                     if inv.series.coeffs[n].evaluate(1) != 0:
                         return False, f"{name}: X(0,1) not 1 at order {n}"
-    return True, "nine knot/parameter pairs agree exactly"
+    return True, "nine knot/parameter pairs and three symbolic-p identities agree exactly"
 
 
 def criterion_10_truncation_soundness():

@@ -8,19 +8,24 @@ alternating V-sum), and the square root of an exact rational jet R(h) of
 quantum factorials.  R's constant term c0, the classical radicand, is a
 positive rational and R/c0 has constant term 1, so sqrt(R/c0) is a rational
 jet: the coefficient is a :class:`RootJet`, sqrt(c0) times a rational jet.
+Coupling coefficients do not depend on p and are real, so all of this runs
+on the integer jets of :mod:`lorentzknots.series`.
 
 For real q the coupling matrices are orthogonal (Kirillov-Reshetikhin), so
 the decoupling coefficient is the transposed coupling coefficient; the
 tests check both completeness relations exactly.  Products of root jets
 multiply radicands; sums (over sigma in Lambda, over the internal spin in
 the dual-generator action) only ever add terms whose radicands differ by a
-rational square, which :meth:`RootJet.rational` checks exactly.
+rational square, which :meth:`RootJet.scaled` checks exactly.
 
 The structure constants Lambda^{ABC}_D(p) of the balanced representation
 combine a decoupling and a coupling coefficient with q^{2 sigma p} weights;
 ``p`` may be an exact numeric value (Gaussian rational) or symbolic, in
-which case coefficients are polynomials in p.  The closed forms for
-spin-1/2 columns certify the convention end to end.
+which case coefficients are polynomials in p.  At real p they are integer
+jets too; at complex or symbolic p they are TruncatedSeries, and each
+coupling coefficient enters them through its memoized conversion
+(``RootJet.jet``).  The closed forms for spin-1/2 columns certify the
+convention end to end.
 """
 
 from __future__ import annotations
@@ -29,17 +34,24 @@ from fractions import Fraction
 
 from .errors import InternalConsistencyError
 from .polynomials import poly_variable
-from .scalars import rational_sqrt
+from .scalars import GaussianRational, rational_sqrt
 from .series import (
     TruncatedSeries,
+    _q_factorial_jet,
+    _q_integer_jet,
+    _q_power_jet,
+    as_series,
     clear_caches,
     constant_series,
     exp_scaled,
+    jet_add,
+    jet_constant,
+    jet_inverse,
+    jet_mul,
+    jet_neg,
+    jet_scale,
+    jet_sqrt,
     memoized,
-    q_dim,
-    q_factorial,
-    q_power,
-    sqrt_series,
 )
 
 __all__ = [
@@ -57,30 +69,46 @@ __all__ = [
 class RootJet:
     """The exact jet sqrt(radicand) * jet.
 
-    ``radicand`` is a positive rational; ``jet`` has Gaussian-rational
-    coefficients, or polynomials in p over them.
+    ``radicand`` is a positive rational.  ``value`` is the jet as it was
+    computed: an integer jet of the series kernel when it is real (every
+    coupling coefficient, and the structure constants at real p), else a
+    TruncatedSeries over Q(i) or of polynomials in p over it.  ``jet`` is
+    always the TruncatedSeries; an integer jet is converted once
+    (``series.jet_series`` is memoized).
     """
 
-    __slots__ = ("radicand", "jet")
+    __slots__ = ("radicand", "value")
 
-    def __init__(self, radicand, jet: TruncatedSeries):
+    def __init__(self, radicand, value):
         self.radicand = Fraction(radicand)
-        self.jet = jet
+        self.value = value
+
+    @property
+    def jet(self) -> TruncatedSeries:
+        return as_series(self.value)
 
     def __mul__(self, other: "RootJet") -> "RootJet":
-        return RootJet(self.radicand * other.radicand, self.jet * other.jet)
+        a, b = self.value, other.value
+        if type(a) is tuple and type(b) is tuple:
+            value = jet_mul(a, b)
+        else:
+            value = self.jet * other.jet
+        return RootJet(self.radicand * other.radicand, value)
 
     def is_zero(self) -> bool:
-        return self.jet.is_zero()
+        value = self.value
+        return not any(value[0]) if type(value) is tuple else value.is_zero()
 
-    def rational(self, square=1, labels=()) -> TruncatedSeries:
-        """sqrt(square) times the value, a jet that must be rational.
+    def scaled(self, square=1, labels=()):
+        """sqrt(square) times the value, which must be rational, as an
+        integer jet or a TruncatedSeries like ``value``.
 
         Raises InternalConsistencyError naming ``labels`` when
         radicand * square is not the square of a rational.
         """
-        if self.jet.is_zero():
-            return self.jet
+        value = self.value
+        if self.is_zero():
+            return value
         try:
             root = rational_sqrt(self.radicand * square)
         except ValueError:
@@ -88,7 +116,12 @@ class RootJet:
                 f"radicand {self.radicand * square} at labels {labels} is not "
                 "the square of a rational"
             ) from None
-        return self.jet * root
+        return jet_scale(value, root) if type(value) is tuple else value * root
+
+    def rational(self, square=1, labels=()) -> TruncatedSeries:
+        """sqrt(square) times the value, a jet that must be rational
+        (see :meth:`scaled`), as a TruncatedSeries."""
+        return as_series(self.scaled(square, labels))
 
     def __eq__(self, other):
         if not isinstance(other, RootJet):
@@ -105,15 +138,20 @@ class RootJet:
         return f"RootJet(radicand={self.radicand}, jet={self.jet!r})"
 
 
-def _root_sum(terms, zero: TruncatedSeries, labels) -> RootJet:
-    """Sum of root jets whose radicands differ by rational squares."""
+def _root_sum(terms, zero, labels) -> RootJet:
+    """Sum of root jets whose radicands differ by rational squares; ``zero``
+    (an integer jet or a TruncatedSeries) is the value of the empty sum."""
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
         return RootJet(1, zero)
     radicand = terms[0].radicand
-    total = terms[0].jet
+    total = terms[0].value
     for term in terms[1:]:
-        total = total + term.rational(1 / radicand, labels)
+        part = term.scaled(1 / radicand, labels)
+        if type(total) is tuple and type(part) is tuple:
+            total = jet_add(total, part)
+        else:
+            total = as_series(total) + as_series(part)
     return RootJet(radicand, total)
 
 
@@ -136,20 +174,29 @@ def cache_state():
     return quantum_cg.cache_info().currsize, lambda_coeff.cache_info().currsize
 
 
-def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
-    """(sign, exact rational jet, radicand jet) of the coupling coefficient."""
-    I_m = (dI - dm) // 2
-    sign = -1 if I_m % 2 else 1
+def real_point(p):
+    """``p`` as a Fraction when it is a real number; None when it is complex
+    or SYMBOLIC."""
+    if p == SYMBOLIC:
+        return None
+    p = GaussianRational.coerce(p)
+    return None if p.im else p.re
 
+
+def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
+    """(signed exact rational jet, radicand jet) of the coupling
+    coefficient, as integer jets."""
     exponent = (
         Fraction(dm, 2) * (Fraction(dp, 2) + 1)
         + Fraction(dJ, 4) * (Fraction(dJ, 2) + 1)
         - Fraction(dI, 4) * (Fraction(dI, 2) + 1)
         - Fraction(dK, 4) * (Fraction(dK, 2) + 1)
     )
-    prefactor = q_power(exponent, order)
+    prefactor = _q_power_jet(exponent, order)
+    if ((dI - dm) // 2) % 2:
+        prefactor = jet_neg(prefactor)
 
-    radicand = q_dim(dK, order)
+    radicand = _q_integer_jet(dK + 1, order)
     for arg in (
         (dI + dJ - dK) // 2,
         (dI - dm) // 2,
@@ -157,8 +204,8 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
         (dK - dp) // 2,
         (dK + dp) // 2,
     ):
-        radicand = radicand * q_factorial(arg, order)
-    denom = constant_series(1, order)
+        radicand = jet_mul(radicand, _q_factorial_jet(arg, order))
+    denom = jet_constant(1, order)
     for arg in (
         (dK + dJ - dI) // 2,
         (dI + dK - dJ) // 2,
@@ -166,26 +213,23 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
         (dI + dm) // 2,
         (dJ + dn) // 2,
     ):
-        denom = denom * q_factorial(arg, order)
-    radicand = radicand * denom.inverse()
+        denom = jet_mul(denom, _q_factorial_jet(arg, order))
+    radicand = jet_mul(radicand, jet_inverse(denom))
 
     v_lo = max(0, (dK - dJ - dm) // 2)
     v_hi = min((dK - dp) // 2, (dI - dm) // 2)
-    total = constant_series(0, order)
+    total = jet_constant(0, order)
     for V in range(v_lo, v_hi + 1):
-        term = q_power(V * ((dK + dp) // 2 + 1), order)
+        term = _q_power_jet(V * ((dK + dp) // 2 + 1), order)
         if V % 2:
-            term = -term
-        num_args = ((dI + dm) // 2 + V, (dJ + dK - dm) // 2 - V)
-        den_args = (V, (dK - dp) // 2 - V, (dI - dm) // 2 - V, (dJ - dK + dm) // 2 + V)
-        for arg in num_args:
-            term = term * q_factorial(arg, order)
-        dd = constant_series(1, order)
-        for arg in den_args:
-            dd = dd * q_factorial(arg, order)
-        term = term * dd.inverse()
-        total = total + term
-    return sign, prefactor * total, radicand
+            term = jet_neg(term)
+        for arg in ((dI + dm) // 2 + V, (dJ + dK - dm) // 2 - V):
+            term = jet_mul(term, _q_factorial_jet(arg, order))
+        dd = jet_constant(1, order)
+        for arg in (V, (dK - dp) // 2 - V, (dI - dm) // 2 - V, (dJ - dK + dm) // 2 + V):
+            dd = jet_mul(dd, _q_factorial_jet(arg, order))
+        total = jet_add(total, jet_mul(term, jet_inverse(dd)))
+    return jet_mul(prefactor, total), radicand
 
 
 @memoized
@@ -194,7 +238,7 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
 
     Zero unless m + n = p, each index is in range, and the triangle
     condition holds.  Returns sign * sqrt(c0) * (rational jet) as a RootJet
-    with radicand c0, the classical radicand.
+    with radicand c0, the classical radicand, and an integer-jet value.
     """
     if not (
         _is_spin_index(dI, dm)
@@ -203,11 +247,12 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
         and dm + dn == dp
         and _triangle(dI, dJ, dK)
     ):
-        return RootJet(1, constant_series(0, order))
-    sign, exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
-    c0 = radicand.coeffs[0]
-    root = sqrt_series(radicand * (1 / c0))
-    return RootJet(c0.re, exact * root * sign)
+        return RootJet(1, jet_constant(0, order))
+    exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
+    nums, den = radicand
+    c0 = Fraction(nums[0], den)
+    root = jet_sqrt(jet_scale(radicand, 1 / c0))
+    return RootJet(c0, jet_mul(exact, root))
 
 
 def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
@@ -230,9 +275,15 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
     D) column weights, as a RootJet: every sigma term has the same radical.
     ``p`` is any Gaussian rational (complex values allowed), giving a jet
-    over Q(i), or SYMBOLIC, giving a jet of polynomials in p.
+    over Q(i) (an integer jet at real p), or SYMBOLIC, giving a jet of
+    polynomials in p.
     """
-    rate = poly_variable() if p == SYMBOLIC else p
+    real = real_point(p)
+    if real is None:
+        rate = poly_variable() if p == SYMBOLIC else p
+        zero = constant_series(0, order)
+    else:
+        zero = jet_constant(0, order)
     terms = []
     for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
         if (d_sigma - dC) % 2 or (d_sigma - dB) % 2:
@@ -243,9 +294,12 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
         right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
         if right.is_zero():
             continue
-        weight = exp_scaled(Fraction(d_sigma, 2) * rate, order)
-        terms.append(RootJet(1, weight) * left * right)
-    return _root_sum(terms, constant_series(0, order), ("Lambda", dA, dB, dC, dD))
+        if real is None:
+            weight = exp_scaled(Fraction(d_sigma, 2) * rate, order)
+        else:
+            weight = _q_power_jet(d_sigma * real, order)
+        terms.append(RootJet(1, weight) * (left * right))
+    return _root_sum(terms, zero, ("Lambda", dA, dB, dC, dD))
 
 
 def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> RootJet:

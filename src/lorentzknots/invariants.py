@@ -8,7 +8,8 @@ p = 1 beyond order zero.
 
 The cross-pipeline comparison divides out the square of the quantum
 dimension at spin (p-1)/2 against the ordinary dimension squared and
-checks the braid-sum side for exact equality.
+checks the braid-sum side for exact equality, at an integer p or with p
+symbolic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .braids import BraidWord, mirror
 from .errors import InternalConsistencyError
 from .jones import jones_z_interpolated, jones_zero_framed
 from .polynomials import ParamPolynomial, PolySeries, specialize
-from .qlorentz import braid_sum
+from .qlorentz import SYMBOLIC, braid_sum
 from .series import TruncatedSeries, q_dim
 
 __all__ = [
@@ -83,19 +84,35 @@ def x_invariant(b: BraidWord, m: int, order: int) -> LorentzInvariant:
     return LorentzInvariant(m=m, series=left * right)
 
 
-def equivalence_check(b: BraidWord, p: int, order: int) -> dict:
-    """Compare the braid sum with the rescaled m = 0 invariant at integer p.
+def _unknot_at_w(order: int) -> PolySeries:
+    """U(p), the unknot's spin expansion at z = (p-1)/2; it equals [p]/p."""
+    unknot = jones_z_interpolated(BraidWord(1), order)
+    half = Fraction(1, 2)
+    return TruncatedSeries(order, [poly.compose_affine(half, -half) for poly in unknot.coeffs])
 
-    The braid-sum side is S_b; the invariant side is X(0, p) times
-    (2*alpha+1)^2 / [2*alpha+1]^2 with alpha = (p-1)/2.  Both are exact;
-    the report carries their coefficients as [re_num, re_den, im_num,
-    im_den] and passes iff they are equal.
+
+def equivalence_check(b: BraidWord, p, order: int) -> dict:
+    """Compare the braid sum with the rescaled m = 0 invariant.
+
+    At an integer p >= 1 the braid-sum side is S_b; the invariant side is
+    X(0, p) times (2*alpha+1)^2 / [2*alpha+1]^2 with alpha = (p-1)/2, and
+    the coefficients are reported as [re_num, re_den, im_num, im_den].  At
+    ``p = SYMBOLIC`` the same identity is checked as one identity of jets of
+    polynomials in p: S_b(p) U(p)^2 = X(0, p), with U(p) = [p]/p the
+    unknot's expansion at z = (p-1)/2; the coefficients are reported as
+    polynomials.  Both sides are exact, and the check passes iff they are
+    equal.
     """
-    if p < 1:
-        raise ValueError("the comparison needs integer p >= 1")
-    lhs = braid_sum(b, p, order)
-    qd = q_dim(p - 1, order)
-    rhs = specialize(x_invariant(b, 0, order).series, p) * (p * p) / (qd * qd)
+    if p == SYMBOLIC:
+        unknot = _unknot_at_w(order)
+        lhs = braid_sum(b, SYMBOLIC, order) * unknot * unknot
+        rhs = x_invariant(b, 0, order).series
+    else:
+        if p < 1:
+            raise ValueError("the comparison needs integer p >= 1 or p = SYMBOLIC")
+        lhs = braid_sum(b, p, order)
+        qd = q_dim(p - 1, order)
+        rhs = specialize(x_invariant(b, 0, order).series, p) * (p * p) / (qd * qd)
     return {
         "braid": b.text() or "empty",
         "p": p,

@@ -19,8 +19,10 @@ top coefficients are asserted against the Alexander polynomial
 (Melvin-Morton-Rozansky), and the quotient is multiplied back by the
 unknot's expansion, fitted the same way from its own samples.
 
-Hot-path arithmetic uses integer coefficient tuples over a shared
-denominator; Fractions appear only at the boundaries.
+The braiding tables are built from the integer jets of
+:mod:`lorentzknots.series` (the q-jets) and stored over one shared
+denominator per table, so the tangle walk multiplies Python-int tuples; the
+group-like weights and the tangle scalar are integer jets as well.
 """
 
 from __future__ import annotations
@@ -41,16 +43,25 @@ from .polynomials import (
 from .scalars import GaussianRational
 from .series import (
     TruncatedSeries,
+    _q_factorial_jet,
+    _q_integer_jet,
+    _q_power_jet,
     accumulate,
     constant_series,
     conv,
     exp_scaled,
+    jet_accumulate,
+    jet_add,
+    jet_constant,
+    jet_fractions,
+    jet_inverse,
     jet_matrix_inverse,
+    jet_mul,
+    jet_neg,
+    jet_scale,
+    jet_series,
     memoized,
-    q_dim,
-    q_factorial,
-    q_integer,
-    q_power,
+    real_jet,
 )
 from .weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
@@ -78,19 +89,6 @@ _UNKNOT = BraidWord(1)
 # ---------------------------------------------------------------------------
 
 
-def _series_fractions(series: TruncatedSeries):
-    """Real Fraction coefficients of an exact series."""
-    out = []
-    for c in series.coeffs:
-        if isinstance(c, GaussianRational):
-            if c.im:
-                raise InternalConsistencyError("quantum sl2 entries must be real")
-            out.append(c.re)
-        else:
-            out.append(Fraction(c))
-    return out
-
-
 def _invert_cells(pos, dim, order):
     """Exact inverse of the braiding, block by block of conserved weight."""
     zero = TruncatedSeries(order, [Fraction(0)] * (order + 1))
@@ -100,12 +98,12 @@ def _invert_cells(pos, dim, order):
         index = {st: i for i, st in enumerate(states)}
         M = [[zero] * len(states) for _ in states]
         for j, st in enumerate(states):
-            for a, b, coeffs in pos[st]:
-                M[index[(a, b)]][j] = TruncatedSeries(order, coeffs)
+            for a, b, jet in pos[st]:
+                M[index[(a, b)]][j] = TruncatedSeries(order, jet_fractions(jet))
         X = jet_matrix_inverse(M, order)
         for j, st in enumerate(states):
             out[st] = [
-                (a, b, X[i][j].coeffs)
+                (a, b, real_jet(X[i][j].coeffs))
                 for i, (a, b) in enumerate(states)
                 if not X[i][j].is_zero()
             ]
@@ -123,56 +121,34 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
     weight is conserved, so blocks stay small).
     """
     dim = two_alpha + 1
+    step = jet_add(_q_power_jet(1, order), jet_neg(_q_power_jet(-1, order)))
     entries = {}
     for r1 in range(dim):
         for r2 in range(dim):
             cell = []
             for n in range(0, min(r1, two_alpha - r2) + 1):
-                coeff = constant_series(1, order)
-                if n:
-                    coeff = q_power(Fraction(n * (n - 1), 2), order)
-                    step = q_power(1, order) - q_power(-1, order)
-                    for _ in range(n):
-                        coeff = coeff * step
-                    coeff = coeff * q_factorial(n, order).inverse()
-                    for j in range(1, n + 1):
-                        coeff = coeff * q_integer(two_alpha - r1 + j, order)
-                        coeff = coeff * q_integer(r2 + j, order)
+                coeff = _q_power_jet(Fraction(n * (n - 1), 2), order)
+                for _ in range(n):
+                    coeff = jet_mul(coeff, step)
+                coeff = jet_mul(coeff, jet_inverse(_q_factorial_jet(n, order)))
+                for j in range(1, n + 1):
+                    coeff = jet_mul(coeff, _q_integer_jet(two_alpha - r1 + j, order))
+                    coeff = jet_mul(coeff, _q_integer_jet(r2 + j, order))
                 w_out1 = two_alpha - 2 * (r2 + n)
                 w_out2 = two_alpha - 2 * (r1 - n)
-                coeff = coeff * q_power(Fraction(w_out1 * w_out2, 2), order)
-                cell.append((r2 + n, r1 - n, _series_fractions(coeff)))
+                coeff = jet_mul(coeff, _q_power_jet(Fraction(w_out1 * w_out2, 2), order))
+                cell.append((r2 + n, r1 - n, coeff))
             entries[(r1, r2)] = cell
     if sign < 0:
         entries = _invert_cells(entries, dim, order)
-    den = 1
-    for cell in entries.values():
-        for _, _, coeffs in cell:
-            for c in coeffs:
-                den = lcm(den, c.denominator)
+    den = lcm(*(jet[1] for cell in entries.values() for _, _, jet in cell))
     table = {
         key: tuple(
-            (a, b, tuple(int(c * den) for c in coeffs)) for a, b, coeffs in cell
+            (a, b, tuple(n * (den // jet[1]) for n in jet[0])) for a, b, jet in cell
         )
         for key, cell in entries.items()
     }
     return table, den
-
-
-@memoized
-def _group_like_table(order: int):
-    """Integer jets of q^{S} for integer S, over the shared denominator 2^N N!."""
-    den = 1
-    for k in range(1, order + 1):
-        den *= 2 * k
-    return den
-
-
-@memoized
-def _group_like_coeffs(s_exponent: int, order: int):
-    den = _group_like_table(order)
-    series = _series_fractions(q_power(Fraction(s_exponent), order))
-    return tuple(int(c * den) for c in series)
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +257,18 @@ def _require_knot(b: BraidWord):
 
 @memoized
 def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
-    """Scalar of the (1,1)-tangle closure, as a tuple of Fractions.
+    """Scalar of the (1,1)-tangle closure, as an integer jet.
 
     Sums over basis columns; weight conservation makes the partial trace
     diagonal, and all diagonal entries are asserted equal.
     """
     dim = two_alpha + 1
     tables = {}
-    den_total = 1
+    den_braid = 1
     for _, sign in letters:
         if sign not in tables:
             tables[sign] = _braiding_table(two_alpha, order, sign)
-        den_total *= tables[sign][1]
-    den_total *= _group_like_table(order)
+        den_braid *= tables[sign][1]
 
     diag = {}
     for column in product(range(dim), repeat=strands):
@@ -313,15 +288,12 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
         coeffs = vec.get(column)
         if letters and coeffs is None:
             continue
-        s_exp = sum(two_alpha - 2 * r for r in column[1:])
-        weight = _group_like_coeffs(s_exp, order)
-        if coeffs is None:
-            contrib = weight
-        else:
-            contrib = conv(coeffs, weight, order)
-        accumulate(diag, column[0], contrib)
+        weight = _q_power_jet(sum(two_alpha - 2 * r for r in column[1:]), order)
+        if coeffs is not None:
+            weight = jet_mul((coeffs, den_braid), weight)
+        jet_accumulate(diag, column[0], weight)
 
-    zero = (0,) * (order + 1)
+    zero = jet_constant(0, order)
     first = diag.get(0, zero)
     for r1 in range(1, dim):
         if diag.get(r1, zero) != first:
@@ -329,7 +301,7 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
                 "partial trace of the braid operator is not a scalar: "
                 "braiding/enhancement conventions are inconsistent"
             )
-    return tuple(Fraction(c, den_total) for c in first)
+    return first
 
 
 def jones_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeries:
@@ -340,8 +312,8 @@ def jones_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeries:
     """
     _require_knot(b)
     scalar = _tangle_scalar(b.strands, b.letters, two_alpha, order)
-    series = TruncatedSeries(order, [GaussianRational(c) for c in scalar])
-    return series * q_dim(two_alpha, order) * Fraction(1, two_alpha + 1)
+    scalar = jet_mul(scalar, _q_integer_jet(two_alpha + 1, order))
+    return jet_series(jet_scale(scalar, Fraction(1, two_alpha + 1)))
 
 
 def jones_zero_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeries:

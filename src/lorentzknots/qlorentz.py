@@ -11,8 +11,10 @@ f(beta, i) = s(beta, i) e(beta, i), s(beta, i)^2 = (2 beta + 1)
 module leaves the matrix-element factor a bare delta; the label's two
 factors land on the dual-generator entry.  A diagonal change of basis
 leaves sum X_ij (x) g_ji and the vacuum amplitude unchanged, and in this
-basis every dual-generator entry is a rational jet: over Q(i) at numeric p,
-of polynomials in p at symbolic p.
+basis every dual-generator entry is a rational jet: an integer jet of
+:mod:`lorentzknots.series` at real p, over Q(i) at complex p, of
+polynomials in p at symbolic p.  The walk's branch coefficients live in the
+same ring (``_walk_ring``); one walk loop serves all three.
 
 A braid whose closure is a knot becomes a single operator word by walking
 the closed-up diagram once: each crossing contributes its matrix-element
@@ -38,6 +40,7 @@ and still pending, then the pending labels summed along the word.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -49,18 +52,27 @@ from .cg import (
     lambda_coeff,
     quantum_cg,
     quantum_cg_decoupling,
+    real_point,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import POLY_ONE, POLY_ZERO
 from .scalars import GR_ONE, GR_ZERO
 from .series import (
     TruncatedSeries,
+    _q_power_jet,
     accumulate,
     constant_series,
     conv,
+    jet_accumulate,
+    jet_add,
+    jet_constant,
+    jet_lead,
+    jet_mul,
+    jet_scale,
+    jet_series,
+    leading_order,
     memoized,
     q_dim,
-    q_power,
 )
 
 __all__ = [
@@ -136,8 +148,12 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     Each entry is the matrix element from (beta, i_beta) to (gamma, i_gamma)
     in the rescaled basis, times s(alpha, j) / s(alpha, i) from the label's
     matrix-element partner: sqrt of s(beta)^2 s(alpha, j)^2 / (s(gamma)^2
-    s(alpha, i)^2) times the root jet, a rational jet (checked exactly).
+    s(alpha, i)^2) times the root jet, a rational jet (checked exactly):
+    an integer jet at real p, else a tuple of coefficients (Gaussian
+    rationals at complex p, polynomials in p at symbolic p).
     """
+    real = real_point(p) is not None
+    add = jet_add if real else operator.add
     out = {}
     if forward:
         dx = d_j + d_ibeta
@@ -158,8 +174,8 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                 if lam.is_zero():
                     continue
                 state = (d_gamma, d_igamma)
-                term = _rescaled(lam * cgl * cgr, state, (d_beta, d_ibeta), d_alpha, d_i, d_j)
-                out[state] = out[state] + term if state in out else term
+                term = _rescaled(lam * (cgl * cgr), state, (d_beta, d_ibeta), d_alpha, d_i, d_j)
+                out[state] = add(out[state], term) if state in out else term
     else:
         d_gamma, d_igamma = d_beta, d_ibeta  # arguments name the bra state here
         dx = d_igamma + d_i
@@ -180,55 +196,50 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                 if lam.is_zero():
                     continue
                 state = (d_b, d_ib)
-                term = _rescaled(lam * cgl * cgr, (d_gamma, d_igamma), state, d_alpha, d_i, d_j)
-                out[state] = out[state] + term if state in out else term
+                term = _rescaled(lam * (cgl * cgr), (d_gamma, d_igamma), state, d_alpha, d_i, d_j)
+                out[state] = add(out[state], term) if state in out else term
+    if real:
+        return tuple((s, v) for s, v in out.items() if any(v[0]))
     return tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
 
 
-def _rescaled(term: RootJet, target, source, d_alpha, d_i, d_j) -> TruncatedSeries:
+def _rescaled(term: RootJet, target, source, d_alpha, d_i, d_j):
     """``term``, a matrix element from ``source`` to ``target`` of the dual
     generator g_{ij} of spin alpha, in the rescaled basis and with the
-    label's factor s(alpha, j)/s(alpha, i): a rational jet."""
+    label's factor s(alpha, j)/s(alpha, i): a rational jet, an integer jet
+    when ``term``'s value is one."""
     square = Fraction(
         _s_squared(*source) * _s_squared(d_alpha, d_j),
         _s_squared(*target) * _s_squared(d_alpha, d_i),
     )
-    return term.rational(square, ("g", d_alpha, d_i, d_j, source, target))
+    return term.scaled(square, ("g", d_alpha, d_i, d_j, source, target))
 
 
 def group_like_action(d_idx: int, order: int):
-    """Diagonal weight q^{2 i} = e^{i h} of the group-like element."""
-    return q_power(d_idx, order).coeffs
+    """Diagonal weight q^{2 i} = e^{i h} of the group-like element, as an
+    integer jet."""
+    return _q_power_jet(d_idx, order)
 
 
 @memoized
 def _antipode_factor(d_alpha: int, d_i: int, d_j: int, order: int):
-    """Scalar q^{j - i} (-1)^{i - j} s(alpha, i)^2 / s(alpha, j)^2.
+    """Scalar q^{j - i} (-1)^{i - j} s(alpha, i)^2 / s(alpha, j)^2, as an
+    integer jet.
 
     The first two factors are the inverse antipode's.  The matrix-element
     partner X_ij needs s(alpha, i)/s(alpha, j) on the dual entry, but
     ``g_action`` called at (-i, -j) folds in s(alpha, j)/s(alpha, i)
     (s(alpha, -i) = s(alpha, i)); the last factor is the difference.
     """
-    series = q_power(Fraction(d_j - d_i, 2), order) * Fraction(
-        _s_squared(d_alpha, d_i), _s_squared(d_alpha, d_j)
-    )
+    ratio = Fraction(_s_squared(d_alpha, d_i), _s_squared(d_alpha, d_j))
     if ((d_i - d_j) // 2) % 2:
-        series = -series
-    return series.coeffs
+        ratio = -ratio
+    return jet_scale(_q_power_jet(Fraction(d_j - d_i, 2), order), ratio)
 
 
 # ---------------------------------------------------------------------------
 # Streaming evaluation of the braid sum
 # ---------------------------------------------------------------------------
-
-
-def _leading_order(coeffs):
-    """Index of the first nonzero coefficient; None for the zero jet."""
-    for k, c in enumerate(coeffs):
-        if c:
-            return k
-    return None
 
 
 def _min_headroom(ds, pend):
@@ -319,6 +330,40 @@ def cheapest_walk(b: BraidWord):
     return rotation, forward, ops, [sign for _, sign in b.letters]
 
 
+def _walk_ring(p, order):
+    """How ``braid_sum`` computes with branch coefficients at ``p``:
+    (unit, product, accumulate, leading order, lift, finish).
+
+    At real p they are integer jets of the series kernel.  At complex p
+    they are tuples of Gaussian rationals, at symbolic p of polynomials in
+    p; ``lift`` turns the real group-like and antipode factors (integer
+    jets) into such tuples.  ``finish`` turns the vacuum's coefficient
+    (None when no branch ends there) into the TruncatedSeries returned.
+    """
+    if real_point(p) is not None:
+        def finish(jet):
+            return jet_series(jet if jet is not None else jet_constant(0, order))
+
+        return jet_constant(1, order), jet_mul, jet_accumulate, jet_lead, _same, finish
+
+    one, zero = (POLY_ONE, POLY_ZERO) if p == SYMBOLIC else (GR_ONE, GR_ZERO)
+
+    def product(a, b):
+        return conv(a, b, order)
+
+    def lift(jet):
+        return jet_series(jet).coeffs
+
+    def finish(coeffs):
+        return TruncatedSeries(order, coeffs if coeffs is not None else (zero,) * (order + 1))
+
+    return (one,) + (zero,) * order, product, accumulate, leading_order, lift, finish
+
+
+def _same(value):
+    return value
+
+
 def _describe_op(op):
     if op[0] == "G":
         return "group-like element"
@@ -346,21 +391,18 @@ def braid_sum(
     operator, and the rotation and direction walked.
     """
     rotation, forward, ops, signs = cheapest_walk(b)
-    symbolic = p == SYMBOLIC
-    one, zero = (POLY_ONE, POLY_ZERO) if symbolic else (GR_ONE, GR_ZERO)
-    unit = (one,) + (zero,) * order
+    unit, mul, add_into, lead, lift, finish = _walk_ring(p, order)
 
     # key: (d_spin, d_idx, pending) with pending a frozenset of
     # (crossing, d_alpha, d_i, d_j) label assignments awaiting their partner
-    state0 = ((0, 0, frozenset()), unit)
-    vec = dict([state0])
+    vec = {(0, 0, frozenset()): unit}
 
     for position, op in enumerate(ops):
         out = {}
         if op[0] == "G":
             for (ds, di, pend), coeffs in vec.items():
-                weight = group_like_action(di, order)
-                accumulate(out, (ds, di, pend), conv(coeffs, weight, order))
+                weight = lift(group_like_action(di, order))
+                add_into(out, (ds, di, pend), mul(coeffs, weight))
         elif op[0] == "X":
             xread, xwrite = (0, 1) if forward else (1, 0)
             for (ds, di, pend), coeffs in vec.items():
@@ -370,7 +412,7 @@ def braid_sum(
                     _, da, dii, djj, _awaits = known
                     idx = (dii, djj)[xread]
                     if ds == da and di == idx:
-                        accumulate(
+                        add_into(
                             out,
                             (da, (dii, djj)[xwrite], pend - {known}),
                             coeffs,
@@ -382,13 +424,13 @@ def braid_sum(
                             if forward
                             else (k, ds, dj, di, False)
                         )
-                        accumulate(out, (ds, dj, pend | {lab}), coeffs)
+                        add_into(out, (ds, dj, pend | {lab}), coeffs)
         else:  # dual generator
             k = op[1]
             sign = signs[k]
             for (ds, di, pend), coeffs in vec.items():
-                lead = _leading_order(coeffs)
-                if lead is None or 2 * lead + _min_headroom(ds, pend) > 2 * order:
+                lead0 = lead(coeffs)
+                if lead0 is None or 2 * lead0 + _min_headroom(ds, pend) > 2 * order:
                     continue
                 known = next((lab for lab in pend if lab[0] == k), None)
                 if known is not None:
@@ -401,7 +443,7 @@ def braid_sum(
                     labels = [
                         (da, dii, djj, pend | {(k, da, dii, djj, True)})
                         for da in range(0, 2 * order + 1)
-                        if 2 * lead + abs(da - ds) + da <= 2 * order
+                        if 2 * lead0 + abs(da - ds) + da <= 2 * order
                         for dii in range(-da, da + 1, 2)
                         for djj in range(-da, da + 1, 2)
                     ]
@@ -416,19 +458,19 @@ def braid_sum(
                     ai, aj = djj, dii
                     base = coeffs
                     if sign < 0:
-                        antipode = _antipode_factor(da, dii, djj, order)
-                        base = conv(coeffs, antipode, order)
+                        antipode = lift(_antipode_factor(da, dii, djj, order))
+                        base = mul(coeffs, antipode)
                         ai, aj = -dii, -djj
                     for (ds2, di2), entry in g_action(
                         da, ai, aj, ds, di, p, order, forward
                     ):
-                        contrib = conv(base, entry, order)
-                        lead2 = _leading_order(contrib)
+                        contrib = mul(base, entry)
+                        lead2 = lead(contrib)
                         if lead2 is None or 2 * lead2 + _min_headroom(
                             ds2, newpend
                         ) > 2 * order:
                             continue
-                        accumulate(out, (ds2, di2, newpend), contrib)
+                        add_into(out, (ds2, di2, newpend), contrib)
         vec = out
         if len(vec) > max_branches:
             raise ResourceGuardError(
@@ -442,7 +484,7 @@ def braid_sum(
     if any(pend for _, _, pend in vec):
         raise InternalConsistencyError("crossing label left unresolved")
     # Branches are keyed by state, so at most one ends at spin 0.
-    return TruncatedSeries(order, vec.get((0, 0, frozenset()), (zero,) * (order + 1)))
+    return finish(vec.get((0, 0, frozenset())))
 
 
 def trefoil_closed_sum(p, order: int):

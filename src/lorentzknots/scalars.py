@@ -1,8 +1,10 @@
 """Exact coefficient field: Gaussian rationals.
 
-Every series computation in this package runs over :class:`GaussianRational`,
-exact arithmetic in Q(i): chord-diagram weights, the quantum sl2 engine,
-character polynomials, coupling coefficients and the braid sums.  The one
+Every public series value of this package is over :class:`GaussianRational`,
+exact arithmetic in Q(i): chord-diagram weights, character polynomials, the
+spin expansions, coupling coefficients and the braid sums.  Real jets are
+computed on the integer jets of :mod:`lorentzknots.series` and converted at
+that boundary.  The one
 irrational ingredient, the square root of a classical Clebsch-Gordan
 radicand, is carried symbolically (see :mod:`lorentzknots.cg`), and
 :func:`rational_sqrt` takes the exact square roots that the rescaled bases

@@ -5,12 +5,20 @@ h^0..h^N over a pluggable coefficient ring.  Ring operations truncate at
 order N, so products of order-N jets are again order-N jets.  Everything is
 immutable and safe to share.
 
+Real jets have one exact kernel here, the integer jet: Python-int
+numerators over one positive denominator, kept canonical (gcd 1), with its
+product, sum, inverse and square root.  The q-jets, the coupling
+coefficients, the braid tables of the coloured Jones engine and the braid
+walk at real p all compute on it; a :class:`TruncatedSeries` over
+Gaussian rationals is what crosses the public boundary (``jet_series``).
+
 The deformation parameter q never exists as its own symbol: q = e^{h/2}, and
 every power q^r is expanded immediately via :func:`q_power`.  With that
 convention the q-integers, q-factorials and quantum dimensions used by the
-braid engines all have exact Gaussian-rational jets.  Square roots are
-exact too: :func:`sqrt_series` roots a jet whose constant term is a square
-in Q(i), which is how the coupling coefficients take theirs.
+braid engines all have exact rational jets.  Square roots are exact too:
+:func:`jet_sqrt` roots a real jet whose constant term is a rational square,
+which is how the coupling coefficients take theirs, and :func:`sqrt_series`
+roots a jet over Q(i) whose constant term is a square there.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import InternalConsistencyError
 from .scalars import GaussianRational, GR_ZERO, rational_sqrt
@@ -27,6 +35,7 @@ __all__ = [
     "TruncatedSeries",
     "conv",
     "accumulate",
+    "leading_order",
     "jet_matrix_inverse",
     "constant_series",
     "exp_scaled",
@@ -35,6 +44,19 @@ __all__ = [
     "q_factorial",
     "q_dim",
     "sqrt_series",
+    "real_jet",
+    "jet_constant",
+    "jet_fractions",
+    "jet_series",
+    "as_series",
+    "jet_neg",
+    "jet_scale",
+    "jet_add",
+    "jet_mul",
+    "jet_accumulate",
+    "jet_lead",
+    "jet_inverse",
+    "jet_sqrt",
     "memoized",
     "clear_caches",
 ]
@@ -191,6 +213,14 @@ def conv(a, b, order: int) -> tuple:
     return tuple(out)
 
 
+def leading_order(coeffs):
+    """Index of the first nonzero coefficient; None for the zero jet."""
+    for k, c in enumerate(coeffs):
+        if c:
+            return k
+    return None
+
+
 def accumulate(store: dict, key, coeffs: tuple):
     """Add the coefficient tuple ``coeffs`` into ``store[key]``."""
     cur = store.get(key)
@@ -339,38 +369,205 @@ def clear_caches():
 
 
 # ---------------------------------------------------------------------------
-# The q-jet kernel.  Jets are exact, so each is computed once per (argument,
-# order) and shared (TruncatedSeries and GaussianRational are immutable).
-# The public functions normalize and validate their arguments; the
-# recursion stays inside the memoized jets.
+# Integer jets: the exact real jet kernel.
+#
+# An integer jet is the pair (nums, den): Python-int numerators n_0..n_N over
+# one positive denominator, the jet (n_0 + n_1 h + ... + n_N h^N) / den.
+# Every function below returns it canonical, gcd(den, n_0, ..., n_N) = 1, so
+# equal jets are equal tuples (and hash alike); the zero jet is
+# ((0, ..., 0), 1).  Real jets (the q-jets, the coupling coefficients, the
+# braid walk at real p) run here; TruncatedSeries over Q(i) is the boundary.
+# ---------------------------------------------------------------------------
+
+
+def _canonical(nums, den: int):
+    g = gcd(den, *nums)
+    if g == 1:
+        return tuple(nums), den
+    return tuple(n // g for n in nums), den // g
+
+
+def real_jet(coeffs):
+    """The integer jet of rational coefficients (ints, Fractions or real
+    Gaussian rationals)."""
+    fracs = []
+    for c in coeffs:
+        if isinstance(c, GaussianRational):
+            if c.im:
+                raise InternalConsistencyError(
+                    f"an integer jet has real coefficients, not {c}"
+                )
+            c = c.re
+        fracs.append(Fraction(c))
+    den = lcm(*(f.denominator for f in fracs))
+    return _canonical([f.numerator * (den // f.denominator) for f in fracs], den)
+
+
+def jet_constant(value, order: int):
+    """The constant integer jet of an int or Fraction."""
+    value = Fraction(value)
+    return _canonical((value.numerator,) + (0,) * order, value.denominator)
+
+
+def jet_fractions(jet) -> tuple:
+    nums, den = jet
+    return tuple(Fraction(n, den) for n in nums)
+
+
+@memoized
+def jet_series(jet) -> TruncatedSeries:
+    """The integer jet as a TruncatedSeries over Q(i); memoized, so a value
+    crossing the boundary more than once is converted once."""
+    return TruncatedSeries(
+        len(jet[0]) - 1, [GaussianRational(c) for c in jet_fractions(jet)]
+    )
+
+
+def as_series(value) -> TruncatedSeries:
+    """``value`` as a TruncatedSeries: an integer jet is converted, a
+    TruncatedSeries is returned as it is."""
+    return value if isinstance(value, TruncatedSeries) else jet_series(value)
+
+
+def jet_neg(a):
+    nums, den = a
+    return tuple(-n for n in nums), den
+
+
+def jet_scale(a, c):
+    """The integer jet ``a`` times an int or Fraction ``c``."""
+    nums, den = a
+    k = c.numerator
+    return _canonical([n * k for n in nums], den * c.denominator)
+
+
+def jet_add(a, b):
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        return _canonical([x + y for x, y in zip(an, bn)], ad)
+    g = gcd(ad, bd)
+    fa, fb = bd // g, ad // g
+    return _canonical([x * fa + y * fb for x, y in zip(an, bn)], ad * fa)
+
+
+def jet_mul(a, b):
+    """Truncated product of two integer jets of one order."""
+    an, ad = a
+    bn, bd = b
+    return _canonical(conv(an, bn, len(an) - 1), ad * bd)
+
+
+def jet_accumulate(store: dict, key, jet):
+    """Add the integer jet ``jet`` into ``store[key]``."""
+    cur = store.get(key)
+    store[key] = jet if cur is None else jet_add(cur, jet)
+
+
+def jet_lead(jet):
+    """Index of the first nonzero coefficient; None for the zero jet."""
+    return leading_order(jet[0])
+
+
+def jet_inverse(a):
+    """Multiplicative inverse; requires a nonzero constant term.
+
+    With N = sum n_k h^k, 1/N = sum u_k h^k / n_0^{k+1}, where u_0 = 1 and
+    u_k = -sum_{j=1..k} n_j u_{k-j} n_0^{j-1} are integers.
+    """
+    nums, den = a
+    n0 = nums[0]
+    if not n0:
+        raise ValueError("series with zero constant term has no inverse")
+    order = len(nums) - 1
+    u = [1]
+    for k in range(1, order + 1):
+        acc, power = 0, 1
+        for j in range(1, k + 1):
+            acc += nums[j] * u[k - j] * power
+            power *= n0
+        u.append(-acc)
+    top = n0 ** (order + 1)
+    out = [den * u[k] * n0 ** (order - k) for k in range(order + 1)]
+    if top < 0:
+        top, out = -top, [-x for x in out]
+    return _canonical(out, top)
+
+
+def _sqrt_coeffs(coeffs, t0) -> list:
+    """Root coefficients t_k = (s_k - sum_{0<j<k} t_j t_{k-j}) / (2 t_0)
+    of a jet s with t_0^2 = s_0, over any field."""
+    out = [t0]
+    half = 1 / (2 * t0)
+    for k in range(1, len(coeffs)):
+        acc = coeffs[k]
+        for j in range(1, k):
+            acc = acc - out[j] * out[k - j]
+        out.append(acc * half)
+    return out
+
+
+def jet_sqrt(a):
+    """Exact square root of an integer jet whose constant term is the square
+    of a nonzero rational; the root's constant term is positive.  Raises
+    ValueError otherwise."""
+    fracs = jet_fractions(a)
+    if not fracs[0]:
+        raise ValueError(
+            "sqrt of a series with zero constant term; extract the exact "
+            "radical upstream instead"
+        )
+    return real_jet(_sqrt_coeffs(fracs, rational_sqrt(fracs[0])))
+
+
+# ---------------------------------------------------------------------------
+# The q-jets, on the integer-jet kernel.  Jets are exact, so each is computed
+# once per (argument, order) and shared.  The public functions validate their
+# arguments and return TruncatedSeries over Q(i); the other modules use the
+# memoized integer jets directly.
 # ---------------------------------------------------------------------------
 
 
 @memoized
-def _q_power_jet(r: GaussianRational, order: int) -> TruncatedSeries:
-    return exp_scaled(r / 2, order)
+def _q_power_jet(r, order: int):
+    """q^r = e^{r h/2} for rational r: the h^k coefficient is (r/2)^k / k!."""
+    a, b = r.numerator, 2 * r.denominator
+    top = factorial(order)
+    return _canonical(
+        [a**k * b ** (order - k) * (top // factorial(k)) for k in range(order + 1)],
+        b**order * top,
+    )
 
 
 @memoized
-def _q_integer_jet(n: int, order: int) -> TruncatedSeries:
+def _q_integer_jet(n: int, order: int):
+    """[n] = q^{n-1} + q^{n-3} + ... + q^{1-n}: the h^k coefficient is
+    sum_j (n-1-2j)^k / (2^k k!)."""
     if n < 0:
-        return -_q_integer_jet(-n, order)
-    total = constant_series(0, order)
-    for j in range(n):
-        total = total + _q_power_jet(GaussianRational(n - 1 - 2 * j), order)
-    return total
+        return jet_neg(_q_integer_jet(-n, order))
+    den = 2**order * factorial(order)
+    return _canonical(
+        [
+            sum((n - 1 - 2 * j) ** k for j in range(n)) * (den // (2**k * factorial(k)))
+            for k in range(order + 1)
+        ],
+        den,
+    )
 
 
 @memoized
-def _q_factorial_jet(n: int, order: int) -> TruncatedSeries:
+def _q_factorial_jet(n: int, order: int):
     if n == 0:
-        return constant_series(1, order)
-    return _q_factorial_jet(n - 1, order) * _q_integer_jet(n, order)
+        return jet_constant(1, order)
+    return jet_mul(_q_factorial_jet(n - 1, order), _q_integer_jet(n, order))
 
 
 def q_power(r, order: int) -> TruncatedSeries:
-    """q^r with q = e^{h/2}, i.e. the jet of e^{r h / 2}."""
-    return _q_power_jet(GaussianRational.coerce(r), order)
+    """q^r with q = e^{h/2}, i.e. the jet of e^{r h / 2}; r may be complex."""
+    r = GaussianRational.coerce(r)
+    if r.im:
+        return exp_scaled(r / 2, order)
+    return jet_series(_q_power_jet(r.re, order))
 
 
 def q_integer(n: int, order: int) -> TruncatedSeries:
@@ -379,14 +576,14 @@ def q_integer(n: int, order: int) -> TruncatedSeries:
     Computed through the exact geometric form [n] = q^{n-1} + q^{n-3} +
     ... + q^{1-n}, which avoids dividing jets with vanishing constant term.
     """
-    return _q_integer_jet(n, order)
+    return jet_series(_q_integer_jet(n, order))
 
 
 def q_factorial(n: int, order: int) -> TruncatedSeries:
     """[n]! = [1][2]...[n], built as [n-1]! [n]; the empty product for n = 0."""
     if n < 0:
         raise ValueError("q-factorial needs n >= 0")
-    return _q_factorial_jet(n, order)
+    return jet_series(_q_factorial_jet(n, order))
 
 
 def q_dim(two_alpha: int, order: int) -> TruncatedSeries:
@@ -420,12 +617,4 @@ def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
             "sqrt of a series with zero constant term; extract the exact "
             "radical upstream instead"
         )
-    t0 = _gaussian_sqrt(c0)
-    out = [t0]
-    half = 1 / (2 * t0)
-    for k in range(1, s.order + 1):
-        acc = s.coeffs[k]
-        for j in range(1, k):
-            acc = acc - out[j] * out[k - j]
-        out.append(acc * half)
-    return TruncatedSeries(s.order, out)
+    return TruncatedSeries(s.order, _sqrt_coeffs(s.coeffs, _gaussian_sqrt(c0)))

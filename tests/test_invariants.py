@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from lorentzknots.braids import BraidWord, mirror, parse_braid, reverse
 from lorentzknots.invariants import (
@@ -11,6 +12,8 @@ from lorentzknots.invariants import (
     x_invariant,
 )
 from lorentzknots.jones import jones_z_interpolated
+from lorentzknots.qlorentz import SYMBOLIC
+from test_jones import _KNOT_BRAIDS  # knot braids, <= 5 crossings, <= 3 strands
 
 F = Fraction
 TREFOIL = parse_braid("s1 s1 s1", 2)
@@ -100,6 +103,34 @@ def test_equivalence_check_trivial_point():
 def test_equivalence_check_trefoil_small():
     report = equivalence_check(mirror(TREFOIL), 2, 2)
     assert report["pass"]
+
+
+@pytest.mark.parametrize("b", [TREFOIL, mirror(TREFOIL), FIG8], ids=str)
+def test_equivalence_check_at_symbolic_p(b):
+    # S_b(p) U(p)^2 = X(0, p) as one identity of jets of polynomials in p
+    report = equivalence_check(b, SYMBOLIC, 3)
+    assert report["pass"] and report["p"] == SYMBOLIC
+    assert report["lhs"] == report["rhs"]
+
+
+def test_symbolic_equivalence_check_fails_on_the_wrong_braid_sum(monkeypatch):
+    from lorentzknots import invariants
+    from lorentzknots.qlorentz import braid_sum
+
+    fig8_sum = braid_sum(FIG8, SYMBOLIC, 2)
+    monkeypatch.setattr(invariants, "braid_sum", lambda b, p, order: fig8_sum)
+    assert not equivalence_check(TREFOIL, SYMBOLIC, 2)["pass"]
+
+
+def test_equivalence_check_rejects_p_below_one():
+    with pytest.raises(ValueError, match="p >= 1"):
+        equivalence_check(TREFOIL, 0, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_random_knot_braid_sums_equal_the_spin_pipeline(b):
+    assert equivalence_check(b, 2, 2)["pass"]
 
 
 def test_x_invariant_rejects_links_and_bad_m():

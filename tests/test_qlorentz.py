@@ -27,7 +27,7 @@ from lorentzknots.qlorentz import (
 )
 from lorentzknots.polynomials import specialize
 from lorentzknots.scalars import GaussianRational, precision
-from lorentzknots.series import TruncatedSeries, constant_series
+from lorentzknots.series import TruncatedSeries, constant_series, jet_fractions, real_jet
 
 TREFOIL_R = parse_braid("s1 s1 s1", 2)
 TREFOIL_L = parse_braid("-s1 -s1 -s1", 2)
@@ -78,8 +78,9 @@ def test_tangle_word_rejects_links():
 
 
 def test_group_like_is_exponential_weight():
-    w = group_like_action(2, 4)  # q^{2i} with i = 1: e^{h}
-    assert w == tuple(GaussianRational(Fraction(1, d)) for d in (1, 1, 2, 6, 24))
+    w = group_like_action(2, 4)  # q^{2i} with i = 1: e^{h}, an integer jet
+    assert w == ((24, 24, 12, 4, 1), 24)
+    assert jet_fractions(w) == tuple(Fraction(1, d) for d in (1, 1, 2, 6, 24))
 
 
 def test_group_like_weight_does_not_depend_on_precision():
@@ -88,13 +89,13 @@ def test_group_like_weight_does_not_depend_on_precision():
         low = group_like_action(1, 3)
     with precision(60):
         w = group_like_action(1, 3)  # e^{h/2}: h^3 coefficient 1/48
-    assert w == low and w[3] == Fraction(1, 48)
+    assert w == low and jet_fractions(w)[3] == Fraction(1, 48)
 
 
 def test_trivial_dual_generator_is_identity():
     for state in ((0, 0), (2, 2), (4, -2)):
         cols = g_action(0, 0, 0, state[0], state[1], 2, 3)
-        assert cols == ((state, (1, 0, 0, 0)),)
+        assert cols == ((state, ((1, 0, 0, 0), 1)),)
 
 
 def test_g_action_matrix_element_order_bound():
@@ -103,18 +104,25 @@ def test_g_action_matrix_element_order_bound():
         for dbeta in (0, 2):
             for di in range(-da, da + 1, 2):
                 for dj in range(-da, da + 1, 2):
-                    for (dg, _), entry in g_action(da, di, dj, dbeta, 0, 2, 4):
+                    for (dg, _), (nums, _) in g_action(da, di, dj, dbeta, 0, 2, 4):
                         gap = abs(dbeta - dg) // 2
-                        assert not any(entry[: min(gap, 4)])
+                        assert not any(nums[: min(gap, 4)])
 
 
 def test_g_action_entries_are_exact():
-    # Gaussian rationals at numeric p (a complex one too), polynomials in p
-    # over them at symbolic p.
+    # Canonical integer jets at real p, Gaussian rationals at complex p,
+    # polynomials in p over them at symbolic p.
+    from math import gcd
+
     from lorentzknots.polynomials import ParamPolynomial
 
-    for p, kind in ((2, GaussianRational), (GaussianRational(1, 2), GaussianRational),
-                    (SYMBOLIC, ParamPolynomial)):
+    for p in (2, GaussianRational(3)):
+        jets = [entry for _, entry in g_action(2, 0, 2, 2, 0, p, 3)]
+        assert jets
+        for nums, den in jets:
+            assert len(nums) == 4 and all(type(n) is int for n in nums)
+            assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    for p, kind in ((GaussianRational(1, 2), GaussianRational), (SYMBOLIC, ParamPolynomial)):
         entries = [c for _, entry in g_action(2, 0, 2, 2, 0, p, 3) for c in entry]
         assert entries and all(type(c) is kind for c in entries)
 
@@ -148,7 +156,7 @@ def test_vacuum_row_factorizes_into_cg_and_lambda():
                         if got is None:
                             assert expect.is_zero()
                         else:
-                            assert got == expect.coeffs
+                            assert got == real_jet(expect.coeffs)
 
 
 def test_g_action_transpose_consistency():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,23 @@ from lorentzknots.series import (
     constant_series,
     conv,
     exp_scaled,
+    jet_accumulate,
+    jet_add,
+    jet_constant,
+    jet_fractions,
+    jet_inverse,
+    jet_lead,
     jet_matrix_inverse,
+    jet_mul,
+    jet_neg,
+    jet_scale,
+    jet_series,
+    jet_sqrt,
     q_dim,
     q_factorial,
     q_integer,
     q_power,
+    real_jet,
     sqrt_series,
 )
 
@@ -375,6 +388,127 @@ def test_jets_do_not_depend_on_precision():
         low = q_factorial(6, 4)
     with precision(60):
         assert q_factorial(6, 4) is low
+
+
+# ---------------------------------------------------------------------------
+# The integer-jet kernel: (nums, den) with gcd(den, nums) = 1
+# ---------------------------------------------------------------------------
+
+
+def _is_canonical(jet):
+    nums, den = jet
+    return (
+        type(nums) is tuple
+        and all(type(n) is int for n in nums)
+        and type(den) is int
+        and den > 0
+        and gcd(den, *nums) == 1
+    )
+
+
+def _closed_q_power(r, order):
+    """e^{r h/2}: the h^k coefficient is (r/2)^k / k!."""
+    return [(F(r) / 2) ** k / factorial(k) for k in range(order + 1)]
+
+
+def _closed_q_factorial(n, order):
+    total = [F(1)] + [F(0)] * order
+    for k in range(1, n + 1):
+        total = list(conv(total, _oracle_q_integer(k, order), order))
+    return total
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_integer_q_jets_equal_closed_forms_and_gaussian_jets(order):
+    for twice_r in range(-12, 13):
+        r = F(twice_r, 2)
+        jet = series._q_power_jet(r, order)
+        assert _is_canonical(jet)
+        assert jet_fractions(jet) == tuple(_closed_q_power(r, order))
+        assert jet_series(jet) == exp_scaled(r / 2, order) == q_power(r, order)
+    for n in range(-6, 9):
+        jet = series._q_integer_jet(n, order)
+        assert _is_canonical(jet)
+        closed = _oracle_q_integer(abs(n), order)
+        assert list(jet_fractions(jet)) == (closed if n >= 0 else [-c for c in closed])
+        assert jet_series(jet) == _reference_q_integer(n, order) == q_integer(n, order)
+    for n in range(9):
+        jet = series._q_factorial_jet(n, order)
+        assert _is_canonical(jet)
+        assert list(jet_fractions(jet)) == _closed_q_factorial(n, order)
+        assert jet_series(jet) == _reference_q_factorial(n, order) == q_factorial(n, order)
+
+
+def real_jets(order=4):
+    return st.lists(small_rationals, min_size=order + 1, max_size=order + 1).map(real_jet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_jets(), real_jets(), st.sampled_from([F(0), F(3), F(-2, 9), F(7, 4)]))
+def test_kernel_results_are_canonical_and_match_gaussian_arithmetic(a, b, c):
+    sa, sb = jet_series(a), jet_series(b)
+    results = [
+        (a, sa),
+        (jet_add(a, b), sa + sb),
+        (jet_neg(a), -sa),
+        (jet_mul(a, b), sa * sb),
+        (jet_scale(a, c), sa * c),
+        (jet_constant(c, 4), constant_series(c, 4)),
+    ]
+    if sa.coeffs[0]:
+        results.append((jet_inverse(a), sa.inverse()))
+        results.append((jet_sqrt(jet_mul(a, a)), sqrt_series(sa * sa)))
+    for jet, expected in results:
+        assert _is_canonical(jet)
+        assert jet_series(jet) == expected
+    # equal jets are equal tuples: a sum that cancels to zero is the zero jet
+    assert jet_add(a, jet_neg(a)) == jet_constant(0, 4) == ((0,) * 5, 1)
+    assert jet_lead(jet_constant(0, 4)) is None
+
+
+def test_kernel_leading_order_and_accumulate():
+    store = {}
+    jet_accumulate(store, "k", real_jet([0, 0, F(1, 2), 1, 0]))
+    jet_accumulate(store, "k", real_jet([0, 0, F(-1, 2), F(1, 3), 0]))
+    assert store["k"] == ((0, 0, 0, 4, 0), 3)
+    assert jet_lead(store["k"]) == 3
+
+
+def test_integer_sqrt_equals_gaussian_sqrt_on_coupling_radicands():
+    from lorentzknots.cg import _cg_exact_parts, _is_spin_index, _triangle
+
+    order, count = 4, 0
+    for dI in range(5):
+        for dJ in range(5):
+            for dK in range(abs(dI - dJ), dI + dJ + 1, 2):
+                if not _triangle(dI, dJ, dK):
+                    continue
+                for dm in range(-dI, dI + 1, 2):
+                    for dn in range(-dJ, dJ + 1, 2):
+                        if not _is_spin_index(dK, dm + dn):
+                            continue
+                        _, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dm + dn, order)
+                        assert _is_canonical(radicand)
+                        c0 = jet_fractions(radicand)[0]
+                        normalized = jet_scale(radicand, 1 / c0)
+                        root = jet_sqrt(normalized)
+                        assert _is_canonical(root)
+                        assert jet_series(root) == sqrt_series(jet_series(normalized))
+                        count += 1
+    assert count > 200
+
+
+def test_conversion_round_trip_is_the_identity():
+    jets = [series._q_factorial_jet(n, 5) for n in range(8)] + [
+        series._q_power_jet(F(r, 3), 5) for r in range(-7, 8)
+    ]
+    for jet in jets:
+        assert real_jet(jet_series(jet).coeffs) == jet
+        assert real_jet(jet_fractions(jet)) == jet
+    for s in (q_integer(5, 4), exp_scaled(F(-3, 7), 4), constant_series(0, 4)):
+        assert jet_series(real_jet(s.coeffs)) == s
+    with pytest.raises(InternalConsistencyError, match="real coefficients"):
+        real_jet([G(1, 1)])
 
 
 # ---------------------------------------------------------------------------
