@@ -19,13 +19,15 @@ the dual-generator action) only ever add terms whose radicands differ by a
 rational square, which :meth:`RootJet.scaled` checks exactly.
 
 The structure constants Lambda^{ABC}_D(p) of the balanced representation
-combine a decoupling and a coupling coefficient with q^{2 sigma p} weights;
-``p`` may be an exact numeric value (Gaussian rational) or symbolic, in
-which case coefficients are polynomials in p.  At real p they are integer
-jets too; at complex or symbolic p they are TruncatedSeries, and each
-coupling coefficient enters them through its memoized conversion
-(``RootJet.jet``).  The closed forms for spin-1/2 columns certify the
-convention end to end.
+combine a decoupling and a coupling coefficient with q^{2 sigma p} weights.
+At real p they are integer jets too, and they are all the braid walk of
+:mod:`lorentzknots.qlorentz` uses: its symbolic sums interpolate real-p
+walks.  ``p`` may also be complex or symbolic, giving TruncatedSeries over
+Q(i) or of polynomials in p (each coupling coefficient enters through its
+memoized conversion, ``RootJet.jet``); these serve the checks that share no
+code with the walk, the closed trefoil sum and the symbolic-p structure
+constants of the acceptance suite.  The closed forms for spin-1/2 columns
+certify the convention end to end.
 """
 
 from __future__ import annotations

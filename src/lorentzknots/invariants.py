@@ -101,14 +101,14 @@ def equivalence_check(b: BraidWord, p, order: int) -> dict:
     polynomials in p: S_b(p) U(p)^2 = X(0, p), with U(p) = [p]/p the
     unknot's expansion at z = (p-1)/2; the coefficients are reported as
     polynomials.  Both sides are exact, and the check passes iff they are
-    equal.
+    equal.  Any other p (below 1, not an int, complex) raises ValueError.
     """
     if p == SYMBOLIC:
         unknot = _unknot_at_w(order)
         lhs = braid_sum(b, SYMBOLIC, order) * unknot * unknot
         rhs = x_invariant(b, 0, order).series
     else:
-        if p < 1:
+        if not isinstance(p, int) or p < 1:
             raise ValueError("the comparison needs integer p >= 1 or p = SYMBOLIC")
         lhs = braid_sum(b, p, order)
         qd = q_dim(p - 1, order)

@@ -37,7 +37,7 @@ from .errors import InternalConsistencyError
 from .polynomials import (
     ParamPolynomial,
     PolySeries,
-    lagrange_interpolate,
+    interpolate_series,
     specialize,
 )
 from .scalars import GaussianRational
@@ -53,15 +53,12 @@ from .series import (
     jet_accumulate,
     jet_add,
     jet_constant,
-    jet_fractions,
     jet_inverse,
-    jet_matrix_inverse,
     jet_mul,
     jet_neg,
     jet_scale,
     jet_series,
     memoized,
-    real_jet,
 )
 from .weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
@@ -89,25 +86,36 @@ _UNKNOT = BraidWord(1)
 # ---------------------------------------------------------------------------
 
 
-def _invert_cells(pos, dim, order):
-    """Exact inverse of the braiding, block by block of conserved weight."""
-    zero = TruncatedSeries(order, [Fraction(0)] * (order + 1))
-    out = {}
-    for s in range(2 * dim - 1):
-        states = [(r1, s - r1) for r1 in range(dim) if 0 <= s - r1 < dim]
-        index = {st: i for i, st in enumerate(states)}
-        M = [[zero] * len(states) for _ in states]
-        for j, st in enumerate(states):
-            for a, b, jet in pos[st]:
-                M[index[(a, b)]][j] = TruncatedSeries(order, jet_fractions(jet))
-        X = jet_matrix_inverse(M, order)
-        for j, st in enumerate(states):
-            out[st] = [
-                (a, b, real_jet(X[i][j].coeffs))
-                for i, (a, b) in enumerate(states)
-                if not X[i][j].is_zero()
-            ]
-    return out
+def _q_binomial_jet(n: int, r: int, order: int):
+    """[n choose r]_q = [n]! / ([r]! [n-r]!), an integer jet even in h."""
+    den = jet_mul(_q_factorial_jet(r, order), _q_factorial_jet(n - r, order))
+    return jet_mul(_q_factorial_jet(n, order), jet_inverse(den))
+
+
+def _reflect(jet):
+    """The integer jet at -h: its odd coefficients change sign."""
+    nums, den = jet
+    return tuple(-n if k % 2 else n for k, n in enumerate(nums)), den
+
+
+def _inverse_cells(pos, two_alpha, order):
+    """The inverse braiding in closed form, from the positive one.
+
+    With d_r = [2 alpha choose r]_q, output (a, b) and input (x, y),
+    c^{-1}(h)_{(a,b),(x,y)} = c(-h)_{(y,x),(b,a)} d_x d_y / (d_a d_b): the
+    braiding at -h, transposed, with its two tensor factors swapped and
+    conjugated by the diagonal d (the U_q(sl2) R-matrix inverse, Kassel,
+    *Quantum Groups*, ch. VII, in this basis).  The tests check
+    R R^{-1} = R^{-1} R = 1.
+    """
+    d = [_q_binomial_jet(two_alpha, r, order) for r in range(two_alpha + 1)]
+    out = {key: [] for key in pos}
+    for (r1, r2), cell in pos.items():
+        for a, b, jet in cell:
+            if any(jet[0]):
+                ratio = jet_mul(jet_mul(d[a], d[b]), jet_inverse(jet_mul(d[r1], d[r2])))
+                out[(b, a)].append((r2, r1, jet_mul(_reflect(jet), ratio)))
+    return {key: sorted(cell) for key, cell in out.items()}
 
 
 @memoized
@@ -117,8 +125,8 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
     Returns (table, den) with table[(r1, r2)] = ((r1', r2', coeffs), ...).
     Basis index r = 0..two_alpha counts lowering steps from the highest
     weight; the doubled weight of r is two_alpha - 2r.  The negative
-    crossing is the exact blockwise inverse of the positive one (total
-    weight is conserved, so blocks stay small).
+    crossing is the closed-form inverse of the positive one
+    (``_inverse_cells``).
     """
     dim = two_alpha + 1
     step = jet_add(_q_power_jet(1, order), jet_neg(_q_power_jet(-1, order)))
@@ -140,7 +148,7 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
                 cell.append((r2 + n, r1 - n, coeff))
             entries[(r1, r2)] = cell
     if sign < 0:
-        entries = _invert_cells(entries, dim, order)
+        entries = _inverse_cells(entries, two_alpha, order)
     den = lcm(*(jet[1] for cell in entries.values() for _, _, jet in cell))
     table = {
         key: tuple(
@@ -322,24 +330,14 @@ def jones_zero_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeri
     return framed * framing_factor_numeric(two_alpha, order, -b.writhe())
 
 
-def _assemble_interpolation(b: BraidWord, samples, order: int) -> PolySeries:
+def _fit_spins(b: BraidWord, samples) -> PolySeries:
     """Fit the h^n coefficient of ``samples`` (sample k at spin k/2) at
     degree <= n in the spin through the first n+1 spins, and require every
     later sample to lie on the fit."""
-    nodes = [Fraction(k, 2) for k in range(len(samples))]
-    coeffs = []
-    for n in range(order + 1):
-        values = [s.coeffs[n] for s in samples]
-        poly = lagrange_interpolate(nodes[: n + 1], values[: n + 1])
-        for x, v in zip(nodes[n + 1 :], values[n + 1 :]):
-            if poly.evaluate(x) != v:
-                raise InternalConsistencyError(
-                    f"spin expansion of {b} at order {order}: the h^{n} "
-                    f"coefficient at spin {x} is off the degree-{n} fit "
-                    f"through spins 0..{Fraction(n, 2)} (Melvin-Morton bound)"
-                )
-        coeffs.append(poly)
-    return TruncatedSeries(order, coeffs)
+    return interpolate_series(
+        [Fraction(k, 2) for k in range(len(samples))], samples,
+        f"spin expansion of {b}", "spin", "Melvin-Morton bound",
+    )
 
 
 @memoized
@@ -353,7 +351,7 @@ def _unknot_expansion(order: int) -> PolySeries:
     order+2 surplus spins at the top power.
     """
     samples = [jones_zero_framed(_UNKNOT, k, order) for k in range(2 * order + 3)]
-    return _assemble_interpolation(_UNKNOT, samples, order)
+    return _fit_spins(_UNKNOT, samples)
 
 
 def _check_mmr_diagonal(b: BraidWord, normalized: PolySeries, order: int):
@@ -378,7 +376,7 @@ def _interpolated(strands: int, letters: tuple, order: int) -> PolySeries:
         jones_zero_framed(b, k, order) / specialize(unknot, Fraction(k, 2))
         for k in range(order + 3)
     ]
-    normalized = _assemble_interpolation(b, quotients, order)
+    normalized = _fit_spins(b, quotients)
     _check_mmr_diagonal(b, normalized, order)
     return normalized * unknot
 

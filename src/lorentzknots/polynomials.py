@@ -6,15 +6,18 @@ is simply a :class:`~lorentzknots.series.TruncatedSeries` whose coefficients
 are :class:`ParamPolynomial` values -- the two-variable object behind the
 interpolated spin expansions.
 
-Exact Lagrange interpolation over Q(i) lives here too: it reconstructs each
-h-order's degree-bounded polynomial from sampled half-integer spins with no
-conditioning concerns.
+Exact Lagrange interpolation over Q(i) lives here too, with the one fit of
+a series from samples at more nodes than the fit needs
+(:func:`interpolate_series`): the spin expansions fit half-integer spins,
+the symbolic braid sums integer p.  Exact arithmetic leaves no conditioning
+concerns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InternalConsistencyError
 from .scalars import GaussianRational, GR_ONE, GR_ZERO
 from .series import TruncatedSeries
 
@@ -26,6 +29,7 @@ __all__ = [
     "constant_poly_series",
     "specialize",
     "lagrange_interpolate",
+    "interpolate_series",
 ]
 
 
@@ -256,3 +260,28 @@ def lagrange_interpolate(nodes, values) -> ParamPolynomial:
             basis = basis * ParamPolynomial([-xj, GR_ONE]) / (xi - xj)
         total = total + basis
     return total
+
+
+def interpolate_series(nodes, samples, context: str, node: str, bound: str) -> PolySeries:
+    """Fit the h^n coefficient of the jets ``samples`` (sample k taken at
+    ``nodes[k]``) at degree <= n through the first n+1 nodes, and require
+    every later sample to lie on the fit.
+
+    Raises InternalConsistencyError naming ``context``, the order, h^n and
+    the first node off the fit, whose name is ``node``; ``bound`` says why
+    the degree is at most n.
+    """
+    order = samples[0].order
+    coeffs = []
+    for n in range(order + 1):
+        values = [s.coeffs[n] for s in samples]
+        poly = lagrange_interpolate(nodes[: n + 1], values[: n + 1])
+        for x, v in zip(nodes[n + 1 :], values[n + 1 :]):
+            if poly.evaluate(x) != v:
+                raise InternalConsistencyError(
+                    f"{context} at order {order}: the h^{n} coefficient at "
+                    f"{node} {x} is off the degree-{n} fit through {node} "
+                    f"{nodes[0]}..{nodes[n]} ({bound})"
+                )
+        coeffs.append(poly)
+    return TruncatedSeries(order, coeffs)

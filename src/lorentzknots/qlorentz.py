@@ -11,10 +11,16 @@ f(beta, i) = s(beta, i) e(beta, i), s(beta, i)^2 = (2 beta + 1)
 module leaves the matrix-element factor a bare delta; the label's two
 factors land on the dual-generator entry.  A diagonal change of basis
 leaves sum X_ij (x) g_ji and the vacuum amplitude unchanged, and in this
-basis every dual-generator entry is a rational jet: an integer jet of
-:mod:`lorentzknots.series` at real p, over Q(i) at complex p, of
-polynomials in p at symbolic p.  The walk's branch coefficients live in the
-same ring (``_walk_ring``); one walk loop serves all three.
+basis every dual-generator entry is a rational jet.
+
+The walk runs at real p only, where the dual-generator entries and the
+branch coefficients are integer jets of :mod:`lorentzknots.series`.  p
+enters the sum only through the weights q^{2 sigma p} = e^{sigma p h} of
+the structure constants, so its h^k coefficient is a polynomial of degree
+at most k in p.  At symbolic p the sum is walked at the real nodes
+p = 1..order+3, and each h^k coefficient is fitted by exact Lagrange
+interpolation through the first k+1 of them; the remaining nodes (at least
+two) must lie on the fit.  At complex p the symbolic sum is specialised.
 
 A braid whose closure is a knot becomes a single operator word by walking
 the closed-up diagram once: each crossing contributes its matrix-element
@@ -40,7 +46,6 @@ and still pending, then the pending labels summed along the word.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import factorial
 
@@ -55,22 +60,16 @@ from .cg import (
     real_point,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .polynomials import POLY_ONE, POLY_ZERO
-from .scalars import GR_ONE, GR_ZERO
+from .polynomials import interpolate_series, specialize
 from .series import (
-    TruncatedSeries,
     _q_power_jet,
-    accumulate,
     constant_series,
-    conv,
     jet_accumulate,
-    jet_add,
     jet_constant,
     jet_lead,
     jet_mul,
     jet_scale,
     jet_series,
-    leading_order,
     memoized,
     q_dim,
 )
@@ -148,12 +147,11 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     Each entry is the matrix element from (beta, i_beta) to (gamma, i_gamma)
     in the rescaled basis, times s(alpha, j) / s(alpha, i) from the label's
     matrix-element partner: sqrt of s(beta)^2 s(alpha, j)^2 / (s(gamma)^2
-    s(alpha, i)^2) times the root jet, a rational jet (checked exactly):
-    an integer jet at real p, else a tuple of coefficients (Gaussian
-    rationals at complex p, polynomials in p at symbolic p).
+    s(alpha, i)^2) times the root jet, an integer jet (checked exactly).
+    ``p`` must be real; ValueError otherwise.
     """
-    real = real_point(p) is not None
-    add = jet_add if real else operator.add
+    if real_point(p) is None:
+        raise ValueError(f"g_action needs a real p, not {p}")
     out = {}
     if forward:
         dx = d_j + d_ibeta
@@ -175,7 +173,7 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                     continue
                 state = (d_gamma, d_igamma)
                 term = _rescaled(lam * (cgl * cgr), state, (d_beta, d_ibeta), d_alpha, d_i, d_j)
-                out[state] = add(out[state], term) if state in out else term
+                jet_accumulate(out, state, term)
     else:
         d_gamma, d_igamma = d_beta, d_ibeta  # arguments name the bra state here
         dx = d_igamma + d_i
@@ -197,17 +195,14 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
                     continue
                 state = (d_b, d_ib)
                 term = _rescaled(lam * (cgl * cgr), (d_gamma, d_igamma), state, d_alpha, d_i, d_j)
-                out[state] = add(out[state], term) if state in out else term
-    if real:
-        return tuple((s, v) for s, v in out.items() if any(v[0]))
-    return tuple((s, tuple(v.coeffs)) for s, v in out.items() if not v.is_zero())
+                jet_accumulate(out, state, term)
+    return tuple((s, v) for s, v in out.items() if any(v[0]))
 
 
 def _rescaled(term: RootJet, target, source, d_alpha, d_i, d_j):
     """``term``, a matrix element from ``source`` to ``target`` of the dual
     generator g_{ij} of spin alpha, in the rescaled basis and with the
-    label's factor s(alpha, j)/s(alpha, i): a rational jet, an integer jet
-    when ``term``'s value is one."""
+    label's factor s(alpha, j)/s(alpha, i): an integer jet."""
     square = Fraction(
         _s_squared(*source) * _s_squared(d_alpha, d_j),
         _s_squared(*target) * _s_squared(d_alpha, d_i),
@@ -330,40 +325,6 @@ def cheapest_walk(b: BraidWord):
     return rotation, forward, ops, [sign for _, sign in b.letters]
 
 
-def _walk_ring(p, order):
-    """How ``braid_sum`` computes with branch coefficients at ``p``:
-    (unit, product, accumulate, leading order, lift, finish).
-
-    At real p they are integer jets of the series kernel.  At complex p
-    they are tuples of Gaussian rationals, at symbolic p of polynomials in
-    p; ``lift`` turns the real group-like and antipode factors (integer
-    jets) into such tuples.  ``finish`` turns the vacuum's coefficient
-    (None when no branch ends there) into the TruncatedSeries returned.
-    """
-    if real_point(p) is not None:
-        def finish(jet):
-            return jet_series(jet if jet is not None else jet_constant(0, order))
-
-        return jet_constant(1, order), jet_mul, jet_accumulate, jet_lead, _same, finish
-
-    one, zero = (POLY_ONE, POLY_ZERO) if p == SYMBOLIC else (GR_ONE, GR_ZERO)
-
-    def product(a, b):
-        return conv(a, b, order)
-
-    def lift(jet):
-        return jet_series(jet).coeffs
-
-    def finish(coeffs):
-        return TruncatedSeries(order, coeffs if coeffs is not None else (zero,) * (order + 1))
-
-    return (one,) + (zero,) * order, product, accumulate, leading_order, lift, finish
-
-
-def _same(value):
-    return value
-
-
 def _describe_op(op):
     if op[0] == "G":
         return "group-like element"
@@ -389,20 +350,42 @@ def braid_sum(
     the smallest static cost key.  More than ``max_branches`` live branches
     after any operator raise ResourceGuardError naming the count, the
     operator, and the rotation and direction walked.
+
+    Only real p is walked.  The symbolic sum interpolates the walks at p =
+    1..order+3 (its h^k coefficient has degree at most k in p, and a node
+    off the fit raises InternalConsistencyError naming the braid, order,
+    h^k and node); a complex p specialises the symbolic sum.
     """
-    rotation, forward, ops, signs = cheapest_walk(b)
-    unit, mul, add_into, lead, lift, finish = _walk_ring(p, order)
+    walk = cheapest_walk(b)
+    real = real_point(p)
+    if real is not None:
+        return jet_series(_walk(walk, real, order, max_branches))
+    nodes = range(1, order + 4)
+    symbolic = interpolate_series(
+        nodes,
+        [jet_series(_walk(walk, node, order, max_branches)) for node in nodes],
+        f"symbolic braid sum of {b}",
+        "p =",
+        "p enters only through e^{sigma p h}",
+    )
+    return symbolic if p == SYMBOLIC else specialize(symbolic, p)
+
+
+def _walk(walk, p, order, max_branches):
+    """The sum along ``walk`` (as ``cheapest_walk`` returns it) at real p,
+    as an integer jet."""
+    rotation, forward, ops, signs = walk
 
     # key: (d_spin, d_idx, pending) with pending a frozenset of
     # (crossing, d_alpha, d_i, d_j) label assignments awaiting their partner
-    vec = {(0, 0, frozenset()): unit}
+    vec = {(0, 0, frozenset()): jet_constant(1, order)}
 
     for position, op in enumerate(ops):
         out = {}
         if op[0] == "G":
             for (ds, di, pend), coeffs in vec.items():
-                weight = lift(group_like_action(di, order))
-                add_into(out, (ds, di, pend), mul(coeffs, weight))
+                weight = group_like_action(di, order)
+                jet_accumulate(out, (ds, di, pend), jet_mul(coeffs, weight))
         elif op[0] == "X":
             xread, xwrite = (0, 1) if forward else (1, 0)
             for (ds, di, pend), coeffs in vec.items():
@@ -412,7 +395,7 @@ def braid_sum(
                     _, da, dii, djj, _awaits = known
                     idx = (dii, djj)[xread]
                     if ds == da and di == idx:
-                        add_into(
+                        jet_accumulate(
                             out,
                             (da, (dii, djj)[xwrite], pend - {known}),
                             coeffs,
@@ -424,12 +407,12 @@ def braid_sum(
                             if forward
                             else (k, ds, dj, di, False)
                         )
-                        add_into(out, (ds, dj, pend | {lab}), coeffs)
+                        jet_accumulate(out, (ds, dj, pend | {lab}), coeffs)
         else:  # dual generator
             k = op[1]
             sign = signs[k]
             for (ds, di, pend), coeffs in vec.items():
-                lead0 = lead(coeffs)
+                lead0 = jet_lead(coeffs)
                 if lead0 is None or 2 * lead0 + _min_headroom(ds, pend) > 2 * order:
                     continue
                 known = next((lab for lab in pend if lab[0] == k), None)
@@ -458,19 +441,18 @@ def braid_sum(
                     ai, aj = djj, dii
                     base = coeffs
                     if sign < 0:
-                        antipode = lift(_antipode_factor(da, dii, djj, order))
-                        base = mul(coeffs, antipode)
+                        base = jet_mul(coeffs, _antipode_factor(da, dii, djj, order))
                         ai, aj = -dii, -djj
                     for (ds2, di2), entry in g_action(
                         da, ai, aj, ds, di, p, order, forward
                     ):
-                        contrib = mul(base, entry)
-                        lead2 = lead(contrib)
+                        contrib = jet_mul(base, entry)
+                        lead2 = jet_lead(contrib)
                         if lead2 is None or 2 * lead2 + _min_headroom(
                             ds2, newpend
                         ) > 2 * order:
                             continue
-                        add_into(out, (ds2, di2, newpend), contrib)
+                        jet_accumulate(out, (ds2, di2, newpend), contrib)
         vec = out
         if len(vec) > max_branches:
             raise ResourceGuardError(
@@ -484,7 +466,7 @@ def braid_sum(
     if any(pend for _, _, pend in vec):
         raise InternalConsistencyError("crossing label left unresolved")
     # Branches are keyed by state, so at most one ends at spin 0.
-    return finish(vec.get((0, 0, frozenset())))
+    return vec.get((0, 0, frozenset()), jet_constant(0, order))
 
 
 def trefoil_closed_sum(p, order: int):

@@ -36,7 +36,6 @@ __all__ = [
     "conv",
     "accumulate",
     "leading_order",
-    "jet_matrix_inverse",
     "constant_series",
     "exp_scaled",
     "q_power",
@@ -228,71 +227,6 @@ def accumulate(store: dict, key, coeffs: tuple):
         store[key] = coeffs
     else:
         store[key] = tuple(x + y for x, y in zip(cur, coeffs))
-
-
-def _constant_inverse(A):
-    """Gauss-Jordan inverse of a square matrix over an exact field, pivoting
-    on the first nonzero entry of each column."""
-    n = len(A)
-    zero = A[0][0] * 0
-    one = zero + 1
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(A)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise InternalConsistencyError(
-                f"jet matrix inverse: the {n}x{n} block is singular at h = 0"
-            )
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        pivot_row = aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], pivot_row)]
-    return [row[n:] for row in aug]
-
-
-def jet_matrix_inverse(M, order: int):
-    """Inverse of a square matrix of jets over a field, order by order.
-
-    Writing M = sum_k M_k h^k, the constant term X_0 = M_0^{-1} comes from
-    Gauss-Jordan elimination and X_k = -X_0 sum_{j>=1} M_j X_{k-j}.  Raises
-    InternalConsistencyError if M_0 is singular.  Returns a matrix of
-    TruncatedSeries.
-    """
-    n = len(M)
-    A = [[M[i][l].coeffs for l in range(n)] for i in range(n)]
-    X0 = _constant_inverse([[A[i][l][0] for l in range(n)] for i in range(n)])
-    zero = X0[0][0] * 0
-    X = [X0]  # X[k] is the matrix of h^k coefficients
-    for k in range(1, order + 1):
-        S = [[zero] * n for _ in range(n)]
-        for j in range(1, k + 1):
-            Xprev = X[k - j]
-            for i in range(n):
-                Si = S[i]
-                for l in range(n):
-                    mv = A[i][l][j]
-                    if mv:
-                        row = Xprev[l]
-                        for c in range(n):
-                            if row[c]:
-                                Si[c] += mv * row[c]
-        X.append(
-            [
-                [-sum((X0[i][l] * S[l][c] for l in range(1, n)), X0[i][0] * S[0][c])
-                 for c in range(n)]
-                for i in range(n)
-            ]
-        )
-    return [
-        [TruncatedSeries(order, [X[k][i][c] for k in range(order + 1)]) for c in range(n)]
-        for i in range(n)
-    ]
 
 
 def constant_series(value, order: int) -> TruncatedSeries:

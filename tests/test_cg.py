@@ -297,7 +297,6 @@ def _trefoil_sum(p):
         ("lambda_coeff", lambda: lambda_coeff(2, 2, 2, 0, 2, 3)),
         ("lambda_coeff_symbolic", lambda: lambda_coeff_symbolic(2, 2, 2, 0, 3)),
         ("g_action", lambda: _g_action_jets(2, 0, 0, 0, 0, 2, 3)),
-        ("g_action_symbolic", lambda: _g_action_jets(2, 0, 0, 0, 0, "symbolic", 3)),
         ("braid_sum", lambda: _trefoil_sum(2)),
         ("braid_sum_symbolic", lambda: _trefoil_sum("symbolic")),
     ],

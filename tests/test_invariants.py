@@ -13,6 +13,7 @@ from lorentzknots.invariants import (
 )
 from lorentzknots.jones import jones_z_interpolated
 from lorentzknots.qlorentz import SYMBOLIC
+from lorentzknots.scalars import GaussianRational
 from test_jones import _KNOT_BRAIDS  # knot braids, <= 5 crossings, <= 3 strands
 
 F = Fraction
@@ -125,6 +126,12 @@ def test_symbolic_equivalence_check_fails_on_the_wrong_braid_sum(monkeypatch):
 def test_equivalence_check_rejects_p_below_one():
     with pytest.raises(ValueError, match="p >= 1"):
         equivalence_check(TREFOIL, 0, 2)
+
+
+@pytest.mark.parametrize("p", [F(5, 2), GaussianRational(2, 1), 2.0], ids=repr)
+def test_equivalence_check_rejects_non_integer_p(p):
+    with pytest.raises(ValueError, match="integer p >= 1 or p = SYMBOLIC"):
+        equivalence_check(TREFOIL, p, 2)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

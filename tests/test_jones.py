@@ -66,8 +66,9 @@ def test_r_matrix_trivial_colour():
     assert op.dim == 1 and op.is_identity()
 
 
-@pytest.mark.parametrize("two_alpha", [1, 2, 3])
+@pytest.mark.parametrize("two_alpha", [1, 2, 3, 4, 5])
 def test_r_matrix_invertible(two_alpha):
+    # The negative braiding is built in closed form, not by inversion.
     R = r_matrix(two_alpha, 4, +1)
     Rinv = r_matrix(two_alpha, 4, -1)
     assert R.compose(Rinv).is_identity()

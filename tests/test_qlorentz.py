@@ -13,7 +13,7 @@ from lorentzknots.braids import (
     mirror,
     parse_braid,
 )
-from lorentzknots.errors import ResourceGuardError
+from lorentzknots.errors import InternalConsistencyError, ResourceGuardError
 from lorentzknots.qlorentz import (
     SYMBOLIC,
     _walk_candidates,
@@ -27,7 +27,13 @@ from lorentzknots.qlorentz import (
 )
 from lorentzknots.polynomials import specialize
 from lorentzknots.scalars import GaussianRational, precision
-from lorentzknots.series import TruncatedSeries, constant_series, jet_fractions, real_jet
+from lorentzknots.series import (
+    TruncatedSeries,
+    clear_caches,
+    constant_series,
+    jet_fractions,
+    real_jet,
+)
 
 TREFOIL_R = parse_braid("s1 s1 s1", 2)
 TREFOIL_L = parse_braid("-s1 -s1 -s1", 2)
@@ -110,11 +116,8 @@ def test_g_action_matrix_element_order_bound():
 
 
 def test_g_action_entries_are_exact():
-    # Canonical integer jets at real p, Gaussian rationals at complex p,
-    # polynomials in p over them at symbolic p.
+    # Canonical integer jets at real p; the walk never runs at another p.
     from math import gcd
-
-    from lorentzknots.polynomials import ParamPolynomial
 
     for p in (2, GaussianRational(3)):
         jets = [entry for _, entry in g_action(2, 0, 2, 2, 0, p, 3)]
@@ -122,9 +125,9 @@ def test_g_action_entries_are_exact():
         for nums, den in jets:
             assert len(nums) == 4 and all(type(n) is int for n in nums)
             assert type(den) is int and den > 0 and gcd(den, *nums) == 1
-    for p, kind in ((GaussianRational(1, 2), GaussianRational), (SYMBOLIC, ParamPolynomial)):
-        entries = [c for _, entry in g_action(2, 0, 2, 2, 0, p, 3) for c in entry]
-        assert entries and all(type(c) is kind for c in entries)
+    for p in (GaussianRational(1, 2), SYMBOLIC):
+        with pytest.raises(ValueError, match="real p"):
+            g_action(2, 0, 2, 2, 0, p, 3)
 
 
 def test_vacuum_row_factorizes_into_cg_and_lambda():
@@ -186,7 +189,7 @@ def test_mixed_sign_unknot_words(word):
     assert series_is(braid_sum(parse_braid(word, 2), 2, 2), 1)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, GaussianRational(Fraction(1, 2), 2)], ids=str)
 def test_left_trefoil_matches_closed_reduction(p):
     assert braid_sum(TREFOIL_L, p, 3) == trefoil_closed_sum(p, 3)
 
@@ -214,11 +217,68 @@ def test_markov_invariance_small_order():
 
 
 def test_symbolic_mode_matches_numeric():
+    # p = 1..5 are the interpolation nodes at order 2; 5/2, 1/2 and 6 are not.
     sym = braid_sum(TREFOIL_L, SYMBOLIC, 2)
-    for p in (2, 3, GaussianRational(Fraction(1, 2), 2)):
+    for p in (2, 3, Fraction(5, 2), Fraction(1, 2), 6, GaussianRational(Fraction(1, 2), 2)):
         assert specialize(sym, p) == braid_sum(TREFOIL_L, p, 2)
     for n, poly in enumerate(sym.coeffs):
-        assert poly.degree() <= 2 * n
+        assert poly.degree() <= n
+
+
+def test_symbolic_sum_rejects_a_node_off_the_fit(monkeypatch):
+    # At order 2 the h^2 coefficient is fitted through p = 1, 2, 3; p = 4
+    # and 5 must lie on the fit.  Add 1 to it at p = 5.
+    walk = qlorentz._walk
+
+    def corrupted(chosen, p, order, max_branches):
+        nums, den = walk(chosen, p, order, max_branches)
+        if p == 5:
+            nums = nums[:2] + (nums[2] + den,) + nums[3:]
+        return nums, den
+
+    monkeypatch.setattr(qlorentz, "_walk", corrupted)
+    with pytest.raises(InternalConsistencyError) as err:
+        braid_sum(TREFOIL_L, SYMBOLIC, 2)
+    message = str(err.value)
+    for part in ("-s1 -s1 -s1", "order 2", "h^2", "p = 5", "degree-2"):
+        assert part in message
+
+
+def test_symbolic_sum_walks_on_integer_jets_only(monkeypatch):
+    # Inside every node walk, each jet product is one of Python ints, and no
+    # polynomial or Gaussian-rational product happens at all.
+    from lorentzknots import series
+    from lorentzknots.polynomials import ParamPolynomial
+
+    conv = series.conv
+    products = []
+
+    def int_conv(a, b, order):
+        assert all(type(x) is int for x in (*a, *b)), (a, b)
+        products.append(order)
+        return conv(a, b, order)
+
+    def refuse(self, other):
+        raise AssertionError(f"{type(self).__name__} product inside a walk")
+
+    walk = qlorentz._walk
+    nodes = []
+
+    def guarded(chosen, p, order, max_branches):
+        nodes.append(p)
+        with pytest.MonkeyPatch.context() as inside:
+            inside.setattr(series, "conv", int_conv)
+            for kind in (ParamPolynomial, GaussianRational):
+                inside.setattr(kind, "__mul__", refuse)
+                inside.setattr(kind, "__rmul__", refuse)
+            return walk(chosen, p, order, max_branches)
+
+    clear_caches()
+    monkeypatch.setattr(qlorentz, "_walk", guarded)
+    sym = braid_sum(FIG8, SYMBOLIC, 2)
+    assert nodes == [1, 2, 3, 4, 5] and products
+    monkeypatch.undo()
+    assert specialize(sym, Fraction(5, 2)) == braid_sum(FIG8, Fraction(5, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +368,7 @@ SYMBOLIC_WALK_WORDS = [
 
 @pytest.mark.parametrize("b", SYMBOLIC_WALK_WORDS, ids=lambda b: b.text())
 def test_every_walk_gives_the_same_symbolic_sum(monkeypatch, b):
-    numeric = {p: braid_sum(b, p, 2) for p in (2, 3)}
+    numeric = {p: braid_sum(b, p, 2) for p in (2, 3, Fraction(5, 2))}
     for walk in _walk_candidates(b):
         sym = _forced_sum(monkeypatch, b, walk, SYMBOLIC, 2)
         for p, num in numeric.items():

@@ -1,7 +1,6 @@
 """Scalar and series layer: exact backends, q-helpers, square roots."""
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, gcd
 
 import pytest
@@ -30,7 +29,6 @@ from lorentzknots.series import (
     jet_fractions,
     jet_inverse,
     jet_lead,
-    jet_matrix_inverse,
     jet_mul,
     jet_neg,
     jet_scale,
@@ -123,7 +121,7 @@ def test_mul_truncates_at_order():
 
 
 # ---------------------------------------------------------------------------
-# The shared kernels: conv and jet_matrix_inverse
+# The shared kernel: conv
 # ---------------------------------------------------------------------------
 
 
@@ -154,86 +152,6 @@ def test_conv_matches_schoolbook_gaussian():
     b = [G(F(2 - k, 7), F(k * k, 7)) for k in range(4)]
     for order in range(4):
         assert conv(a, b, order) == schoolbook(a, b, order)
-
-
-def det(rows):
-    """Leibniz determinant: shares no code with the elimination."""
-    n = len(rows)
-    total = F(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = F(sign)
-        for i, c in enumerate(perm):
-            term *= rows[i][c]
-        total += term
-    return total
-
-
-def matmul(A, B):
-    n = len(A)
-    return [
-        [sum((A[i][l] * B[l][c] for l in range(1, n)), A[i][0] * B[0][c]) for c in range(n)]
-        for i in range(n)
-    ]
-
-
-@st.composite
-def fraction_blocks(draw):
-    n = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 3))
-    entries = st.lists(small_rationals, min_size=order + 1, max_size=order + 1)
-    M = [[TruncatedSeries(order, draw(entries)) for _ in range(n)] for _ in range(n)]
-    return M, order
-
-
-@settings(max_examples=60, deadline=None)
-@given(fraction_blocks())
-def test_jet_matrix_inverse_exact_on_fraction_blocks(block):
-    M, order = block
-    n = len(M)
-    if not det([[M[i][j].coeffs[0] for j in range(n)] for i in range(n)]):
-        with pytest.raises(InternalConsistencyError):
-            jet_matrix_inverse(M, order)
-        return
-    X = jet_matrix_inverse(M, order)
-    product = matmul(M, X)
-    for i in range(n):
-        for c in range(n):
-            want = [F(int(i == c))] + [F(0)] * order
-            assert list(product[i][c].coeffs) == want
-
-
-def test_jet_matrix_inverse_on_coupling_block():
-    # The spin-1 (x) spin-1 block at weight 0, with its row surds sqrt(a)
-    # and column surds sqrt(b) divided out: a rational jet matrix R.  The
-    # block is orthogonal, so R^{-1} = diag(b) R^T diag(a).
-    from lorentzknots.cg import quantum_cg
-
-    order, dJ, dK, dx = 3, 2, 2, 0
-    pairs = [(-2, 2), (0, 0), (2, -2)]
-    M = [[quantum_cg(dJ, dK, dI, dn, dp, dx, order) for dI in (0, 2, 4)]
-         for dn, dp in pairs]
-    a = [row[0].radicand for row in M]
-    b = [cell.radicand / M[0][0].radicand for cell in M[0]]
-    R = [[cell.rational(1 / (a[r] * b[c])) for c, cell in enumerate(row)]
-         for r, row in enumerate(M)]
-    inverse = jet_matrix_inverse(R, order)
-    product = matmul(R, inverse)
-    for i in range(3):
-        for c in range(3):
-            assert product[i][c] == constant_series(int(i == c), order)
-            assert inverse[c][i] == R[i][c] * (a[i] * b[c])
-
-
-def test_jet_matrix_inverse_rejects_block_singular_at_zero():
-    h = TruncatedSeries(2, [F(0), F(1), F(0)])
-    one = TruncatedSeries(2, [F(1), F(0), F(0)])
-    with pytest.raises(InternalConsistencyError, match="2x2"):
-        jet_matrix_inverse([[h, one], [h + h, one]], 2)
 
 
 # ---------------------------------------------------------------------------
