@@ -14,7 +14,7 @@ See the README for the CLI and the acceptance suite.
 """
 
 from .errors import InternalConsistencyError, ResourceGuardError
-from .scalars import GaussianRational, precision
+from .scalars import GaussianRational
 from .series import (
     TruncatedSeries,
     constant_series,
@@ -44,7 +44,6 @@ __all__ = [
     "constant_series",
     "exp_scaled",
     "lagrange_interpolate",
-    "precision",
     "q_dim",
     "q_factorial",
     "q_integer",

@@ -126,8 +126,7 @@ def _poly_rows(series):
 
 def _emit_poly_series(series, fmt, out):
     if fmt == "json":
-        doc = {"order": series.order, "coeffs": [p.to_json() for p in series.coeffs]}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        _emit_series(series, fmt, out)
     elif fmt == "csv":
         rows = _poly_rows(series)
         writer = csv.DictWriter(
@@ -235,7 +234,9 @@ def _cmd_lorentz(args, config, out):
     if args.check_equivalence:
         if p is None:
             raise ValueError("--check-equivalence needs --p")
-        report = equivalence_check(braid, _integer(p, "p"), order)
+        if str(p) != SYMBOLIC:
+            p = _integer(p, "p")
+        report = equivalence_check(braid, p, order)
         out.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["pass"] else 1
     inv = x_invariant(braid, m, order)

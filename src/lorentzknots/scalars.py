@@ -17,8 +17,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
-import mpmath
-
 __all__ = [
     "GaussianRational",
     "GR_ZERO",
@@ -228,12 +226,12 @@ def rational_sqrt(x) -> Fraction:
 
 @contextmanager
 def precision(digits: int = 60):
-    """Run a block at ``digits`` decimal digits of mpmath working precision.
+    """Run a block as it is: every value is exact, so no precision is set.
 
-    Nothing in the package reads the precision any more: every value is
-    exact.  The context stays for callers that still set it.
+    The context stays only because the benchmark worker
+    (``bench/worker.py::run_braid``) enters it and its contract test pins
+    the name; it goes when the benchmark stops entering it.
     """
     if digits < 1:
         raise ValueError("precision must be at least one digit")
-    with mpmath.workdps(digits):
-        yield
+    yield

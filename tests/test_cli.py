@@ -94,6 +94,45 @@ def test_lorentz_equivalence_report():
     assert report["lhs"] == report["rhs"] == [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]]
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_lorentz_equivalence_at_symbolic_p(tmp_path, from_config):
+    argv = ["lorentz", "--knot", "trefoil-right", "--order", "2", "--check-equivalence"]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "symbolic"}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--p", "symbolic"]
+    code, text = run_cli(argv)
+    assert code == 0
+    report = json.loads(text)
+    assert report["pass"] is True and report["p"] == "symbolic"
+    assert report["lhs"] == report["rhs"]
+    # each h-order is a polynomial in p: a list of coefficients
+    assert report["lhs"][0] == [[1, 1, 0, 1]]
+
+
+def test_lorentz_equivalence_at_symbolic_p_fails_on_the_wrong_sum(monkeypatch):
+    # The figure-eight's braid sum stands in for the trefoil's; they differ
+    # at h^2, so the check fails.
+    from lorentzknots import invariants
+    from lorentzknots.braids import catalog_knot
+
+    braid_sum, other = invariants.braid_sum, catalog_knot("figure-eight").braid
+    monkeypatch.setattr(
+        invariants, "braid_sum", lambda b, p, order: braid_sum(other, p, order)
+    )
+    code, text = run_cli(
+        [
+            "lorentz", "--knot", "trefoil-right", "--order", "2",
+            "--p", "symbolic", "--check-equivalence",
+        ]
+    )
+    assert code == 1
+    report = json.loads(text)
+    assert report["pass"] is False and report["lhs"] != report["rhs"]
+
+
 def test_qlg_matches_lorentz_invariant_at_point():
     code, text = run_cli(
         [
