@@ -232,6 +232,10 @@ def _cmd_lorentz(args, config, out):
     m = _setting(args, config, "m") or 0
     p = _setting(args, config, "p")
     if args.check_equivalence:
+        if m:
+            raise ValueError(
+                f"--check-equivalence compares against X(0, p), so m must be 0, got {m}"
+            )
         if p is None:
             raise ValueError("--check-equivalence needs --p")
         if str(p) != SYMBOLIC:

@@ -41,7 +41,9 @@ braid word, read from either end of the open strand, gives it; the cost of
 the walk, however, varies by orders of magnitude between them.
 ``braid_sum`` walks the cheapest of these 2L candidates by a static cost
 key (``cheapest_walk``): the peak number of labels opened by dual factors
-and still pending, then the pending labels summed along the word.
+and still pending, then the pending labels summed along the word.  Read
+transposed, the walk runs the reversed word and takes each dual factor's
+row from ``g_action``, which enumerates a row and a column alike.
 """
 
 from __future__ import annotations
@@ -137,65 +139,48 @@ def _s_squared(d_beta: int, d_i: int) -> int:
 
 @memoized
 def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
-    """Column (or transposed column) of the dual generator's action.
+    """Column of the dual generator's action, or with ``forward`` False its
+    transposed row.
 
-    forward: state (beta, i_beta) -> [(gamma, i_gamma, jet), ...]
-    backward: row through (gamma, i_gamma) -> [(beta, i_beta, jet), ...].
-    Output spins are integers within |beta -+ alpha|; the sum over the
-    internal coupling label is finite, no approximation happens here.
+    The argument state (beta, i_beta) is the source when ``forward`` and
+    the target otherwise; the result lists the other states, (state, jet).
+    The source (b, i_b) decouples into alpha (x) D at index x = j + i_b,
+    which couples to the target (c, i_c) with i_c = x - i; so the known
+    state fixes x, and one loop over the coupled spin D and the other
+    state's integer spin within |alpha -+ D| serves both directions.  The
+    sum over D is finite, no approximation happens here.
 
-    Each entry is the matrix element from (beta, i_beta) to (gamma, i_gamma)
-    in the rescaled basis, times s(alpha, j) / s(alpha, i) from the label's
-    matrix-element partner: sqrt of s(beta)^2 s(alpha, j)^2 / (s(gamma)^2
-    s(alpha, i)^2) times the root jet, an integer jet (checked exactly).
-    ``p`` must be real; ValueError otherwise.
+    Each entry is the matrix element from source to target in the rescaled
+    basis, times s(alpha, j) / s(alpha, i) from the label's matrix-element
+    partner: sqrt of s(b)^2 s(alpha, j)^2 / (s(c)^2 s(alpha, i)^2) times
+    the root jet, an integer jet (checked exactly).  ``p`` must be real;
+    ValueError otherwise.
     """
     if real_point(p) is None:
         raise ValueError(f"g_action needs a real p, not {p}")
+    known = (d_beta, d_ibeta)
+    dx = d_ibeta + (d_j if forward else d_i)
+    d_iother = dx - (d_i if forward else d_j)
     out = {}
-    if forward:
-        dx = d_j + d_ibeta
-        d_igamma = dx - d_i
-        for dD in range(abs(d_alpha - d_beta), d_alpha + d_beta + 1, 2):
-            if not _is_spin_index(dD, dx):
+    for dD in range(abs(d_alpha - d_beta), d_alpha + d_beta + 1, 2):
+        if not _is_spin_index(dD, dx):
+            continue
+        for d_other in range(abs(d_alpha - dD), d_alpha + dD + 1, 2):
+            if d_other % 2 or not _is_spin_index(d_other, d_iother):
                 continue
-            cgr = quantum_cg_decoupling(dD, d_alpha, d_beta, dx, d_j, d_ibeta, order)
+            other = (d_other, d_iother)
+            source, target = (known, other) if forward else (other, known)
+            cgr = quantum_cg_decoupling(dD, d_alpha, source[0], dx, d_j, source[1], order)
             if cgr.is_zero():
                 continue
-            for d_gamma in range(abs(d_alpha - dD), d_alpha + dD + 1, 2):
-                if d_gamma % 2 or not _is_spin_index(d_gamma, d_igamma):
-                    continue
-                cgl = quantum_cg(d_gamma, d_alpha, dD, d_igamma, d_i, dx, order)
-                if cgl.is_zero():
-                    continue
-                lam = lambda_coeff(d_gamma, d_alpha, dD, d_beta, p, order)
-                if lam.is_zero():
-                    continue
-                state = (d_gamma, d_igamma)
-                term = _rescaled(lam * (cgl * cgr), state, (d_beta, d_ibeta), d_alpha, d_i, d_j)
-                jet_accumulate(out, state, term)
-    else:
-        d_gamma, d_igamma = d_beta, d_ibeta  # arguments name the bra state here
-        dx = d_igamma + d_i
-        d_ib = dx - d_j
-        for dD in range(abs(d_alpha - d_gamma), d_alpha + d_gamma + 1, 2):
-            if not _is_spin_index(dD, dx):
-                continue
-            cgl = quantum_cg(d_gamma, d_alpha, dD, d_igamma, d_i, dx, order)
+            cgl = quantum_cg(target[0], d_alpha, dD, target[1], d_i, dx, order)
             if cgl.is_zero():
                 continue
-            for d_b in range(abs(d_alpha - dD), d_alpha + dD + 1, 2):
-                if d_b % 2 or not _is_spin_index(d_b, d_ib):
-                    continue
-                cgr = quantum_cg_decoupling(dD, d_alpha, d_b, dx, d_j, d_ib, order)
-                if cgr.is_zero():
-                    continue
-                lam = lambda_coeff(d_gamma, d_alpha, dD, d_b, p, order)
-                if lam.is_zero():
-                    continue
-                state = (d_b, d_ib)
-                term = _rescaled(lam * (cgl * cgr), (d_gamma, d_igamma), state, d_alpha, d_i, d_j)
-                jet_accumulate(out, state, term)
+            lam = lambda_coeff(target[0], d_alpha, dD, source[0], p, order)
+            if lam.is_zero():
+                continue
+            term = _rescaled(lam * (cgl * cgr), target, source, d_alpha, d_i, d_j)
+            jet_accumulate(out, other, term)
     return tuple((s, v) for s, v in out.items() if any(v[0]))
 
 
@@ -236,6 +221,9 @@ def _antipode_factor(d_alpha: int, d_i: int, d_j: int, order: int):
 # Streaming evaluation of the braid sum
 # ---------------------------------------------------------------------------
 
+# Live branches a walk may hold after any operator before ResourceGuardError.
+MAX_BRANCHES = 2_000_000
+
 
 def _min_headroom(ds, pend):
     """Doubled lower bound on the h-orders still to be spent.
@@ -251,11 +239,6 @@ def _min_headroom(ds, pend):
             if need > req:
                 req = need
     return req
-
-
-def _transpose_ops(ops):
-    """Word for the same scalar read from the other end of the open strand."""
-    return ops[::-1]
 
 
 def _walk_cost(ops):
@@ -301,8 +284,9 @@ def _walk_candidates(b: BraidWord):
     """Every walk giving ``b``'s sum, as (rotation, forward, ops).
 
     Rotation r walks the conjugate word ``b.letters[r:] + b.letters[:r]``,
-    read forward or transposed; crossing indices in ``ops`` still refer to
-    the letters of ``b``.
+    read forward or transposed (the reversed word, the same scalar read
+    from the other end of the open strand); crossing indices in ``ops``
+    still refer to the letters of ``b``.
     """
     n = len(b.letters)
     for rotation in range(max(n, 1)):
@@ -310,7 +294,7 @@ def _walk_candidates(b: BraidWord):
         ops, _ = tangle_word(turned)
         ops = [op if op[0] == "G" else (op[0], (op[1] + rotation) % n) for op in ops]
         yield rotation, True, ops
-        yield rotation, False, _transpose_ops(ops)
+        yield rotation, False, ops[::-1]
 
 
 def cheapest_walk(b: BraidWord):
@@ -332,12 +316,7 @@ def _describe_op(op):
     return f"{kind} of crossing {op[1] + 1}"
 
 
-def braid_sum(
-    b: BraidWord,
-    p,
-    order: int,
-    max_branches: int = 2_000_000,
-):
+def braid_sum(b: BraidWord, p, order: int):
     """Truncated knot sum for the balanced representation with parameter p.
 
     ``p`` is an exact numeric value, giving a jet over Q(i), or the module
@@ -347,7 +326,7 @@ def braid_sum(
 
     The sum is a conjugation invariant, so it walks the word as
     ``cheapest_walk`` picks: the cyclic rotation and reading direction with
-    the smallest static cost key.  More than ``max_branches`` live branches
+    the smallest static cost key.  More than ``MAX_BRANCHES`` live branches
     after any operator raise ResourceGuardError naming the count, the
     operator, and the rotation and direction walked.
 
@@ -359,11 +338,11 @@ def braid_sum(
     walk = cheapest_walk(b)
     real = real_point(p)
     if real is not None:
-        return jet_series(_walk(walk, real, order, max_branches))
+        return jet_series(_walk(walk, real, order))
     nodes = range(1, order + 4)
     symbolic = interpolate_series(
         nodes,
-        [jet_series(_walk(walk, node, order, max_branches)) for node in nodes],
+        [jet_series(_walk(walk, node, order)) for node in nodes],
         f"symbolic braid sum of {b}",
         "p =",
         "p enters only through e^{sigma p h}",
@@ -371,7 +350,7 @@ def braid_sum(
     return symbolic if p == SYMBOLIC else specialize(symbolic, p)
 
 
-def _walk(walk, p, order, max_branches):
+def _walk(walk, p, order):
     """The sum along ``walk`` (as ``cheapest_walk`` returns it) at real p,
     as an integer jet."""
     rotation, forward, ops, signs = walk
@@ -454,13 +433,13 @@ def _walk(walk, p, order, max_branches):
                             continue
                         jet_accumulate(out, (ds2, di2, newpend), contrib)
         vec = out
-        if len(vec) > max_branches:
+        if len(vec) > MAX_BRANCHES:
             raise ResourceGuardError(
                 f"braid sum reached {len(vec)} branches at operator "
                 f"{position + 1} of {len(ops)} ({_describe_op(op)}) of the "
                 f"walk along rotation {rotation}, read "
                 f"{'forward' if forward else 'transposed'}, above the limit "
-                f"max_branches={max_branches}"
+                f"MAX_BRANCHES={MAX_BRANCHES}"
             )
 
     if any(pend for _, _, pend in vec):

@@ -133,6 +133,23 @@ def test_lorentz_equivalence_at_symbolic_p_fails_on_the_wrong_sum(monkeypatch):
     assert report["pass"] is False and report["lhs"] != report["rhs"]
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_lorentz_equivalence_rejects_nonzero_m(tmp_path, capsys, from_config):
+    # The check compares against X(0, p) only; an m it would ignore is a
+    # usage error, whether it comes from the flag or from the config.
+    argv = ["lorentz", "--knot", "trefoil-right", "--order", "1",
+            "--check-equivalence", "--p", "2"]
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 1}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--m", "1"]
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert "compares against X(0, p)" in capsys.readouterr().err
+
+
 def test_qlg_matches_lorentz_invariant_at_point():
     code, text = run_cli(
         [

@@ -1,5 +1,6 @@
 """Balanced-representation actions and truncated braid sums, exactly."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -163,14 +164,20 @@ def test_vacuum_row_factorizes_into_cg_and_lambda():
 
 
 def test_g_action_transpose_consistency():
-    da, p, order = 1, 2, 2
-    for d_i in (-1, 1):
-        for d_j in (-1, 1):
-            for dbeta, dib in ((0, 0), (2, 0), (2, 2)):
-                fwd = dict(g_action(da, d_i, d_j, dbeta, dib, p, order, True))
-                for (dg, dig), entry in fwd.items():
-                    bwd = dict(g_action(da, d_i, d_j, dg, dig, p, order, False))
-                    assert bwd.get((dbeta, dib)) == entry
+    # Column and transposed row are one matrix read both ways: every entry
+    # of a column appears in the matching row and vice versa, at p = 2 and
+    # 3, for alpha up to 2, every (i, j) and every state of spin <= 2.
+    order = 2
+    states = [(db, dib) for db in (0, 2, 4) for dib in range(-db, db + 1, 2)]
+    for p, da in itertools.product((2, 3), range(0, 5)):
+        for d_i in range(-da, da + 1, 2):
+            for d_j in range(-da, da + 1, 2):
+                for state in states:
+                    for forward in (True, False):
+                        entries = g_action(da, d_i, d_j, *state, p, order, forward)
+                        for other, entry in entries:
+                            back = dict(g_action(da, d_i, d_j, *other, p, order, not forward))
+                            assert back.get(state) == entry, (da, d_i, d_j, state, other)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +237,8 @@ def test_symbolic_sum_rejects_a_node_off_the_fit(monkeypatch):
     # and 5 must lie on the fit.  Add 1 to it at p = 5.
     walk = qlorentz._walk
 
-    def corrupted(chosen, p, order, max_branches):
-        nums, den = walk(chosen, p, order, max_branches)
+    def corrupted(chosen, p, order):
+        nums, den = walk(chosen, p, order)
         if p == 5:
             nums = nums[:2] + (nums[2] + den,) + nums[3:]
         return nums, den
@@ -264,14 +271,14 @@ def test_symbolic_sum_walks_on_integer_jets_only(monkeypatch):
     walk = qlorentz._walk
     nodes = []
 
-    def guarded(chosen, p, order, max_branches):
+    def guarded(chosen, p, order):
         nodes.append(p)
         with pytest.MonkeyPatch.context() as inside:
             inside.setattr(series, "conv", int_conv)
             for kind in (ParamPolynomial, GaussianRational):
                 inside.setattr(kind, "__mul__", refuse)
                 inside.setattr(kind, "__rmul__", refuse)
-            return walk(chosen, p, order, max_branches)
+            return walk(chosen, p, order)
 
     clear_caches()
     monkeypatch.setattr(qlorentz, "_walk", guarded)
@@ -375,9 +382,10 @@ def test_every_walk_gives_the_same_symbolic_sum(monkeypatch, b):
             assert specialize(sym, p) == num, f"rotation {walk[0]}, forward={walk[1]}, p={p}"
 
 
-def test_branch_guard():
+def test_branch_guard(monkeypatch):
+    monkeypatch.setattr(qlorentz, "MAX_BRANCHES", 1)
     with pytest.raises(ResourceGuardError) as info:
-        braid_sum(TREFOIL_L, 2, 2, max_branches=1)
+        braid_sum(TREFOIL_L, 2, 2)
     message = str(info.value)
     # the count reached, the operator's position and kind, the walk (the
     # left trefoil's cheapest is rotation 0 read transposed) and the limit
@@ -389,4 +397,4 @@ def test_branch_guard():
         r"read transposed,",
         message,
     )
-    assert "max_branches=1" in message
+    assert "MAX_BRANCHES=1" in message
