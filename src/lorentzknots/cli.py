@@ -244,13 +244,13 @@ def _cmd_lorentz(args, config, out):
         out.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["pass"] else 1
     inv = x_invariant(braid, m, order)
-    if p is not None:
+    if p is None or str(p) == SYMBOLIC:
+        _emit_poly_series(inv.series, fmt, out)
+    else:
         from .polynomials import specialize
 
         series = specialize(inv.series, Fraction(str(p)))
         _emit_series(series, fmt, out)
-    else:
-        _emit_poly_series(inv.series, fmt, out)
     return 0
 
 
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int)
     p.add_argument("--knot")
     p.add_argument("--m", type=int)
-    p.add_argument("--p")
+    p.add_argument("--p", help="integer, rational, or 'symbolic'")
     p.add_argument("--check-equivalence", action="store_true")
 
     p = sub.add_parser("qlg", help="quantum Lorentz braid sums")

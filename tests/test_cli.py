@@ -112,6 +112,22 @@ def test_lorentz_equivalence_at_symbolic_p(tmp_path, from_config):
     assert report["lhs"][0] == [[1, 1, 0, 1]]
 
 
+@pytest.mark.parametrize("from_config", [False, True])
+def test_lorentz_at_symbolic_p_prints_the_polynomial_series(tmp_path, from_config):
+    argv = ["lorentz", "--knot", "trefoil-right", "--order", "2", "--format", "json"]
+    code, omitted = run_cli(argv)
+    assert code == 0
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "symbolic"}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--p", "symbolic"]
+    assert run_cli(argv) == (0, omitted)
+    # each h-order is a polynomial in p: a list of coefficients
+    assert json.loads(omitted)["coeffs"][0] == [[1, 1, 0, 1]]
+
+
 def test_lorentz_equivalence_at_symbolic_p_fails_on_the_wrong_sum(monkeypatch):
     # The figure-eight's braid sum stands in for the trefoil's; they differ
     # at h^2, so the check fails.

@@ -238,6 +238,17 @@ def test_four_t_vanishing_sl2():
             assert lambda_z_sl2(g, T_CK_SL2).is_zero()
 
 
+def test_four_t_vanishing_sl2_six_chords():
+    # A pinned subset: every 100th of the 4477 six-chord generators.  The
+    # cost is per distinct diagram, and this subset meets 141 of the 902,
+    # where every 10th generator would already meet 650.
+    gens = four_t_generators(6)[::100]
+    assert len(gens) == 45
+    for g in gens:
+        assert lambda_z_sl2(g).is_zero()
+        assert lambda_z_sl2(g, T_CK_SL2).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # Lorentz characters: direct route, factorized route, Casimirs
 # ---------------------------------------------------------------------------
@@ -332,7 +343,8 @@ def test_four_t_vanishing_lorentz():
                 assert lambda_mp_factorized(g, m).is_zero()
     for n in (4, 5):
         for g in four_t_generators(n):
-            assert lambda_mp_factorized(g, 1).is_zero()
+            for m in (0, 1, 2):
+                assert lambda_mp_factorized(g, m).is_zero()
 
 
 def test_unframed_criterion_on_quadratic_value():
