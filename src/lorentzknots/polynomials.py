@@ -11,11 +11,18 @@ a series from samples at more nodes than the fit needs
 (:func:`interpolate_series`): the spin expansions fit half-integer spins,
 the symbolic braid sums integer p.  Exact arithmetic leaves no conditioning
 concerns.
+
+Real polynomials have an integer kernel here, as real jets have in
+:mod:`lorentzknots.series`: Python-int coefficients over one positive
+denominator, with sum, product and affine substitution.  The weight-system
+characters compute on it; :func:`int_poly_param` turns a value into the
+ParamPolynomial that crosses the public boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalConsistencyError
 from .scalars import GaussianRational, GR_ONE, GR_ZERO
@@ -30,6 +37,12 @@ __all__ = [
     "specialize",
     "lagrange_interpolate",
     "interpolate_series",
+    "int_coeffs_add",
+    "int_coeffs_times_linear",
+    "int_poly_add",
+    "int_poly_mul",
+    "int_poly_compose_affine",
+    "int_poly_param",
 ]
 
 
@@ -285,3 +298,73 @@ def interpolate_series(nodes, samples, context: str, node: str, bound: str) -> P
                 )
         coeffs.append(poly)
     return TruncatedSeries(order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Integer polynomials: the exact kernel of real polynomial arithmetic.
+#
+# An integer polynomial is the pair (nums, den): Python-int coefficients
+# n_0..n_d in ascending degree, without trailing zeros, over one positive
+# denominator, the polynomial (n_0 + n_1 x + ... + n_d x^d) / den.  The zero
+# polynomial has nums == ().  The pair is not reduced, so one polynomial has
+# many pairs; compare values after int_poly_param.
+# ---------------------------------------------------------------------------
+
+
+def int_coeffs_add(a, b) -> tuple:
+    """The sum of two integer coefficient tuples, trailing zeros dropped."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def int_coeffs_times_linear(v, a: int, b: int) -> tuple:
+    """The integer coefficient tuple ``v`` times a + b x, for b != 0."""
+    return tuple(a * x + b * y for x, y in zip(v + (0,), (0,) + v))
+
+
+def int_poly_add(p, q):
+    pn, pd = p
+    qn, qd = q
+    if pd != qd:
+        g = gcd(pd, qd)
+        fp, fq = qd // g, pd // g
+        pn, qn, pd = tuple(x * fp for x in pn), tuple(y * fq for y in qn), pd * fp
+    return int_coeffs_add(pn, qn), pd
+
+
+def int_poly_mul(p, q):
+    pn, pd = p
+    qn, qd = q
+    if not pn or not qn:
+        return (), pd * qd
+    out = [0] * (len(pn) + len(qn) - 1)
+    for i, x in enumerate(pn):
+        for j, y in enumerate(qn):
+            out[i + j] += x * y
+    return tuple(out), pd * qd
+
+
+def int_poly_compose_affine(p, a: Fraction, b: Fraction):
+    """Substitute x -> a*y + b (a != 0), returning the integer polynomial in y.
+
+    With a = A/C and b = B/C over one denominator C, Horner's rule on
+    sum_k n_k (A y + B)^k C^(d-k) stays in integers; the denominator gains
+    C^d.
+    """
+    nums, den = p
+    if not nums:
+        return p
+    c = lcm(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (c // a.denominator), b.numerator * (c // b.denominator)
+    acc, power = (nums[-1],), 1
+    for coeff in reversed(nums[:-1]):
+        power *= c
+        acc = int_coeffs_add(int_coeffs_times_linear(acc, big_b, big_a), (coeff * power,))
+    return acc, den * power
+
+
+def int_poly_param(p) -> ParamPolynomial:
+    """The integer polynomial ``p`` as a ParamPolynomial over Q(i)."""
+    nums, den = p
+    return ParamPolynomial(Fraction(n, den) for n in nums)

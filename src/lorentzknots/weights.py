@@ -16,7 +16,8 @@ open at once, not |t|^n.  Evaluating the element on a module with a central
 character gives a scalar, extracted here from the highest-weight (corner)
 state with an explicit cancellation check on every other component.  Each
 diagram's exact sl2 character is computed once per tensor and basepoint and
-shared by the Lorentz characters' coproduct factors (memo tables emptied by
+shared by the Lorentz characters' coproduct factors, and each diagram's
+factorized Lorentz character once per m (memo tables emptied by
 :func:`lorentzknots.series.clear_caches`).
 
 Sign convention: the quadratic element C_t = sum_i a_i b_i is *minus* the
@@ -26,9 +27,20 @@ unaffected; it fixes the absolute sign of odd-degree values.
 
 Two module backends implement the characters:
 
-* the lowered-spin sl2 module with formal spin z (exact polynomials in z);
+* the lowered-spin sl2 module with formal spin z.  Its walk runs on the
+  integer polynomials of :mod:`lorentzknots.polynomials`: the tensor's
+  terms are scaled to integers over their common denominator D (T_CK_SL2 =
+  (1/4, 1/4, 1/2) becomes (1, 1, 2) over 4), so a module vector is
+  {j: tuple of ints} and an n-chord diagram's character is its corner
+  tuple over D^n.  The factorized Lorentz route substitutes
+  z = (p - 1 + m)/2 and sums left * right over the coproduct on the same
+  integers.  Both routes turn their value into a ParamPolynomial only at
+  return (:func:`lambda_z_sl2`, :func:`lambda_mp_factorized`).  The sl2
+  route therefore needs a real tensor; a non-real coefficient raises
+  ValueError.
 * the minimal-spin-m discrete-basis module of the Lorentz algebra with
-  formal parameter p (exact polynomials in p).  Its states are not the
+  formal parameter p (ParamPolynomials in p, since T_LORENTZ and B_alpha
+  carry i).  Its states are not the
   orthonormal Gelfand-Naimark vectors e(alpha, k) (alpha >= |m|,
   |k| <= alpha) but the rescaled f(alpha, k) = d(alpha, k) e(alpha, k) with
   d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!), g(|m|) = 1 and
@@ -45,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import lcm
 
 from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct
 from .errors import InternalConsistencyError, ResourceGuardError
@@ -52,6 +65,12 @@ from .polynomials import (
     POLY_ONE,
     POLY_ZERO,
     ParamPolynomial,
+    int_coeffs_add,
+    int_coeffs_times_linear,
+    int_poly_add,
+    int_poly_compose_affine,
+    int_poly_mul,
+    int_poly_param,
     poly_variable,
 )
 from .scalars import GaussianRational, GR_I, GR_ONE
@@ -229,17 +248,20 @@ def _add_into(vec, state, value):
         vec[state] = value
 
 
-def _transfer_walk(t: InfinitesimalRMatrix, d: ChordDiagram, start: int, corner, step):
-    """The weight of ``d`` under ``t`` applied to the module vector ``corner``.
+def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
+    """The weight of ``d`` under a tensor applied to the module vector ``corner``.
 
-    One walk round the circle from ``start``.  Its state maps the term index
-    pending on each chord (-1 before the chord opens and after it closes) to
-    a module vector {module state: coefficient}.  A chord's first endpoint
-    branches over the terms of ``t``, multiplying in the term's coefficient
-    and applying its left generator; the second endpoint applies the stored
-    term's right generator and clears the label, so branches that differ
-    only in closed chords merge.  ``step(vec, gen)`` applies one generator.
-    The result equals the sum of coeff * word over :func:`phi_words`.
+    ``terms`` are the tensor's (coeff, left, right) triples, with
+    coefficients in the ring of the module's values.  One walk round the
+    circle from ``start``.  Its state maps the term index pending on each
+    chord (-1 before the chord opens and after it closes) to a module vector
+    {module state: value}.  A chord's first endpoint branches over the
+    terms, applying the term's left generator times its coefficient; the
+    second endpoint applies the stored term's right generator and clears the
+    label, so branches that differ only in closed chords merge.
+    ``step(vec, gen, coeff, out)`` adds coeff * gen(vec) into the vector
+    ``out``, dropping components that cancel, and returns ``out``.  The
+    result equals the sum of coeff * word over :func:`phi_words`.
     """
     closed = (-1,) * d.n
     branches = {closed: corner}
@@ -248,88 +270,111 @@ def _transfer_walk(t: InfinitesimalRMatrix, d: ChordDiagram, start: int, corner,
         for pending, vec in branches.items():
             head, tail = pending[:chord], pending[chord + 1:]
             if role == 1:
-                for index, (coeff, left, _) in enumerate(t.terms):
-                    moved = step({s: c * coeff for s, c in vec.items()}, left)
+                for index, (coeff, left, _) in enumerate(terms):
+                    moved = step(vec, left, coeff, {})
                     if moved:
                         out[head + (index,) + tail] = moved
             else:
                 label = head + (-1,) + tail
-                merged = out.setdefault(label, {})
-                for state, value in step(vec, t.terms[pending[chord]][2]).items():
-                    _add_into(merged, state, value)
-                if not merged:
-                    del out[label]
+                merged = step(vec, terms[pending[chord]][2], 1, out.get(label, {}))
+                if merged:
+                    out[label] = merged
+                else:
+                    out.pop(label, None)
         branches = out
     return branches.get(closed, {})
 
 
-def _corner_scalar(total, corner, module: str, element: str) -> ParamPolynomial:
-    """Scalar of an element from ``total``, the vector it makes of ``corner``.
+def _corner_scalar(total, corner, zero, module: str, element: str):
+    """Scalar of an element from ``total``, the vector it makes of ``corner``;
+    ``zero`` when the corner component cancelled.
 
     Every other component must cancel, or InternalConsistencyError names the
     module, the element and the surviving component.
     """
-    for state, poly in total.items():
-        if state != corner and not poly.is_zero():
+    for state, value in total.items():
+        if state != corner and value:
             raise InternalConsistencyError(
                 f"{element} moved the corner state {corner} of the {module} "
                 f"(component {state} survived): scalar extraction invalid"
             )
-    return total.get(corner, POLY_ZERO)
+    return total.get(corner, zero)
 
 
 # ---------------------------------------------------------------------------
-# sl2 spin-z module (exact polynomials in z)
+# sl2 spin-z module (integer polynomials in z)
 # ---------------------------------------------------------------------------
 
-_Z = poly_variable()
+
+def _integer_terms(t: InfinitesimalRMatrix):
+    """The terms of a real tensor scaled to integers, and the scale D.
+
+    Returns ((D c, left, right), ...), D with D the least common denominator
+    of the coefficients c.  A non-real coefficient raises ValueError.
+    """
+    for c, a, b in t.terms:
+        if c.im:
+            raise ValueError(
+                f"the sl2 characters need a real tensor; the coefficient {c} "
+                f"of {a} (x) {b} is not real"
+            )
+    den = lcm(*(c.re.denominator for c, _, _ in t.terms))
+    return tuple(
+        (c.re.numerator * (den // c.re.denominator), a, b) for c, a, b in t.terms
+    ), den
 
 
-def _sl2_step(vec, gen):
-    """Apply one generator to a vector; states are descent depths j >= 0."""
-    out = {}
-    for j, poly in vec.items():
+def _sl2_step(vec, gen, coeff, out):
+    """Add coeff * gen(vec) into ``out``.
+
+    States are descent depths j >= 0 and values integer coefficient tuples
+    of polynomials in z; E, F and H act with the factors j, 2z - j and
+    z - j.
+    """
+    for j, nums in vec.items():
         if gen == "E":
-            if j >= 1:
-                key, val = j - 1, poly * j
-            else:
+            if not j:
                 continue
+            key, value = j - 1, tuple(coeff * j * x for x in nums)
         elif gen == "F":
-            key, val = j + 1, poly * (2 * _Z - j)
+            key, value = j + 1, int_coeffs_times_linear(nums, -coeff * j, 2 * coeff)
         elif gen == "H":
-            key, val = j, poly * (_Z - j)
+            key, value = j, int_coeffs_times_linear(nums, -coeff * j, coeff)
         else:
             raise ValueError(f"unknown sl2 generator {gen!r}")
-        _add_into(out, key, val)
+        value = int_coeffs_add(out.get(key, ()), value)
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
     return out
-
-
-def _sl2_apply_word(word):
-    """Apply a word to the corner state (the literal reference of the walk)."""
-    vec = {0: POLY_ONE}
-    for gen in word:
-        vec = _sl2_step(vec, gen)
-    return vec
 
 
 @memoized
 def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start: int):
-    total = _transfer_walk(t, d, start, {0: POLY_ONE}, _sl2_step)
-    return _corner_scalar(total, 0, "spin-z module", "central element")
+    """The corner value of the walk, before the per-chord sign, as an
+    integer polynomial in z over D^n."""
+    terms, den = _integer_terms(t)
+    total = _transfer_walk(terms, d, start, {0: (1,)}, _sl2_step)
+    return _corner_scalar(total, 0, (), "spin-z module", "central element"), den**d.n
 
 
 def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
     """Central-character polynomial in z of the weight of ``d`` under ``t``.
 
-    Accepts a diagram or a DiagramSum (linear extension).
+    Accepts a diagram or a DiagramSum (linear extension).  The walk runs on
+    integers, so ``t`` must be real: a non-real coefficient raises
+    ValueError naming it.
     """
     if isinstance(d, DiagramSum):
         total = POLY_ZERO
         for diagram, c in d.terms.items():
             total = total + c * lambda_z_sl2(diagram, t, start)
         return total
-    value = _lambda_z_literal(d, t, start)
-    return value if d.n % 2 == 0 else _SIGN_PER_CHORD * value
+    nums, den = _lambda_z_literal(d, t, start)
+    if d.n % 2:
+        nums = tuple(_SIGN_PER_CHORD * x for x in nums)
+    return int_poly_param((nums, den))
 
 
 def sl2_quadratic_eigenvalue(t: InfinitesimalRMatrix = T_JONES_SL2):
@@ -400,12 +445,14 @@ def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
     return tuple(out)
 
 
-def _lorentz_step(vec, gen: str, m: int):
-    """Apply one generator to a vector {(alpha, k): ParamPolynomial}."""
-    out = {}
+def _lorentz_step(vec, gen: str, coeff, out, m: int):
+    """Add coeff * gen(vec) into ``out``; vectors are {(alpha, k): ParamPolynomial}."""
+    scale = coeff != 1
     for (alpha, k), poly in vec.items():
-        for state, coeff in _lorentz_targets(gen, alpha, k, m):
-            _add_into(out, state, poly * coeff)
+        if scale:
+            poly = poly * coeff
+        for state, element in _lorentz_targets(gen, alpha, k, m):
+            _add_into(out, state, poly * element)
     return out
 
 
@@ -422,7 +469,7 @@ def lorentz_apply_word(word, m: int):
     """
     vec = _lorentz_corner(m)
     for gen in word:
-        vec = _lorentz_step(vec, gen, m)
+        vec = _lorentz_step(vec, gen, 1, {}, m)
     return vec
 
 
@@ -434,11 +481,11 @@ def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     basis is diagonal, so the corner value is that of the orthonormal basis.
     The off-corner cancellation check of :func:`_corner_scalar` applies.
     """
-    total = _transfer_walk(t, d, 0, _lorentz_corner(m), partial(_lorentz_step, m=m))
+    step = partial(_lorentz_step, m=m)
+    total = _transfer_walk(t.terms, d, 0, _lorentz_corner(m), step)
     corner = (abs(m), abs(m))
-    return _corner_scalar(
-        total, corner, f"minimal-spin-{m} Lorentz module", "central element"
-    )
+    module = f"minimal-spin-{m} Lorentz module"
+    return _corner_scalar(total, corner, POLY_ZERO, module, "central element")
 
 
 # The walk's cost follows n * |T_LORENTZ|^w, with w the number of chords open
@@ -480,9 +527,28 @@ def lambda_mp_direct(d, m: int) -> ParamPolynomial:
 
 
 @memoized
-def _sl2_character_in_p(d: ChordDiagram, m: Fraction) -> ParamPolynomial:
-    """The sl2 character of ``d`` under T_CK_SL2 at z = (p - 1 + m)/2."""
-    return _lambda_z_literal(d, T_CK_SL2, 0).compose_affine(Fraction(1, 2), (m - 1) / 2)
+def _sl2_character_in_p(d: ChordDiagram, m: Fraction):
+    """The sl2 character of ``d`` under T_CK_SL2 (before the per-chord sign)
+    at z = (p - 1 + m)/2, as an integer polynomial in p."""
+    return int_poly_compose_affine(
+        _lambda_z_literal(d, T_CK_SL2, 0), Fraction(1, 2), (m - 1) / 2
+    )
+
+
+@memoized
+def _lambda_mp_integer(d: ChordDiagram, m: Fraction):
+    """The factorized character of one diagram as an integer polynomial in p."""
+    total = ((), 1)
+    for (w1, w2), c in coproduct(d).terms.items():
+        nums, den = int_poly_mul(
+            _sl2_character_in_p(w1, m),
+            _sl2_character_in_p(w2, -m),  # at w = (p - 1 - m)/2
+        )
+        # c counts the chord subsets giving (w1, w2); the right factor
+        # carries -t, and the whole value the per-chord sign
+        scale = c.re.numerator * (-1) ** w2.n * _SIGN_PER_CHORD**d.n
+        total = int_poly_add(total, (tuple(scale * x for x in nums), den))
+    return total
 
 
 def lambda_mp_factorized(d, m) -> ParamPolynomial:
@@ -490,21 +556,16 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
 
     The two tensor factors carry the sl2 tensor with opposite signs; the
     spin parameters are z = (p-1+m)/2 and w = (p-1-m)/2.  Half-integer m
-    (as a Fraction) is accepted here, unlike the direct route.
+    (as a Fraction) is accepted here, unlike the direct route.  One
+    diagram's value is summed over the coproduct in integers and memoized
+    per (diagram, m).
     """
     if isinstance(d, DiagramSum):
         total = POLY_ZERO
         for diagram, c in d.terms.items():
             total = total + c * lambda_mp_factorized(diagram, m)
         return total
-    m = Fraction(m)
-    total = POLY_ZERO
-    for (w1, w2), c in coproduct(d).terms.items():
-        left = _sl2_character_in_p(w1, m)
-        right = _sl2_character_in_p(w2, -m)  # at w = (p - 1 - m)/2
-        sign = -1 if w2.n % 2 else 1  # the right factor carries -t
-        total = total + c * sign * (left * right)
-    return total if d.n % 2 == 0 else _SIGN_PER_CHORD * total
+    return int_poly_param(_lambda_mp_integer(d, Fraction(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +580,8 @@ def lorentz_quadratic_eigenvalue(terms, m: int) -> ParamPolynomial:
         for state, poly in lorentz_apply_word((b, a), m).items():
             _add_into(total, state, poly * c)
     corner = (abs(m), abs(m))
-    return _corner_scalar(
-        total, corner, f"minimal-spin-{m} Lorentz module", "quadratic element"
-    )
+    module = f"minimal-spin-{m} Lorentz module"
+    return _corner_scalar(total, corner, POLY_ZERO, module, "quadratic element")
 
 
 def casimir_eigenvalues(m: int, p=None):

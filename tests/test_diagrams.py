@@ -1,5 +1,6 @@
 """Chord diagram combinatorics: canonical forms, products, coproduct, 4T."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -304,6 +305,39 @@ def test_quotient_dimension(n, dim):
         ]
         assert len(basis) - _dense_rank(rows, len(basis)) == dim
         assert exact_rank(rows) == _dense_rank(rows, len(basis))
+
+
+def test_exact_rank_on_rational_rows():
+    # Non-unit rational entries: each row is scaled to integers by the lcm
+    # of its denominators before the fraction-free elimination.  Row 2 is
+    # row 0 + row 1 / 2 and row 4 is 3 row 3 - 2/3 row 0, so the rank is 3.
+    rows = [
+        {0: F(1, 2), 1: F(-2, 3), 3: 5},
+        {1: F(4, 3), 2: F(-1, 6)},
+        {0: F(1, 2), 2: F(-1, 12), 3: 5},
+        {2: F(7, 5), 3: F(-3, 7), 4: 0},
+        {0: F(-1, 3), 1: F(4, 9), 2: F(21, 5), 3: F(-97, 21)},
+        {},
+    ]
+    assert exact_rank(rows) == _dense_rank(rows, 5) == 3
+    # Seeded rational matrices with a known rank deficiency.
+    rng = random.Random(17)
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        base = [
+            {c: F(rng.randint(-9, 9), rng.randint(1, 9)) for c in range(ncols)}
+            for _ in range(rng.randint(1, 4))
+        ]
+        combos = [
+            {
+                c: sum(F(rng.randint(-3, 3), rng.randint(1, 4)) * r[c] for r in base)
+                for c in range(ncols)
+            }
+            for _ in range(rng.randint(0, 3))
+        ]
+        rows = base + combos
+        rng.shuffle(rows)
+        assert exact_rank(rows) == _dense_rank(rows, ncols)
 
 
 def test_quotient_guard():

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from lorentzknots.polynomials import (
     ParamPolynomial,
     constant_poly_series,
+    int_poly_add,
+    int_poly_compose_affine,
+    int_poly_mul,
+    int_poly_param,
     lagrange_interpolate,
     poly_constant,
     poly_variable,
@@ -109,6 +113,30 @@ def test_interpolation_roundtrip_random(coeffs):
     nodes = [F(k) for k in range(max(p.degree() + 1, 1))]
     values = [p.evaluate(x) for x in nodes]
     assert lagrange_interpolate(nodes, values) == p
+
+
+def _int_poly(nums, den):
+    """An integer polynomial (nums, den), trailing zero numerators dropped."""
+    while nums and not nums[-1]:
+        nums = nums[:-1]
+    return tuple(nums), den
+
+
+int_polys = st.builds(
+    _int_poly,
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=4),
+    st.integers(min_value=1, max_value=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_polys, int_polys, small_rationals.filter(bool), small_rationals)
+def test_integer_polynomials_match_param_polynomials(p, q, a, b):
+    # ParamPolynomial arithmetic is the oracle of the integer kernel.
+    pp, qq = int_poly_param(p), int_poly_param(q)
+    assert int_poly_param(int_poly_add(p, q)) == pp + qq
+    assert int_poly_param(int_poly_mul(p, q)) == pp * qq
+    assert int_poly_param(int_poly_compose_affine(p, a, b)) == pp.compose_affine(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,17 @@ from lorentzknots.diagrams import (
     parse_diagram,
 )
 from lorentzknots.errors import InternalConsistencyError, ResourceGuardError
-from lorentzknots.polynomials import POLY_ONE, ParamPolynomial, poly_variable
-from lorentzknots.scalars import GaussianRational
+from lorentzknots.polynomials import (
+    POLY_ONE,
+    ParamPolynomial,
+    int_poly_param,
+    poly_variable,
+)
+from lorentzknots.scalars import GR_I, GaussianRational
 from lorentzknots.series import clear_caches
 from lorentzknots.weights import (
     CASIMIR_LEFT_TERMS,
+    InfinitesimalRMatrix,
     CASIMIR_RIGHT_TERMS,
     T_CK_SL2,
     T_JONES_SL2,
@@ -98,8 +104,31 @@ def _literal(t, d, start, apply_word):
     return _combine((coeff, apply_word(word)) for coeff, word in phi_words(t, d, start))
 
 
+def _sl2_apply_word(word):
+    """A word applied to the corner state of the spin-z module, on
+    ParamPolynomials: the literal reference of the integer walk."""
+    vec = {0: POLY_ONE}
+    for gen in word:
+        out = {}
+        for j, poly in vec.items():
+            if gen == "E":
+                if not j:
+                    continue
+                key, value = j - 1, poly * j
+            elif gen == "F":
+                key, value = j + 1, poly * (2 * Z - j)
+            else:
+                key, value = j, poly * (Z - j)
+            out[key] = out[key] + value if key in out else value
+        vec = {s: v for s, v in out.items() if not v.is_zero()}
+    return vec
+
+
 def _sl2_walk(t, d, start):
-    return weights._transfer_walk(t, d, start, {0: POLY_ONE}, weights._sl2_step)
+    """The integer walk, each component converted to a ParamPolynomial."""
+    terms, den = weights._integer_terms(t)
+    walk = weights._transfer_walk(terms, d, start, {0: (1,)}, weights._sl2_step)
+    return {j: int_poly_param((nums, den**d.n)) for j, nums in walk.items()}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -107,14 +136,15 @@ def test_sl2_walk_equals_word_expansion_at_every_basepoint(n):
     for d in enumerate_diagrams(n):
         for start in range(max(1, 2 * n)):
             for t in (T_JONES_SL2, T_CK_SL2):
-                literal = _literal(t, d, start, weights._sl2_apply_word)
+                literal = _literal(t, d, start, _sl2_apply_word)
                 assert _sl2_walk(t, d, start) == literal, (d.gauss_text(), start)
-                assert weights._lambda_z_literal(d, t, start) == literal.get(0, 0)
+                value = int_poly_param(weights._lambda_z_literal(d, t, start))
+                assert value == literal.get(0, 0)
 
 
 def test_sl2_walk_equals_word_expansion_five_chords():
     for d in enumerate_diagrams(5):
-        literal = _literal(T_JONES_SL2, d, 0, weights._sl2_apply_word)
+        literal = _literal(T_JONES_SL2, d, 0, _sl2_apply_word)
         assert _sl2_walk(T_JONES_SL2, d, 0) == literal, d.gauss_text()
 
 
@@ -122,7 +152,8 @@ def _assert_lorentz_walk_matches_words(t, diagrams, m):
     walk_step = partial(weights._lorentz_step, m=m)
     for d in diagrams:
         literal = _literal(t, d, 0, partial(lorentz_apply_word, m=m))
-        walk = weights._transfer_walk(t, d, 0, weights._lorentz_corner(m), walk_step)
+        corner = weights._lorentz_corner(m)
+        walk = weights._transfer_walk(t.terms, d, 0, corner, walk_step)
         assert walk == literal, d.gauss_text()
         assert lorentz_weight_raw(t, d, m) == literal.get((m, m), 0)
 
@@ -141,30 +172,33 @@ def test_lorentz_walk_equals_word_expansion_four_chords():
 
 
 @pytest.mark.parametrize(
-    "evaluate, corner, survivor, module",
+    "evaluate, corner, survivor, vector, module",
     [
         (
             lambda: weights._lambda_z_literal.__wrapped__(THETA, T_JONES_SL2, 0),
             0,
             2,
+            (0, 1),
             "spin-z module",
         ),
         (
             lambda: lorentz_weight_raw(T_LORENTZ, THETA, 1),
             (1, 1),
             (2, 0),
+            poly_variable(),
             "minimal-spin-1 Lorentz module",
         ),
     ],
     ids=["sl2", "lorentz"],
 )
 def test_surviving_off_corner_component_is_reported(
-    monkeypatch, evaluate, corner, survivor, module
+    monkeypatch, evaluate, corner, survivor, vector, module
 ):
     # Both modules share one corner check; feed it a vector with an
-    # off-corner component through each module's character.
+    # off-corner component, in the module's own values (integer tuples for
+    # sl2, ParamPolynomials for Lorentz), through each module's character.
     monkeypatch.setattr(
-        weights, "_transfer_walk", lambda *args: {corner: Z, survivor: POLY_ONE}
+        weights, "_transfer_walk", lambda *args: {corner: vector, survivor: vector}
     )
     message = (
         f"central element moved the corner state {corner} of the {module} "
@@ -175,11 +209,74 @@ def test_surviving_off_corner_component_is_reported(
 
 
 def test_clear_caches_empties_the_character_tables():
-    tables = (weights._lambda_z_literal, weights._sl2_character_in_p)
+    tables = (
+        weights._lambda_z_literal,
+        weights._sl2_character_in_p,
+        weights._lambda_mp_integer,
+    )
     lambda_mp_factorized(parse_diagram("ABAB"), 1)
     assert all(table.cache_info().currsize for table in tables)
     clear_caches()
     assert not any(table.cache_info().currsize for table in tables)
+
+
+def test_characters_compute_on_integers_only(monkeypatch):
+    # On cold diagrams the sl2 walk, the substitution in p and the coproduct
+    # sum run on Python ints: no polynomial or Gaussian-rational product
+    # happens anywhere in lambda_z_sl2 or lambda_mp_factorized, and every
+    # walk value and coproduct factor is a tuple of ints.
+    def refuse(self, other):
+        raise AssertionError(f"{type(self).__name__} product in an integer character")
+
+    def ints(p):
+        nums, den = p
+        assert type(den) is int and all(type(x) is int for x in nums), p
+        return p
+
+    sl2_step, mul = weights._sl2_step, weights.int_poly_mul
+    steps, products = [], []
+
+    def int_step(vec, gen, coeff, out):
+        assert type(coeff) is int
+        assert all(type(x) is int for nums in vec.values() for x in nums), vec
+        steps.append(gen)
+        return sl2_step(vec, gen, coeff, out)
+
+    def int_mul(p, q):
+        products.append(1)
+        return ints(mul(ints(p), ints(q)))
+
+    clear_caches()
+    monkeypatch.setattr(weights, "_sl2_step", int_step)
+    monkeypatch.setattr(weights, "int_poly_mul", int_mul)
+    for kind in (ParamPolynomial, GaussianRational):
+        monkeypatch.setattr(kind, "__mul__", refuse)
+        monkeypatch.setattr(kind, "__rmul__", refuse)
+    values = []
+    for text in ("ABCDBADC", "ABCABC"):  # four and three chords
+        d = parse_diagram(text)
+        values.append(lambda_z_sl2(d))
+        values.extend(lambda_mp_factorized(d, m) for m in (0, 1, F(1, 2)))
+    assert steps and products
+    monkeypatch.undo()
+    clear_caches()
+    for text, k in (("ABCDBADC", 0), ("ABCABC", 4)):
+        d = parse_diagram(text)
+        assert values[k] == lambda_z_sl2(d)
+        assert values[k + 1 : k + 4] == [
+            lambda_mp_direct(d, 0),
+            lambda_mp_direct(d, 1),
+            lambda_mp_factorized(d, F(1, 2)),
+        ]
+
+
+def test_sl2_characters_refuse_a_non_real_tensor():
+    t = InfinitesimalRMatrix(
+        "sl2", ((F(1, 4), "E", "F"), (F(1, 4), "F", "E"), (GR_I * F(1, 2), "H", "H"))
+    )
+    message = "the coefficient 1/2*i of H (x) H is not real"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lambda_z_sl2(THETA, t)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +398,7 @@ def test_lorentz_module_commutation_relations(m):
         """The operator product X Y ... on f(state); the last factor acts first."""
         vec = {state: POLY_ONE}
         for gen in reversed(factors):
-            vec = weights._lorentz_step(vec, gen, m)
+            vec = weights._lorentz_step(vec, gen, 1, {}, m)
         return vec
 
     states = [(alpha, k) for alpha in range(m, 4) for k in range(-alpha, alpha + 1)]
@@ -345,6 +442,16 @@ def test_four_t_vanishing_lorentz():
         for g in four_t_generators(n):
             for m in (0, 1, 2):
                 assert lambda_mp_factorized(g, m).is_zero()
+
+
+def test_four_t_vanishing_lorentz_six_chords():
+    # The pinned subset of test_four_t_vanishing_sl2_six_chords: every 100th
+    # of the 4477 six-chord generators, meeting 141 of the 902 diagrams.
+    gens = four_t_generators(6)[::100]
+    assert len(gens) == 45
+    for g in gens:
+        for m in (0, 1, 2):
+            assert lambda_mp_factorized(g, m).is_zero()
 
 
 def test_unframed_criterion_on_quadratic_value():
