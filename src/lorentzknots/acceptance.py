@@ -15,7 +15,8 @@ always certifies the same statements:
     orientation independence;
  6. Markov invariance of both pipelines across sampled moves, the braid
     sums over at least seven distinct walks;
- 7. the four closed forms for spin-1/2 structure-constant columns;
+ 7. the four closed forms for spin-1/2 structure-constant columns at
+    p = 2, 3, 5/2 and a complex point;
  8. the trefoil braid sum against its one-dimensional reduction;
  9. the cross-pipeline equivalence S_b = X(0, p) (2a+1)^2/[2a+1]^2 at
     p = 1, 2, 3, and S_b(p) U(p)^2 = X(0, p), U(p) = [p]/p, at symbolic p;
@@ -29,13 +30,13 @@ from fractions import Fraction
 from math import factorial
 
 from .braids import BraidWord, markov_variants, mirror, parse_braid, reverse
-from .cg import RootJet, lambda_coeff, lambda_coeff_symbolic
+from .cg import lambda_coeff, lambda_coeff_symbolic
 from .diagrams import enumerate_diagrams, four_t_generators
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_z_interpolated
 from .polynomials import ParamPolynomial, poly_variable, specialize
 from .qlorentz import SYMBOLIC, braid_sum, cheapest_walk, trefoil_closed_sum
-from .scalars import GaussianRational
+from .scalars import GaussianRational, rational_sqrt
 from .series import TruncatedSeries, constant_series, q_power
 from .weights import (
     CASIMIR_LEFT_TERMS,
@@ -176,20 +177,18 @@ def criterion_6_markov():
 
 
 def criterion_7_structure_constant_columns():
-    """Closed forms for the four spin-1/2 columns, C in 0..3, exact; at a
-    complex point also through symbolic p."""
+    """Closed forms for the four spin-1/2 columns, C in 0..3, exact, at
+    p = 2, 3, 5/2 and, through symbolic p, at a complex point."""
     order = 4
     one = constant_series(1, order)
-    points = [GaussianRational(2), GaussianRational(3),
+    points = [GaussianRational(2), GaussianRational(3), GaussianRational(Fraction(5, 2)),
               GaussianRational(Fraction(1, 2), Fraction(3, 2))]
 
     def lam(dA, dB, dC, dD, p):
-        value = lambda_coeff(dA, dB, dC, dD, p, order)
-        if not p.is_real():
-            sym = lambda_coeff_symbolic(dA, dB, dC, dD, order)
-            if RootJet(sym.radicand, specialize(sym.jet, p)) != value:
-                return None
-        return value.rational(1, (dA, dB, dC, dD))
+        if p.is_real():
+            return lambda_coeff(dA, dB, dC, dD, p, order).rational(1, (dA, dB, dC, dD))
+        radicand, fit = lambda_coeff_symbolic(dA, dB, dC, dD, order)
+        return specialize(fit, p) * rational_sqrt(radicand)
 
     for C in (0, 1, 2, 3):
         q2C2 = q_power(2 * C + 2, order)
@@ -208,11 +207,15 @@ def criterion_7_structure_constant_columns():
                 rhs0 = q_power(C, order) * (qp + qmp) / (q_power(2 * C, order) + one)
                 if lam(2 * C, 1, 2 * C - 1, 2 * C, p) != rhs0:
                     return False, f"first column formula failed at C={C}, p={p}"
-    return True, "all columns equal their closed forms exactly"
+    return True, "all columns equal their closed forms exactly at p = 2, 3, 5/2, 1/2+3/2i"
 
 
 def criterion_8_trefoil_closed_sum():
-    """Streamed trefoil sums equal the one-dimensional reduction; mirrors agree."""
+    """Streamed trefoil sums equal the one-dimensional reduction; mirrors agree.
+
+    At these real p the reduction shares no code with the walk beyond the
+    structure constants; at a non-real p both sides would be fits of their
+    own real values (``cg.series_at``)."""
     order = 4
     for p in (2, 3):
         if braid_sum(TREFOIL_L, p, order) != trefoil_closed_sum(p, order):

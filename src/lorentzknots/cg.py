@@ -20,14 +20,15 @@ rational square, which :meth:`RootJet.scaled` checks exactly.
 
 The structure constants Lambda^{ABC}_D(p) of the balanced representation
 combine a decoupling and a coupling coefficient with q^{2 sigma p} weights.
-At real p they are integer jets too, and they are all the braid walk of
-:mod:`lorentzknots.qlorentz` uses: its symbolic sums interpolate real-p
-walks.  ``p`` may also be complex or symbolic, giving TruncatedSeries over
-Q(i) or of polynomials in p (each coupling coefficient enters through its
-memoized conversion, ``RootJet.jet``); these serve the checks that share no
-code with the walk, the closed trefoil sum and the symbolic-p structure
-constants of the acceptance suite.  The closed forms for spin-1/2 columns
-certify the convention end to end.
+They are computed at real p only, as integer jets too, and they are all
+the braid walk of :mod:`lorentzknots.qlorentz` uses.  p enters only
+through those weights, e^{sigma p h}, so the h^k coefficient of a structure
+constant, or of a braid sum built from them, has degree at most k in p;
+:func:`series_at` turns a computation at real p into one at any p by
+fitting it through real nodes.  The symbolic structure constants, and the
+braid sums and the closed trefoil sum at complex or symbolic p, are all
+such fits.  The closed forms for spin-1/2 columns certify the convention
+end to end.
 """
 
 from __future__ import annotations
@@ -35,23 +36,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalConsistencyError
-from .polynomials import poly_variable
+from .polynomials import interpolate_series, specialize
 from .scalars import GaussianRational, rational_sqrt
 from .series import (
     TruncatedSeries,
     _q_factorial_jet,
     _q_integer_jet,
     _q_power_jet,
-    as_series,
     clear_caches,
-    constant_series,
-    exp_scaled,
     jet_add,
     jet_constant,
     jet_inverse,
     jet_mul,
     jet_neg,
     jet_scale,
+    jet_series,
     jet_sqrt,
     memoized,
 )
@@ -59,6 +58,7 @@ from .series import (
 __all__ = [
     "SYMBOLIC",
     "RootJet",
+    "series_at",
     "quantum_cg",
     "quantum_cg_decoupling",
     "lambda_coeff",
@@ -69,15 +69,9 @@ __all__ = [
 
 
 class RootJet:
-    """The exact jet sqrt(radicand) * jet.
-
-    ``radicand`` is a positive rational.  ``value`` is the jet as it was
-    computed: an integer jet of the series kernel when it is real (every
-    coupling coefficient, and the structure constants at real p), else a
-    TruncatedSeries over Q(i) or of polynomials in p over it.  ``jet`` is
-    always the TruncatedSeries; an integer jet is converted once
-    (``series.jet_series`` is memoized).
-    """
+    """The exact jet sqrt(radicand) * value: ``radicand`` is a positive
+    rational, ``value`` an integer jet and ``jet`` the value as a
+    TruncatedSeries."""
 
     __slots__ = ("radicand", "value")
 
@@ -87,30 +81,19 @@ class RootJet:
 
     @property
     def jet(self) -> TruncatedSeries:
-        return as_series(self.value)
+        return jet_series(self.value)
 
     def __mul__(self, other: "RootJet") -> "RootJet":
-        a, b = self.value, other.value
-        if type(a) is tuple and type(b) is tuple:
-            value = jet_mul(a, b)
-        else:
-            value = self.jet * other.jet
-        return RootJet(self.radicand * other.radicand, value)
+        return RootJet(self.radicand * other.radicand, jet_mul(self.value, other.value))
 
     def is_zero(self) -> bool:
-        value = self.value
-        return not any(value[0]) if type(value) is tuple else value.is_zero()
+        return not any(self.value[0])
 
     def scaled(self, square=1, labels=()):
         """sqrt(square) times the value, which must be rational, as an
-        integer jet or a TruncatedSeries like ``value``.
-
-        Raises InternalConsistencyError naming ``labels`` when
-        radicand * square is not the square of a rational.
-        """
-        value = self.value
+        integer jet; InternalConsistencyError naming ``labels`` otherwise."""
         if self.is_zero():
-            return value
+            return self.value
         try:
             root = rational_sqrt(self.radicand * square)
         except ValueError:
@@ -118,12 +101,12 @@ class RootJet:
                 f"radicand {self.radicand * square} at labels {labels} is not "
                 "the square of a rational"
             ) from None
-        return jet_scale(value, root) if type(value) is tuple else value * root
+        return jet_scale(self.value, root)
 
     def rational(self, square=1, labels=()) -> TruncatedSeries:
         """sqrt(square) times the value, a jet that must be rational
         (see :meth:`scaled`), as a TruncatedSeries."""
-        return as_series(self.scaled(square, labels))
+        return jet_series(self.scaled(square, labels))
 
     def __eq__(self, other):
         if not isinstance(other, RootJet):
@@ -132,7 +115,7 @@ class RootJet:
             ratio = rational_sqrt(self.radicand / other.radicand)
         except ValueError:
             return self.is_zero() and other.is_zero()
-        return other.jet == self.jet * ratio
+        return other.value == jet_scale(self.value, ratio)
 
     __hash__ = None
 
@@ -140,20 +123,15 @@ class RootJet:
         return f"RootJet(radicand={self.radicand}, jet={self.jet!r})"
 
 
-def _root_sum(terms, zero, labels) -> RootJet:
-    """Sum of root jets whose radicands differ by rational squares; ``zero``
-    (an integer jet or a TruncatedSeries) is the value of the empty sum."""
+def _root_sum(terms, order, labels) -> RootJet:
+    """Sum of root jets whose radicands differ by rational squares."""
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
-        return RootJet(1, zero)
+        return RootJet(1, jet_constant(0, order))
     radicand = terms[0].radicand
     total = terms[0].value
     for term in terms[1:]:
-        part = term.scaled(1 / radicand, labels)
-        if type(total) is tuple and type(part) is tuple:
-            total = jet_add(total, part)
-        else:
-            total = as_series(total) + as_series(part)
+        total = jet_add(total, term.scaled(1 / radicand, labels))
     return RootJet(radicand, total)
 
 
@@ -183,6 +161,22 @@ def real_point(p):
         return None
     p = GaussianRational.coerce(p)
     return None if p.im else p.re
+
+
+def series_at(p, order, jet_at, context):
+    """The value at ``p`` of a jet whose h^k coefficient has degree <= k in
+    p, from ``jet_at(x)``, its integer jet at a real x: at real p that jet,
+    else the exact fit of the jets at p = 1..order+3 (``interpolate_series``,
+    whose error names ``context``), specialised unless p is SYMBOLIC."""
+    real = real_point(p)
+    if real is not None:
+        return jet_series(jet_at(real))
+    nodes = range(1, order + 4)
+    samples = [jet_series(jet_at(x)) for x in nodes]
+    fit = interpolate_series(
+        nodes, samples, context, "p =", "p enters only through e^{sigma p h}"
+    )
+    return fit if p == SYMBOLIC else specialize(fit, p)
 
 
 def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
@@ -266,26 +260,21 @@ def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic p: jets of polynomials in p
+# Structure constants
 # ---------------------------------------------------------------------------
 
 
 @memoized
 def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
-    """Structure constant Lambda^{A B C}_D(p).
+    """Structure constant Lambda^{A B C}_D(p) at real p (ValueError
+    otherwise; see :func:`lambda_coeff_symbolic`).
 
     Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
     D) column weights, as a RootJet: every sigma term has the same radical.
-    ``p`` is any Gaussian rational (complex values allowed), giving a jet
-    over Q(i) (an integer jet at real p), or SYMBOLIC, giving a jet of
-    polynomials in p.
     """
     real = real_point(p)
     if real is None:
-        rate = poly_variable() if p == SYMBOLIC else p
-        zero = constant_series(0, order)
-    else:
-        zero = jet_constant(0, order)
+        raise ValueError(f"lambda_coeff needs a real p, not {p}")
     terms = []
     for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
         if (d_sigma - dC) % 2 or (d_sigma - dB) % 2:
@@ -296,14 +285,23 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
         right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
         if right.is_zero():
             continue
-        if real is None:
-            weight = exp_scaled(Fraction(d_sigma, 2) * rate, order)
-        else:
-            weight = _q_power_jet(d_sigma * real, order)
-        terms.append(RootJet(1, weight) * (left * right))
-    return _root_sum(terms, zero, ("Lambda", dA, dB, dC, dD))
+        weight = RootJet(1, _q_power_jet(d_sigma * real, order))
+        terms.append(weight * (left * right))
+    return _root_sum(terms, order, ("Lambda", dA, dB, dC, dD))
 
 
-def lambda_coeff_symbolic(dA, dB, dC, dD, order) -> RootJet:
-    """Lambda^{A B C}_D with p left symbolic: a jet of polynomials in p."""
-    return lambda_coeff(dA, dB, dC, dD, SYMBOLIC, order)
+def lambda_coeff_symbolic(dA, dB, dC, dD, order):
+    """Lambda^{A B C}_D with p left symbolic, as (radicand, PolySeries): the
+    fit (``series_at``) of its real-p values, whose radicands must agree."""
+    labels = ("Lambda", dA, dB, dC, dD)
+    radicands = set()
+
+    def value_at(x):
+        lam = lambda_coeff(dA, dB, dC, dD, x, order)
+        radicands.add(lam.radicand)
+        return lam.value
+
+    fit = series_at(SYMBOLIC, order, value_at, f"structure constant {labels}")
+    if len(radicands) > 1:
+        raise InternalConsistencyError(f"radicands {sorted(radicands)} of {labels} differ by p")
+    return radicands.pop(), fit

@@ -185,11 +185,15 @@ def _cmd_diagrams(args, config, out):
 def _cmd_weights(args, config, out):
     fmt = _setting(args, config, "format")
     d = parse_diagram(args.diagram)
+    m = _setting(args, config, "m")
     if args.sl2:
+        if args.direct or m is not None:
+            flag = "--direct" if args.direct else "--m"
+            raise ValueError(f"--sl2 takes no {flag}: the spin-z character has neither")
         poly = lambda_z_sl2(d)
         doc = {"diagram": d.gauss_text(), "variable": "z", "coeffs": poly.to_json()}
     else:
-        m = _setting(args, config, "m") or 0
+        m = m or 0
         route = lambda_mp_direct if args.direct else lambda_mp_factorized
         poly = route(d, m)
         doc = {
@@ -210,6 +214,9 @@ def _cmd_jones(args, config, out):
     order = _setting(args, config, "order")
     braid = _resolve_braid(args, config)
     if args.interpolate:
+        if args.framed or args.spin is not None:
+            flag = "--framed" if args.framed else "--spin"
+            raise ValueError(f"--interpolate takes no {flag}: it fits every spin, zero-framed")
         series = jones_z_interpolated(braid, order)
         _emit_poly_series(series, fmt, out)
     elif args.spin is not None:

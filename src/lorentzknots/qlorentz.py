@@ -17,10 +17,10 @@ The walk runs at real p only, where the dual-generator entries and the
 branch coefficients are integer jets of :mod:`lorentzknots.series`.  p
 enters the sum only through the weights q^{2 sigma p} = e^{sigma p h} of
 the structure constants, so its h^k coefficient is a polynomial of degree
-at most k in p.  At symbolic p the sum is walked at the real nodes
-p = 1..order+3, and each h^k coefficient is fitted by exact Lagrange
-interpolation through the first k+1 of them; the remaining nodes (at least
-two) must lie on the fit.  At complex p the symbolic sum is specialised.
+at most k in p.  At any other p, ``cg.series_at`` fits the walks at the
+real nodes p = 1..order+3: each h^k coefficient by exact Lagrange
+interpolation through the first k+1 of them, and the remaining nodes (at
+least two) must lie on the fit.  At complex p the fit is specialised.
 
 A braid whose closure is a knot becomes a single operator word by walking
 the closed-up diagram once: each crossing contributes its matrix-element
@@ -60,20 +60,19 @@ from .cg import (
     quantum_cg,
     quantum_cg_decoupling,
     real_point,
+    series_at,
 )
 from .errors import InternalConsistencyError, ResourceGuardError
-from .polynomials import interpolate_series, specialize
 from .series import (
+    _q_integer_jet,
     _q_power_jet,
-    constant_series,
     jet_accumulate,
+    jet_add,
     jet_constant,
     jet_lead,
     jet_mul,
     jet_scale,
-    jet_series,
     memoized,
-    q_dim,
 )
 
 __all__ = [
@@ -330,24 +329,12 @@ def braid_sum(b: BraidWord, p, order: int):
     after any operator raise ResourceGuardError naming the count, the
     operator, and the rotation and direction walked.
 
-    Only real p is walked.  The symbolic sum interpolates the walks at p =
-    1..order+3 (its h^k coefficient has degree at most k in p, and a node
-    off the fit raises InternalConsistencyError naming the braid, order,
-    h^k and node); a complex p specialises the symbolic sum.
+    Only real p is walked; ``cg.series_at`` fits the walks at p =
+    1..order+3 for any other p (a node off the fit raises
+    InternalConsistencyError naming the braid, order, h^k and node).
     """
     walk = cheapest_walk(b)
-    real = real_point(p)
-    if real is not None:
-        return jet_series(_walk(walk, real, order))
-    nodes = range(1, order + 4)
-    symbolic = interpolate_series(
-        nodes,
-        [jet_series(_walk(walk, node, order)) for node in nodes],
-        f"symbolic braid sum of {b}",
-        "p =",
-        "p enters only through e^{sigma p h}",
-    )
-    return symbolic if p == SYMBOLIC else specialize(symbolic, p)
+    return series_at(p, order, lambda x: _walk(walk, x, order), f"symbolic braid sum of {b}")
 
 
 def _walk(walk, p, order):
@@ -452,10 +439,18 @@ def trefoil_closed_sum(p, order: int):
     """Independent one-dimensional reduction of the left-handed trefoil sum:
     the quantum-dimension-weighted product of two structure constants,
     summed over integer spins up to the order.  The two constants share
-    their radical, so each product is a rational jet."""
-    total = constant_series(0, order)
+    their radical, so each product is a rational jet.  At real p it shares
+    no code with the walk beyond the structure constants; at any other p
+    both are fits (``series_at``) of their own real-p values."""
+    return series_at(p, order, lambda x: _closed_sum(x, order), "closed trefoil sum")
+
+
+def _closed_sum(p, order):
+    """The closed trefoil sum at real p, as an integer jet."""
+    total = jet_constant(0, order)
     for alpha in range(0, order + 1):
         da = 2 * alpha
         pair = lambda_coeff(0, da, da, da, p, order) * lambda_coeff(da, da, da, 0, p, order)
-        total = total + q_dim(da, order) * pair.rational(1, ("closed sum", alpha))
+        dim = _q_integer_jet(da + 1, order)  # [2 alpha + 1]
+        total = jet_add(total, jet_mul(dim, pair.scaled(1, ("closed sum", alpha))))
     return total

@@ -47,7 +47,6 @@ __all__ = [
     "jet_constant",
     "jet_fractions",
     "jet_series",
-    "as_series",
     "jet_neg",
     "jet_scale",
     "jet_add",
@@ -355,12 +354,6 @@ def jet_series(jet) -> TruncatedSeries:
     return TruncatedSeries(
         len(jet[0]) - 1, [GaussianRational(c) for c in jet_fractions(jet)]
     )
-
-
-def as_series(value) -> TruncatedSeries:
-    """``value`` as a TruncatedSeries: an integer jet is converted, a
-    TruncatedSeries is returned as it is."""
-    return value if isinstance(value, TruncatedSeries) else jet_series(value)
 
 
 def jet_neg(a):

@@ -306,6 +306,15 @@ def _corner_scalar(total, corner, zero, module: str, element: str):
 # ---------------------------------------------------------------------------
 
 
+def _linear(weight, d: DiagramSum, *args) -> ParamPolynomial:
+    """``weight`` extended linearly: the sum of c * weight(diagram, *args)
+    over the terms of ``d``."""
+    total = POLY_ZERO
+    for diagram, c in d.terms.items():
+        total = total + c * weight(diagram, *args)
+    return total
+
+
 def _integer_terms(t: InfinitesimalRMatrix):
     """The terms of a real tensor scaled to integers, and the scale D.
 
@@ -367,10 +376,7 @@ def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
     ValueError naming it.
     """
     if isinstance(d, DiagramSum):
-        total = POLY_ZERO
-        for diagram, c in d.terms.items():
-            total = total + c * lambda_z_sl2(diagram, t, start)
-        return total
+        return _linear(lambda_z_sl2, d, t, start)
     nums, den = _lambda_z_literal(d, t, start)
     if d.n % 2:
         nums = tuple(_SIGN_PER_CHORD * x for x in nums)
@@ -510,10 +516,7 @@ def lambda_mp_direct(d, m: int) -> ParamPolynomial:
     exceeds that of ABCDABCD raises ResourceGuardError.
     """
     if isinstance(d, DiagramSum):
-        total = POLY_ZERO
-        for diagram, c in d.terms.items():
-            total = total + c * lambda_mp_direct(diagram, m)
-        return total
+        return _linear(lambda_mp_direct, d, m)
     if not isinstance(m, int):
         raise ValueError("the direct route supports integer minimal spin only")
     cost = _direct_cost(d)
@@ -561,10 +564,7 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
     per (diagram, m).
     """
     if isinstance(d, DiagramSum):
-        total = POLY_ZERO
-        for diagram, c in d.terms.items():
-            total = total + c * lambda_mp_factorized(diagram, m)
-        return total
+        return _linear(lambda_mp_factorized, d, m)
     return int_poly_param(_lambda_mp_integer(d, Fraction(m)))
 
 

@@ -1,5 +1,6 @@
 """Quantum coupling coefficients and balanced structure constants, exactly."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,23 +20,32 @@ from lorentzknots.cg import (
 )
 from lorentzknots.errors import InternalConsistencyError
 from lorentzknots.polynomials import ParamPolynomial, specialize
-from lorentzknots.scalars import GaussianRational
-from lorentzknots.series import TruncatedSeries, constant_series, q_power
+from lorentzknots.scalars import GaussianRational, rational_sqrt
+from lorentzknots.series import (
+    TruncatedSeries,
+    constant_series,
+    jet_constant,
+    jet_fractions,
+    q_power,
+    real_jet,
+)
 
 
 def is_value(value, constant):
     """The root jet equals the constant ``constant`` exactly."""
-    return value.rational() == constant_series(constant, value.jet.order)
+    return value.scaled() == jet_constant(constant, value.jet.order)
 
 
-def at_point(value, p):
-    """A symbolic-p root jet specialized at the point p."""
-    return RootJet(value.radicand, specialize(value.jet, p))
+def at_point(sym, p):
+    """A symbolic structure constant (radicand, fit) specialized at the
+    real point p, as a root jet."""
+    radicand, fit = sym
+    return RootJet(radicand, real_jet(specialize(fit, p).coeffs))
 
 
 def h0(value):
     """The classical (h^0) part of a root jet."""
-    return RootJet(value.radicand, TruncatedSeries(0, value.jet.coeffs[:1]))
+    return RootJet(value.radicand, real_jet(jet_fractions(value.value)[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +115,7 @@ def _classical_cg(j1, j2, j, m1, m2, m):
 def test_classical_limit_matches_racah(labels):
     value = quantum_cg(*labels, 4)
     radicand, rational = _classical_cg(*(Fraction(x, 2) for x in labels))
-    assert h0(value) == RootJet(radicand, constant_series(rational, 0))
+    assert h0(value) == RootJet(radicand, jet_constant(rational, 0))
     assert value.jet.coeffs[0].is_real()
 
 
@@ -123,7 +133,6 @@ def test_coupling_orthogonality():
     """C C^T = 1 and C^T C = 1 for every coupling block with J, K <= 2, to
     order 4: the decoupling coefficient is the transposed coupling one."""
     order = 4
-    zero = constant_series(0, order)
     count = 0
     for dJ in range(5):
         for dK in range(5):
@@ -135,7 +144,7 @@ def test_coupling_orthogonality():
                         for s, other in enumerate(gram):
                             acc = _root_sum(
                                 [x * y for x, y in zip(row, other)],
-                                zero,
+                                order,
                                 ("orthogonality", dJ, dK, dx, r, s),
                             )
                             assert is_value(acc, int(r == s))
@@ -167,11 +176,11 @@ def test_coupling_radicands_factor_by_row_and_column():
 
 
 def test_irrational_combination_names_its_labels():
-    value = RootJet(2, constant_series(1, 1))
+    value = RootJet(2, jet_constant(1, 1))
     with pytest.raises(InternalConsistencyError, match=r"radicand 6 at labels \('demo', 3\)"):
         value.rational(3, ("demo", 3))
     assert value.rational(2) == constant_series(2, 1)
-    assert RootJet(2, constant_series(0, 1)).rational() == constant_series(0, 1)
+    assert RootJet(2, jet_constant(0, 1)).rational() == constant_series(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +202,9 @@ def test_lambda_triple_alpha_zero_for_half_integer():
     # At spin 2 every h-order carries the factor (p - 1)(p - 2), so the
     # constant vanishes exactly at p = 2 (floats left a 10^-81 residue).
     # Its h^2 coefficient is sqrt(504/5) (p - 1)(p - 2)/12.
-    sym = lambda_coeff_symbolic(4, 4, 4, 0, 3)
-    h2 = RootJet(sym.radicand, TruncatedSeries(0, sym.jet.coeffs[2:3]))
-    assert h2 == RootJet(Fraction(504, 5), TruncatedSeries(0, [
-        ParamPolynomial([2, -3, 1]) * Fraction(1, 12)
-    ]))
+    radicand, fit = lambda_coeff_symbolic(4, 4, 4, 0, 3)
+    ratio = rational_sqrt(radicand / Fraction(504, 5))
+    assert fit.coeffs[2] * ratio == ParamPolynomial([2, -3, 1]) * Fraction(1, 12)
     assert lambda_coeff(4, 4, 4, 0, 2, 3).is_zero()
 
 
@@ -221,32 +228,86 @@ def test_lambda_spin_half_closed_forms(C, p):
 
 
 def test_lambda_closed_form_at_gaussian_point():
-    """Symbolic-mode polynomials evaluated at a complex rational point, and
-    the numeric constant there, equal the closed form with exact complex
-    exponentials."""
+    """Symbolic-mode polynomials evaluated at a complex rational point equal
+    the closed form with exact complex exponentials; the real-p constant
+    refuses that point."""
     order = 3
     C = 1
     p = GaussianRational(Fraction(1, 2), Fraction(3, 2))  # complex point
-    sym = lambda_coeff_symbolic(2 * C, 1, 2 * C + 1, 2 * C + 2, order)
+    radicand, fit = lambda_coeff_symbolic(2 * C, 1, 2 * C + 1, 2 * C + 2, order)
     q2C2 = q_power(2 * C + 2, order)
     one = constant_series(1, order)
     rhs = (q2C2 * q_power(p, order) - q_power(-1 * p, order)) / (q2C2 + one)
-    assert at_point(sym, p).rational() == rhs
-    assert lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order).rational() == rhs
+    assert specialize(fit, p) * rational_sqrt(radicand) == rhs
+    with pytest.raises(ValueError, match="real p"):
+        lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order)
 
 
 def test_symbolic_matches_numeric():
-    order = 3
-    sym = lambda_coeff_symbolic(2, 2, 2, 0, order)
-    assert lambda_coeff(2, 2, 2, 0, "symbolic", 2) is lambda_coeff_symbolic(2, 2, 2, 0, 2)
+    """The fit through p = 1..order+3 specialized off its nodes, at
+    p = 1/2, 5/2, -3 and order+4, equals the structure constant computed at
+    that real p, for every label set with doubled spins <= 4 at orders 2-4."""
+    for order in (2, 3, 4):
+        for labels in itertools.product(range(5), repeat=4):
+            sym = lambda_coeff_symbolic(*labels, order)
+            for p in (Fraction(1, 2), Fraction(5, 2), -3, order + 4):
+                assert at_point(sym, p) == lambda_coeff(*labels, p, order), (labels, order, p)
+    sym = lambda_coeff_symbolic(2, 2, 2, 0, 3)
+    with pytest.raises(ValueError, match="lambda_coeff needs a real p"):
+        lambda_coeff(2, 2, 2, 0, "symbolic", 3)
     for p in (1, 2, 5):
-        assert at_point(sym, p) == lambda_coeff(2, 2, 2, 0, p, order)
+        assert at_point(sym, p) == lambda_coeff(2, 2, 2, 0, p, 3)
 
 
 def test_symbolic_degree_bound():
-    sym = lambda_coeff_symbolic(2, 2, 2, 0, 4)
-    for n, poly in enumerate(sym.jet.coeffs):
+    _, fit = lambda_coeff_symbolic(2, 2, 2, 0, 4)
+    for n, poly in enumerate(fit.coeffs):
         assert poly.degree() <= n
+
+
+def test_symbolic_radicands_must_agree_across_nodes(monkeypatch):
+    real = cg.lambda_coeff
+
+    def drifting(dA, dB, dC, dD, p, order):
+        value = real(dA, dB, dC, dD, p, order)
+        return RootJet(value.radicand * (1 + (p == 3)), value.value)
+
+    monkeypatch.setattr(cg, "lambda_coeff", drifting)
+    with pytest.raises(InternalConsistencyError, match=r"\('Lambda', 2, 2, 2, 0\)"):
+        lambda_coeff_symbolic(2, 2, 2, 0, 2)
+
+
+def test_structure_constants_compute_on_integer_jets_only(monkeypatch):
+    # Cold structure constants at real p and the closed trefoil sum run on
+    # the integer jets of the series kernel: no Gaussian-rational,
+    # polynomial or TruncatedSeries product happens anywhere in them.
+    from lorentzknots.braids import parse_braid
+    from lorentzknots.qlorentz import braid_sum, trefoil_closed_sum
+
+    def refuse(self, other):
+        raise AssertionError(f"{type(self).__name__} product in a structure constant")
+
+    order = 3
+    clear_caches()
+    for kind in (GaussianRational, ParamPolynomial, TruncatedSeries):
+        monkeypatch.setattr(kind, "__mul__", refuse)
+        monkeypatch.setattr(kind, "__rmul__", refuse)
+    columns = {
+        (C, p): lambda_coeff(2 * C, 1, 2 * C + 1, 2 * C + 2, p, order)
+        for C in range(3)
+        for p in (2, 3)
+    }
+    closed = trefoil_closed_sum(2, order)
+    monkeypatch.undo()
+    one = constant_series(1, order)
+    for (C, p), value in columns.items():
+        nums, den = value.value
+        assert type(den) is int and all(type(n) is int for n in nums)
+        q2C2 = q_power(2 * C + 2, order)
+        rhs = (q2C2 * q_power(p, order) - q_power(-p, order)) / (q2C2 + one)
+        assert value.rational() == rhs
+    clear_caches()
+    assert closed == braid_sum(parse_braid("-s1 -s1 -s1", 2), 2, order)
 
 
 def test_clear_caches_empties_every_memo_table():

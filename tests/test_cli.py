@@ -166,6 +166,34 @@ def test_lorentz_equivalence_rejects_nonzero_m(tmp_path, capsys, from_config):
     assert "compares against X(0, p)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, config, flags",
+    [
+        (["jones", "--knot", "unknot", "--order", "1", "--interpolate", "--framed"], None,
+         ("--interpolate", "--framed")),
+        (["jones", "--knot", "unknot", "--order", "1", "--interpolate", "--spin", "1"], None,
+         ("--interpolate", "--spin")),
+        (["weights", "--diagram", "ABAB", "--sl2", "--direct"], None, ("--sl2", "--direct")),
+        (["weights", "--diagram", "ABAB", "--sl2", "--m", "1"], None, ("--sl2", "--m")),
+        (["weights", "--diagram", "ABAB", "--sl2", "--m", "0"], None, ("--sl2", "--m")),
+        (["weights", "--diagram", "ABAB", "--sl2"], {"m": 1}, ("--sl2", "--m")),
+    ],
+    ids=["interpolate-framed", "interpolate-spin", "sl2-direct", "sl2-m", "sl2-m-zero",
+         "sl2-config-m"],
+)
+def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, extra, config, flags):
+    # Each of these combinations used to run and silently drop a flag.
+    argv = list(extra)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)] + argv
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
+
+
 def test_qlg_matches_lorentz_invariant_at_point():
     code, text = run_cli(
         [

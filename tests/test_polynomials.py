@@ -189,7 +189,8 @@ def test_symbolic_braid_sum_coefficients_are_exact_polynomials():
 def _symbolic_structure_constant():
     from lorentzknots.cg import lambda_coeff_symbolic
 
-    return lambda_coeff_symbolic(2, 2, 2, 0, 2).jet
+    _, fit = lambda_coeff_symbolic(2, 2, 2, 0, 2)
+    return fit
 
 
 @pytest.mark.parametrize(
