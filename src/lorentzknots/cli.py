@@ -32,6 +32,7 @@ from .diagrams import (
 from .errors import InternalConsistencyError, ResourceGuardError
 from .invariants import equivalence_check, x_invariant
 from .jones import jones_framed, jones_z_interpolated, jones_zero_framed
+from .polynomials import specialize
 from .qlorentz import SYMBOLIC, braid_sum
 from .scalars import GaussianRational
 from .weights import lambda_mp_direct, lambda_mp_factorized, lambda_z_sl2
@@ -40,6 +41,8 @@ DEFAULTS = {
     "order": 6,
     "format": "pretty",
 }
+
+FORMATS = ("json", "csv", "pretty")
 
 CONFIG_KEYS = set(DEFAULTS) | {"braid", "strands", "knot", "m", "p"}
 
@@ -81,6 +84,8 @@ def _setting(args, config, key):
         value = _integer(value, key)
     if key == "order" and value is not None and value < 0:
         raise ValueError("order must be nonnegative")
+    if key == "format" and value not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {value!r}")
     return value
 
 
@@ -106,35 +111,21 @@ def _parse_spin(text):
     return int(doubled)
 
 
-def _poly_rows(series):
-    rows = []
-    for n, poly in enumerate(series.coeffs):
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                rows.append(
-                    {
-                        "h_order": n,
-                        "param_degree": k,
-                        "re_num": c.re.numerator,
-                        "re_den": c.re.denominator,
-                        "im_num": c.im.numerator,
-                        "im_den": c.im.denominator,
-                    }
-                )
-    return rows
+def _only_format(args, config, mode, formats):
+    """Refuse a --format (flag or config) that ``mode`` does not print."""
+    fmt = args.format or config.get("format")
+    if fmt is not None and fmt not in formats:
+        raise ValueError(f"{mode} prints {' or '.join(formats)}, not --format {fmt}")
 
 
 def _emit_poly_series(series, fmt, out):
     if fmt == "json":
         _emit_series(series, fmt, out)
     elif fmt == "csv":
-        rows = _poly_rows(series)
-        writer = csv.DictWriter(
-            out,
-            fieldnames=["h_order", "param_degree", "re_num", "re_den", "im_num", "im_den"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(out)
+        writer.writerow(["h_order", "param_degree", "re_num", "re_den", "im_num", "im_den"])
+        for n, poly in enumerate(series.coeffs):
+            writer.writerows([n, k, *c.to_json()] for k, c in enumerate(poly.coeffs) if c)
     else:
         for n, poly in enumerate(series.coeffs):
             out.write(f"h^{n}: {poly}\n")
@@ -160,6 +151,7 @@ def _emit_series(series, fmt, out):
 def _cmd_diagrams(args, config, out):
     fmt = _setting(args, config, "format")
     if args.enumerate is not None:
+        _only_format(args, config, "--enumerate", ("json", "pretty"))
         diagrams = enumerate_diagrams(args.enumerate)
         if fmt == "json":
             out.write(json.dumps([d.gauss_text() for d in diagrams]) + "\n")
@@ -167,22 +159,24 @@ def _cmd_diagrams(args, config, out):
             for d in diagrams:
                 out.write((d.gauss_text() or "(unit)") + "\n")
     elif args.parse is not None:
+        _only_format(args, config, "--parse", ("json",))
         d = parse_diagram(args.parse)
         out.write(json.dumps({"canonical": d.gauss_text(), "chords": d.n}) + "\n")
     elif args.four_t is not None:
+        _only_format(args, config, "--four-t", ("json",))
         gens = four_t_generators(args.four_t)
         out.write(json.dumps([g.to_json() for g in gens], indent=2) + "\n")
     elif args.quotient_dim is not None:
-        out.write(
-            json.dumps({"n": args.quotient_dim, "dimension": quotient_dimension(args.quotient_dim)})
-            + "\n"
-        )
+        _only_format(args, config, "--quotient-dim", ("json",))
+        n = args.quotient_dim
+        out.write(json.dumps({"n": n, "dimension": quotient_dimension(n)}) + "\n")
     else:
         raise ValueError("diagrams: choose --enumerate, --parse, --four-t or --quotient-dim")
     return 0
 
 
 def _cmd_weights(args, config, out):
+    _only_format(args, config, "weights", ("json", "pretty"))
     fmt = _setting(args, config, "format")
     d = parse_diagram(args.diagram)
     m = _setting(args, config, "m")
@@ -245,6 +239,7 @@ def _cmd_lorentz(args, config, out):
             )
         if p is None:
             raise ValueError("--check-equivalence needs --p")
+        _only_format(args, config, "--check-equivalence", ("json",))
         if str(p) != SYMBOLIC:
             p = _integer(p, "p")
         report = equivalence_check(braid, p, order)
@@ -254,8 +249,6 @@ def _cmd_lorentz(args, config, out):
     if p is None or str(p) == SYMBOLIC:
         _emit_poly_series(inv.series, fmt, out)
     else:
-        from .polynomials import specialize
-
         series = specialize(inv.series, Fraction(str(p)))
         _emit_series(series, fmt, out)
     return 0
@@ -300,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Add the shared flags named; each subcommand takes only those it reads."""
         for flag in flags:
             if flag == "--format":
-                p.add_argument(flag, choices=["json", "csv", "pretty"])
+                p.add_argument(flag, choices=FORMATS)
             else:
                 p.add_argument(flag, type=int)
 

@@ -2,9 +2,10 @@
 
 The invariant X(m, p, K) is assembled from the interpolated spin expansion:
 substitute z = (p-1+m)/2 into the mirror knot's expansion and
-w = (p-1-m)/2 into the knot's own, and multiply.  For m = 0 every h-order
-is an even polynomial in p of degree at most twice the order, vanishing at
-p = 1 beyond order zero.
+w = (p-1-m)/2 into the knot's own, and multiply.  The mirror's expansion is
+the knot's own at -h, J_{K*}(q) = J_K(1/q), so only the knot is walked.  For
+m = 0 every h-order is an even polynomial in p of degree at most twice the
+order, vanishing at p = 1 beyond order zero.
 
 The cross-pipeline comparison divides out the square of the quantum
 dimension at spin (p-1)/2 against the ordinary dimension squared and
@@ -66,29 +67,29 @@ class LorentzInvariant:
         return self
 
 
+def _at_spin(coeffs, shift: int, order: int) -> PolySeries:
+    """A spin expansion's h-coefficients at z = (p + shift)/2."""
+    half = Fraction(1, 2)
+    return TruncatedSeries(order, [c.compose_affine(half, half * shift) for c in coeffs])
+
+
 def x_invariant(b: BraidWord, m: int, order: int) -> LorentzInvariant:
-    """X(m, p, .) of the braid closure at zero framing, exact in p."""
+    """X(m, p, .) of the braid closure at zero framing, exact in p.
+
+    The mirror factor is the knot's expansion at -h.  Criterion 5,
+    ``jones_relation_check`` and ``test_jones.py::test_mirror_is_the_reflection*``
+    check that identity against the mirror braid's own crossings.
+    """
     if not isinstance(m, int):
         raise ValueError("minimal spin must be an integer here")
-    star = jones_z_interpolated(mirror(b), order)
-    plain = jones_z_interpolated(b, order)
-    half = Fraction(1, 2)
-    sub_z = (half, Fraction(m - 1, 2))
-    sub_w = (half, Fraction(-m - 1, 2))
-    left = TruncatedSeries(
-        order, [poly.compose_affine(*sub_z) for poly in star.coeffs]
-    )
-    right = TruncatedSeries(
-        order, [poly.compose_affine(*sub_w) for poly in plain.coeffs]
-    )
-    return LorentzInvariant(m=m, series=left * right)
+    plain = jones_z_interpolated(b, order).coeffs
+    star = [-poly if n % 2 else poly for n, poly in enumerate(plain)]
+    return LorentzInvariant(m, _at_spin(star, m - 1, order) * _at_spin(plain, -m - 1, order))
 
 
 def _unknot_at_w(order: int) -> PolySeries:
     """U(p), the unknot's spin expansion at z = (p-1)/2; it equals [p]/p."""
-    unknot = jones_z_interpolated(BraidWord(1), order)
-    half = Fraction(1, 2)
-    return TruncatedSeries(order, [poly.compose_affine(half, -half) for poly in unknot.coeffs])
+    return _at_spin(jones_z_interpolated(BraidWord(1), order).coeffs, -1, order)
 
 
 def equivalence_check(b: BraidWord, p, order: int) -> dict:
@@ -128,7 +129,8 @@ def jones_relation_check(b: BraidWord, two_z: int, two_w: int, order: int) -> di
 
     The invariant specialized at (m, p) = (z - w, z + w + 1) must equal the
     product of the mirror expansion at spin z with the plain expansion at
-    spin w, both computed directly (no interpolation); exact equality.
+    spin w, both sampled directly (no interpolation), the mirror's from its
+    own crossings: the pointwise check of the reflection in ``x_invariant``.
     """
     if (two_z - two_w) % 2:
         raise ValueError("z - w must be an integer")

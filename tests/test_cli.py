@@ -194,6 +194,63 @@ def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, extr
     assert all(flag in err for flag in flags), err
 
 
+@pytest.mark.parametrize(
+    "extra, fmt, mode",
+    [
+        (["lorentz", "--knot", "unknot", "--order", "1", "--p", "1", "--check-equivalence"],
+         "csv", "--check-equivalence"),
+        (["lorentz", "--knot", "unknot", "--order", "1", "--p", "1", "--check-equivalence"],
+         "pretty", "--check-equivalence"),
+        (["diagrams", "--parse", "ABBA"], "csv", "--parse"),
+        (["diagrams", "--parse", "ABBA"], "pretty", "--parse"),
+        (["diagrams", "--four-t", "2"], "csv", "--four-t"),
+        (["diagrams", "--quotient-dim", "2"], "pretty", "--quotient-dim"),
+        (["diagrams", "--enumerate", "2"], "csv", "--enumerate"),
+        (["weights", "--diagram", "ABAB", "--m", "1"], "csv", "weights"),
+        (["weights", "--diagram", "ABAB", "--sl2"], "csv", "weights"),
+    ],
+    ids=["equivalence-csv", "equivalence-pretty", "parse-csv", "parse-pretty", "four-t-csv",
+         "quotient-dim-pretty", "enumerate-csv", "weights-csv", "weights-sl2-csv"],
+)
+@pytest.mark.parametrize("from_config", [False, True])
+def test_a_format_a_mode_does_not_print_is_a_usage_error(
+    tmp_path, capsys, extra, fmt, mode, from_config
+):
+    # Each of these used to print another format and exit 0.
+    argv = list(extra)
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": fmt}))
+        argv = ["--config", str(cfg)] + argv
+    else:
+        argv += ["--format", fmt]
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert mode in err and f"--format {fmt}" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jones", "--knot", "unknot", "--interpolate", "--order", "1"],
+        ["lorentz", "--knot", "unknot", "--order", "1"],
+        ["qlg", "--knot", "unknot", "--order", "1", "--p", "2"],
+        ["weights", "--diagram", "AA"],
+        ["diagrams", "--enumerate", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_format_outside_the_choices_is_a_usage_error(tmp_path, capsys, argv):
+    # The flag's choices are checked by argparse; a config value used to
+    # fall through to the pretty printer and exit 0.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code, text = run_cli(["--config", str(cfg)] + argv)
+    assert code == 2 and text == ""
+    assert "xml" in capsys.readouterr().err
+
+
 def test_qlg_matches_lorentz_invariant_at_point():
     code, text = run_cli(
         [

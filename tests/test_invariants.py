@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from lorentzknots.braids import BraidWord, mirror, parse_braid, reverse
+from lorentzknots import jones
+from lorentzknots.braids import CATALOG, BraidWord, mirror, parse_braid, reverse
 from lorentzknots.invariants import (
     equivalence_check,
     jones_relation_check,
@@ -14,6 +15,7 @@ from lorentzknots.invariants import (
 from lorentzknots.jones import jones_z_interpolated
 from lorentzknots.qlorentz import SYMBOLIC
 from lorentzknots.scalars import GaussianRational
+from lorentzknots.series import clear_caches
 from test_jones import _KNOT_BRAIDS  # knot braids, <= 5 crossings, <= 3 strands
 
 F = Fraction
@@ -37,6 +39,21 @@ def test_unknot_invariant_is_squared_expansion():
 def test_structure_checks_pass_for_catalog():
     for b in (TREFOIL, mirror(TREFOIL), FIG8):
         x_invariant(b, 0, 3).check_structure()
+
+
+@pytest.mark.parametrize(
+    "b", [k.braid for k in CATALOG.values() if k.braid.letters], ids=str
+)
+def test_x_invariant_never_walks_the_mirror_braid(b):
+    # The mirror factor is the knot's own expansion at -h, so no sample,
+    # walk or fit of the mirror braid is made.
+    clear_caches()
+    for m in (0, 1, 2):
+        x_invariant(b, m, 2)
+    for memo in (jones._tangle_scalar, jones._interpolated):
+        letters = {key[1] for key in memo.table}
+        assert b.letters in letters and mirror(b).letters not in letters
+    clear_caches()
 
 
 def test_mirror_insensitive_at_minimal_spin_zero():

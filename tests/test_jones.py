@@ -275,6 +275,34 @@ def test_random_knot_interpolation_equals_the_degree_2n_fit(b):
     assert jones_z_interpolated(b, 2) == _degree_2n_fit(b, 2)
 
 
+def _reflect(series):
+    """The series at -h: its odd h-coefficients change sign."""
+    return TruncatedSeries(
+        series.order, [-c if n % 2 else c for n, c in enumerate(series.coeffs)]
+    )
+
+
+def _assert_mirror_is_the_reflection(b):
+    # J_{K*}(q) = J_K(1/q), with the mirror computed from its own crossings:
+    # x_invariant takes the mirror factor from this identity.
+    for two_alpha in range(4):
+        assert jones_zero_framed(mirror(b), two_alpha, 3) == _reflect(
+            jones_zero_framed(b, two_alpha, 3)
+        )
+    assert jones_z_interpolated(mirror(b), 3) == _reflect(jones_z_interpolated(b, 3))
+
+
+@pytest.mark.parametrize("b", [k.braid for k in CATALOG.values()], ids=str)
+def test_mirror_is_the_reflection_on_the_catalog(b):
+    _assert_mirror_is_the_reflection(b)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_mirror_is_the_reflection_on_random_knots(b):
+    _assert_mirror_is_the_reflection(b)
+
+
 def test_surplus_node_catches_what_a_degree_2n_fit_absorbs(monkeypatch):
     # The bump z(z - 1/2)(z - 1)(z - 3/2) vanishes at every spin the
     # order-2 fit samples below its top one (two_alpha = 4) and has degree
