@@ -306,8 +306,9 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     for r1 in range(1, dim):
         if diag.get(r1, zero) != first:
             raise InternalConsistencyError(
-                "partial trace of the braid operator is not a scalar: "
-                "braiding/enhancement conventions are inconsistent"
+                f"partial trace of the braid operator of {BraidWord(strands, letters).text()} "
+                f"at 2alpha = {two_alpha}, order {order} is not a scalar: diagonal entry "
+                f"{r1} differs from entry 0; braiding/enhancement conventions are inconsistent"
             )
     return first
 

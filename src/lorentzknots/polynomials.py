@@ -22,6 +22,7 @@ ParamPolynomial that crosses the public boundary.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError
@@ -364,7 +365,11 @@ def int_poly_compose_affine(p, a: Fraction, b: Fraction):
     return acc, den * power
 
 
-def int_poly_param(p) -> ParamPolynomial:
-    """The integer polynomial ``p`` as a ParamPolynomial over Q(i)."""
-    nums, den = p
-    return ParamPolynomial(Fraction(n, den) for n in nums)
+def int_poly_param(p, q=((), 1)) -> ParamPolynomial:
+    """The integer polynomial ``p``, plus i times ``q``, as a ParamPolynomial
+    over Q(i)."""
+    (pn, pd), (qn, qd) = p, q
+    return ParamPolynomial(
+        GaussianRational(Fraction(a, pd), Fraction(b, qd))
+        for a, b in zip_longest(pn, qn, fillvalue=0)
+    )

@@ -25,30 +25,28 @@ one-chord weight, i.e. the evaluation carries a factor (-1) per chord.  All
 routes in this module share the convention, so cross-route equalities are
 unaffected; it fixes the absolute sign of odd-degree values.
 
-Two module backends implement the characters:
+Both module backends walk on the integer polynomials of
+:mod:`lorentzknots.polynomials`: a tensor's terms are scaled to integers
+over their common denominator D (T_CK_SL2 = (1/4, 1/4, 1/2) becomes
+(1, 1, 2) over 4), so the tensor must be real in the module's basis (else
+ValueError).  Values become ParamPolynomials only at return; a DiagramSum
+is summed on integers, real and imaginary coefficient parts apart.
 
-* the lowered-spin sl2 module with formal spin z.  Its walk runs on the
-  integer polynomials of :mod:`lorentzknots.polynomials`: the tensor's
-  terms are scaled to integers over their common denominator D (T_CK_SL2 =
-  (1/4, 1/4, 1/2) becomes (1, 1, 2) over 4), so a module vector is
-  {j: tuple of ints} and an n-chord diagram's character is its corner
-  tuple over D^n.  The factorized Lorentz route substitutes
-  z = (p - 1 + m)/2 and sums left * right over the coproduct on the same
-  integers.  Both routes turn their value into a ParamPolynomial only at
-  return (:func:`lambda_z_sl2`, :func:`lambda_mp_factorized`).  The sl2
-  route therefore needs a real tensor; a non-real coefficient raises
-  ValueError.
+* the lowered-spin sl2 module with formal spin z: a vector is {j: tuple of
+  ints}.  The factorized Lorentz route substitutes z = (p - 1 + m)/2 in its
+  characters and sums left * right over the coproduct.
 * the minimal-spin-m discrete-basis module of the Lorentz algebra with
-  formal parameter p (ParamPolynomials in p, since T_LORENTZ and B_alpha
-  carry i).  Its states are not the
-  orthonormal Gelfand-Naimark vectors e(alpha, k) (alpha >= |m|,
-  |k| <= alpha) but the rescaled f(alpha, k) = d(alpha, k) e(alpha, k) with
+  formal parameter p.  Its states are not the orthonormal Gelfand-Naimark
+  vectors e(alpha, k) (alpha >= |m|, |k| <= alpha) but f'(alpha, k) =
+  i^alpha f(alpha, k), where f(alpha, k) = d(alpha, k) e(alpha, k),
   d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!), g(|m|) = 1 and
-  g(alpha)/g(alpha-1) = c_alpha.  Every matrix element is then an integer
-  times 1, c_alpha^2 or B_alpha, all polynomials in p, so no square root
-  arises.  The change of basis is diagonal and the corner state is an
-  eigenvector of every central element, so the characters are those of the
-  orthonormal basis.
+  g(alpha)/g(alpha-1) = c_alpha; the walk's generators are H+, H-, H3 and
+  F' = -iF for F+, F-, F3.  Every matrix element is then an integer times
+  1, c_alpha^2 or -i B_alpha = p m/(alpha (alpha + 1)), real polynomials
+  in p, so a vector is {(alpha, k): (nums, den)} and a term c X (x) Y of a
+  tensor is the real c i^{#F} X' (x) Y'.  The change of basis is diagonal
+  and the corner state is an eigenvector of every central element, so the
+  characters are those of the orthonormal basis.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ from math import lcm
 from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import (
-    POLY_ONE,
-    POLY_ZERO,
     ParamPolynomial,
     int_coeffs_add,
     int_coeffs_times_linear,
@@ -238,30 +234,20 @@ def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
     return words
 
 
-def _add_into(vec, state, value):
-    """vec[state] += value, dropping the entry if it cancels."""
-    cur = vec.get(state)
-    value = value if cur is None else cur + value
-    if value.is_zero():
-        vec.pop(state, None)
-    else:
-        vec[state] = value
-
-
 def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
     """The weight of ``d`` under a tensor applied to the module vector ``corner``.
 
-    ``terms`` are the tensor's (coeff, left, right) triples, with
-    coefficients in the ring of the module's values.  One walk round the
-    circle from ``start``.  Its state maps the term index pending on each
-    chord (-1 before the chord opens and after it closes) to a module vector
-    {module state: value}.  A chord's first endpoint branches over the
-    terms, applying the term's left generator times its coefficient; the
-    second endpoint applies the stored term's right generator and clears the
-    label, so branches that differ only in closed chords merge.
-    ``step(vec, gen, coeff, out)`` adds coeff * gen(vec) into the vector
-    ``out``, dropping components that cancel, and returns ``out``.  The
-    result equals the sum of coeff * word over :func:`phi_words`.
+    ``terms`` are the tensor's (coeff, left, right) triples from
+    :func:`_integer_terms`.  One walk round the circle from ``start``.  Its
+    state maps the term index pending on each chord (-1 before the chord
+    opens and after it closes) to a module vector {module state: value}.  A
+    chord's first endpoint branches over the terms, applying the term's left
+    generator times its coefficient; the second endpoint applies the stored
+    term's right generator and clears the label, so branches that differ
+    only in closed chords merge.  ``step(vec, gen, coeff, out)`` adds
+    coeff * gen(vec) into the vector ``out``, dropping components that
+    cancel, and returns ``out``.  The result equals the sum of coeff * word
+    over :func:`phi_words`.
     """
     closed = (-1,) * d.n
     branches = {closed: corner}
@@ -285,52 +271,71 @@ def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
     return branches.get(closed, {})
 
 
-def _corner_scalar(total, corner, zero, module: str, element: str):
-    """Scalar of an element from ``total``, the vector it makes of ``corner``;
-    ``zero`` when the corner component cancelled.
+def _corner_scalar(total, corner, d: ChordDiagram, module: str):
+    """The corner component of ``total``, the vector of integer polynomials
+    (nums, den) that the weight of ``d`` makes of the ``corner`` state.
 
-    Every other component must cancel, or InternalConsistencyError names the
-    module, the element and the surviving component.
+    Every other component must cancel (its numerators empty: a pair is
+    truthy), or InternalConsistencyError names the diagram, the module and
+    the surviving component.
     """
-    for state, value in total.items():
-        if state != corner and value:
+    for state, (nums, _) in total.items():
+        if state != corner and nums:
             raise InternalConsistencyError(
-                f"{element} moved the corner state {corner} of the {module} "
-                f"(component {state} survived): scalar extraction invalid"
+                f"the weight of {d.gauss_text()} moved the corner state {corner} "
+                f"of the {module} (component {state} survived): scalar "
+                f"extraction invalid"
             )
-    return total.get(corner, zero)
+    return total.get(corner, ((), 1))
+
+
+def _character(value, d, *args) -> ParamPolynomial:
+    """The character whose value before the per-chord sign is
+    ``value(d, *args)``, an integer polynomial, as a ParamPolynomial.
+
+    A DiagramSum is extended linearly: the real and the imaginary parts of
+    its coefficients give two integer sums, converted once.
+    """
+    terms = d.terms.items() if isinstance(d, DiagramSum) else ((d, GR_ONE),)
+    parts = [((), 1), ((), 1)]
+    for diagram, c in terms:
+        nums, den = value(diagram, *args)
+        sign = _SIGN_PER_CHORD**diagram.n
+        for k, x in enumerate((c.re, c.im)):
+            if x:
+                scaled = (tuple(sign * x.numerator * y for y in nums), den * x.denominator)
+                parts[k] = int_poly_add(parts[k], scaled)
+    return int_poly_param(*parts)
+
+
+def _integer_terms(t: InfinitesimalRMatrix):
+    """The terms of ``t`` in the module's real basis, scaled to integers,
+    and the scale D.
+
+    On the Lorentz module F = iF' for F+, F-, F3, so a term c X (x) Y is
+    c i^{#F} X' (x) Y'.  Returns ((D c', left, right), ...), D with c' the
+    nonzero real-basis coefficients and D their least common denominator.
+    A c' that is not real raises ValueError.
+    """
+    real = []
+    for c, a, b in t.terms:
+        turns = (a[0] == "F") + (b[0] == "F") if t.alphabet == "lorentz" else 0
+        re, im = ((c.re, c.im), (-c.im, c.re), (-c.re, -c.im))[turns]
+        if im:
+            shown = f"{c} times i^{turns}" if turns else c
+            raise ValueError(
+                f"the characters need a tensor real in the module's basis; "
+                f"the coefficient {shown} of {a} (x) {b} is not real"
+            )
+        if re:
+            real.append((re, a, b))
+    den = lcm(*(c.denominator for c, _, _ in real))
+    return tuple((c.numerator * (den // c.denominator), a, b) for c, a, b in real), den
 
 
 # ---------------------------------------------------------------------------
 # sl2 spin-z module (integer polynomials in z)
 # ---------------------------------------------------------------------------
-
-
-def _linear(weight, d: DiagramSum, *args) -> ParamPolynomial:
-    """``weight`` extended linearly: the sum of c * weight(diagram, *args)
-    over the terms of ``d``."""
-    total = POLY_ZERO
-    for diagram, c in d.terms.items():
-        total = total + c * weight(diagram, *args)
-    return total
-
-
-def _integer_terms(t: InfinitesimalRMatrix):
-    """The terms of a real tensor scaled to integers, and the scale D.
-
-    Returns ((D c, left, right), ...), D with D the least common denominator
-    of the coefficients c.  A non-real coefficient raises ValueError.
-    """
-    for c, a, b in t.terms:
-        if c.im:
-            raise ValueError(
-                f"the sl2 characters need a real tensor; the coefficient {c} "
-                f"of {a} (x) {b} is not real"
-            )
-    den = lcm(*(c.re.denominator for c, _, _ in t.terms))
-    return tuple(
-        (c.re.numerator * (den // c.re.denominator), a, b) for c, a, b in t.terms
-    ), den
 
 
 def _sl2_step(vec, gen, coeff, out):
@@ -362,10 +367,11 @@ def _sl2_step(vec, gen, coeff, out):
 @memoized
 def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start: int):
     """The corner value of the walk, before the per-chord sign, as an
-    integer polynomial in z over D^n."""
+    integer polynomial in z."""
     terms, den = _integer_terms(t)
     total = _transfer_walk(terms, d, start, {0: (1,)}, _sl2_step)
-    return _corner_scalar(total, 0, (), "spin-z module", "central element"), den**d.n
+    pairs = {j: (nums, den**d.n) for j, nums in total.items()}
+    return _corner_scalar(pairs, 0, d, f"spin-z module from basepoint {start}")
 
 
 def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
@@ -375,12 +381,7 @@ def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
     integers, so ``t`` must be real: a non-real coefficient raises
     ValueError naming it.
     """
-    if isinstance(d, DiagramSum):
-        return _linear(lambda_z_sl2, d, t, start)
-    nums, den = _lambda_z_literal(d, t, start)
-    if d.n % 2:
-        nums = tuple(_SIGN_PER_CHORD * x for x in nums)
-    return int_poly_param((nums, den))
+    return _character(_lambda_z_literal, d, t, start)
 
 
 def sl2_quadratic_eigenvalue(t: InfinitesimalRMatrix = T_JONES_SL2):
@@ -389,109 +390,108 @@ def sl2_quadratic_eigenvalue(t: InfinitesimalRMatrix = T_JONES_SL2):
 
 
 # ---------------------------------------------------------------------------
-# Lorentz module with minimal spin m, in the rescaled basis f(alpha, k)
+# Lorentz module with minimal spin m, in the real basis f'(alpha, k)
 # ---------------------------------------------------------------------------
 
 
 @memoized
-def _c_squared(alpha: int, m: int) -> ParamPolynomial:
-    """c_alpha^2 = -(alpha^2 - p^2)(alpha^2 - m^2) / (alpha^2 (4 alpha^2 - 1))."""
-    a2 = alpha * alpha
-    den = Fraction(1, a2 * (4 * a2 - 1))
-    #  -(a2 - p^2)(a2 - m^2) = (m^2 - a2) a2 + (a2 - m^2) p^2
-    p2 = ParamPolynomial([0, 0, 1])
-    return (p2 - a2) * Fraction(a2 - m * m) * den
-
-
-def _b_coeff(alpha: int, m: int) -> ParamPolynomial:
-    """B_alpha = i p m / (alpha (alpha + 1))."""
-    return ParamPolynomial([0, GR_I * Fraction(m, alpha * (alpha + 1))])
-
-
-@memoized
 def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
-    """The matrix elements of ``gen`` on f(alpha, k), as ((alpha', k'), coeff) pairs.
+    """The matrix elements of the real-basis ``gen`` on f'(alpha, k), as
+    ((alpha', k'), (nums, den)) pairs.
 
-    Each coefficient is an integer times 1, c_alpha^2 or B_alpha.  Only
-    nonzero coefficients on states with alpha' >= |m| and |k'| <= alpha'
+    Each element is an integer times 1, c_alpha^2 or -i B_alpha.  Only
+    nonzero elements on states with alpha' >= |m| and |k'| <= alpha'
     appear.
     """
+    a2 = alpha * alpha
+    one = (1,), 1
+    # c_alpha^2 = (alpha^2 - m^2)(p^2 - alpha^2) / (alpha^2 (4 alpha^2 - 1))
+    c2 = (-a2 * (a2 - m * m), 0, a2 - m * m), a2 * (4 * a2 - 1)
+    b = (0, m), alpha * (alpha + 1)  # -i B_alpha = p m / (alpha (alpha + 1))
     if gen == "H3":
-        rows = ((0, 0, k, None),)
+        rows = ((0, 0, k, one),)
     elif gen == "H+":
-        rows = ((0, 1, 1, None),)
+        rows = ((0, 1, 1, one),)
     elif gen == "H-":
-        rows = ((0, -1, (alpha + k) * (alpha - k + 1), None),)
+        rows = ((0, -1, (alpha + k) * (alpha - k + 1), one),)
     elif gen == "F+":
-        rows = ((-1, 1, 1, _c_squared), (0, 1, -1, _b_coeff), (1, 1, 1, None))
+        rows = ((-1, 1, 1, c2), (0, 1, -1, b), (1, 1, -1, one))
     elif gen == "F-":
         rows = (
-            (-1, -1, -(alpha + k) * (alpha + k - 1), _c_squared),
-            (0, -1, -(alpha + k) * (alpha - k + 1), _b_coeff),
-            (1, -1, -(alpha - k + 1) * (alpha - k + 2), None),
+            (-1, -1, -(alpha + k) * (alpha + k - 1), c2),
+            (0, -1, -(alpha + k) * (alpha - k + 1), b),
+            (1, -1, (alpha - k + 1) * (alpha - k + 2), one),
         )
     elif gen == "F3":
-        rows = (
-            (-1, 0, alpha + k, _c_squared),
-            (0, 0, -k, _b_coeff),
-            (1, 0, -(alpha + 1 - k), None),
-        )
+        rows = ((-1, 0, alpha + k, c2), (0, 0, -k, b), (1, 0, alpha + 1 - k, one))
     else:
         raise ValueError(f"unknown Lorentz generator {gen!r}")
     out = []
-    for d_alpha, d_k, count, factor in rows:
+    for d_alpha, d_k, count, (nums, den) in rows:
         a2, k2 = alpha + d_alpha, k + d_k
-        if a2 < abs(m) or abs(k2) > a2:
-            continue
-        if factor is _b_coeff and m == 0:
-            continue  # B_alpha is zero for m = 0, and undefined at alpha = 0
-        coeff = (POLY_ONE if factor is None else factor(alpha, m)) * count
-        if not coeff.is_zero():
-            out.append(((a2, k2), coeff))
+        # no den 0 leaks: at alpha = 0 the c2 row falls below |m|, and b is 0 (m = 0)
+        if a2 >= abs(m) and abs(k2) <= a2 and count and any(nums):
+            out.append(((a2, k2), (tuple(count * x for x in nums), den)))
     return tuple(out)
 
 
 def _lorentz_step(vec, gen: str, coeff, out, m: int):
-    """Add coeff * gen(vec) into ``out``; vectors are {(alpha, k): ParamPolynomial}."""
-    scale = coeff != 1
-    for (alpha, k), poly in vec.items():
-        if scale:
-            poly = poly * coeff
+    """Add coeff * gen(vec) into ``out``; vectors are {(alpha, k): (nums, den)}
+    in the real basis, and ``gen`` acts as the real-basis generator."""
+    for (alpha, k), (nums, den) in vec.items():
+        if coeff != 1:
+            nums = tuple(coeff * x for x in nums)
         for state, element in _lorentz_targets(gen, alpha, k, m):
-            _add_into(out, state, poly * element)
+            value = int_poly_mul((nums, den), element)
+            if state in out:
+                value = int_poly_add(out[state], value)
+            if value[0]:
+                out[state] = value
+            else:
+                del out[state]
     return out
-
-
-def _lorentz_corner(m: int):
-    am = abs(m)
-    return {(am, am): POLY_ONE}
 
 
 def lorentz_apply_word(word, m: int):
     """Apply a generator word to the corner state f(|m|, |m|).
 
-    States are the rescaled vectors f(alpha, k) = d(alpha, k) e(alpha, k) of
-    the module docstring, with d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!).
+    Returns {(alpha, k): ParamPolynomial} in the basis f(alpha, k) of the
+    module docstring.  The word runs in the real basis f'; it is i^{#F}
+    times its real-basis form and f' = i^alpha f, so each component is
+    multiplied by i^{#F + alpha - |m|}.
     """
-    vec = _lorentz_corner(m)
+    am = abs(m)
+    vec = {(am, am): ((1,), 1)}
     for gen in word:
         vec = _lorentz_step(vec, gen, 1, {}, m)
-    return vec
+    turns = sum(gen[0] == "F" for gen in word) - am
+    out = {}
+    for (alpha, k), (nums, den) in vec.items():
+        e = turns + alpha
+        value = tuple(-x for x in nums) if e % 4 >= 2 else nums, den
+        out[(alpha, k)] = int_poly_param(((), 1), value) if e % 2 else int_poly_param(value)
+    return out
+
+
+def _lorentz_literal(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
+    """Corner value of the weight of ``d`` under ``t`` on the minimal-spin-m
+    module, before the per-chord sign, as an integer polynomial in p."""
+    terms, den = _integer_terms(t)
+    corner = (abs(m), abs(m))
+    step = partial(_lorentz_step, m=m)
+    total = _transfer_walk(terms, d, 0, {corner: ((1,), den**d.n)}, step)
+    return _corner_scalar(total, corner, d, f"Lorentz module of minimal spin m = {m}")
 
 
 def lorentz_weight_raw(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     """Corner value of the weight of ``d`` under ``t``, before the per-chord sign.
 
-    The walk acts on the rescaled states f(alpha, k) = d(alpha, k) e(alpha, k)
-    with d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!); the change of
-    basis is diagonal, so the corner value is that of the orthonormal basis.
-    The off-corner cancellation check of :func:`_corner_scalar` applies.
+    The walk runs in the real basis of the module docstring, where ``t``
+    must be real; the change of basis is diagonal, so the corner value is
+    that of the orthonormal basis.  The off-corner cancellation check of
+    :func:`_corner_scalar` applies.
     """
-    step = partial(_lorentz_step, m=m)
-    total = _transfer_walk(t.terms, d, 0, _lorentz_corner(m), step)
-    corner = (abs(m), abs(m))
-    module = f"minimal-spin-{m} Lorentz module"
-    return _corner_scalar(total, corner, POLY_ZERO, module, "central element")
+    return int_poly_param(_lorentz_literal(t, d, m))
 
 
 # The walk's cost follows n * |T_LORENTZ|^w, with w the number of chords open
@@ -509,24 +509,25 @@ def _direct_cost(d: ChordDiagram) -> int:
     return d.n * len(T_LORENTZ.terms) ** widest
 
 
-def lambda_mp_direct(d, m: int) -> ParamPolynomial:
-    """Character polynomial in p from the discrete-basis module action.
-
-    A diagram whose estimated walk cost n * 6^w (w chords open at once)
-    exceeds that of ABCDABCD raises ResourceGuardError.
-    """
-    if isinstance(d, DiagramSum):
-        return _linear(lambda_mp_direct, d, m)
-    if not isinstance(m, int):
-        raise ValueError("the direct route supports integer minimal spin only")
+def _direct_literal(d: ChordDiagram, m: int):
     cost = _direct_cost(d)
     if cost > _DIRECT_COST_LIMIT:
         raise ResourceGuardError(
             f"direct evaluation of {d.gauss_text()} has estimated cost "
             f"n*6^w = {cost}, above the limit {_DIRECT_COST_LIMIT}"
         )
-    value = lorentz_weight_raw(T_LORENTZ, d, m)
-    return value if d.n % 2 == 0 else _SIGN_PER_CHORD * value
+    return _lorentz_literal(T_LORENTZ, d, m)
+
+
+def lambda_mp_direct(d, m: int) -> ParamPolynomial:
+    """Character polynomial in p from the discrete-basis module action.
+
+    A diagram whose estimated walk cost n * 6^w (w chords open at once)
+    exceeds that of ABCDABCD raises ResourceGuardError.
+    """
+    if not isinstance(m, int):
+        raise ValueError("the direct route supports integer minimal spin only")
+    return _character(_direct_literal, d, m)
 
 
 @memoized
@@ -540,7 +541,8 @@ def _sl2_character_in_p(d: ChordDiagram, m: Fraction):
 
 @memoized
 def _lambda_mp_integer(d: ChordDiagram, m: Fraction):
-    """The factorized character of one diagram as an integer polynomial in p."""
+    """The factorized character of one diagram, before the per-chord sign,
+    as an integer polynomial in p."""
     total = ((), 1)
     for (w1, w2), c in coproduct(d).terms.items():
         nums, den = int_poly_mul(
@@ -548,8 +550,8 @@ def _lambda_mp_integer(d: ChordDiagram, m: Fraction):
             _sl2_character_in_p(w2, -m),  # at w = (p - 1 - m)/2
         )
         # c counts the chord subsets giving (w1, w2); the right factor
-        # carries -t, and the whole value the per-chord sign
-        scale = c.re.numerator * (-1) ** w2.n * _SIGN_PER_CHORD**d.n
+        # carries -t
+        scale = c.re.numerator * (-1) ** w2.n
         total = int_poly_add(total, (tuple(scale * x for x in nums), den))
     return total
 
@@ -563,25 +565,17 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
     diagram's value is summed over the coproduct in integers and memoized
     per (diagram, m).
     """
-    if isinstance(d, DiagramSum):
-        return _linear(lambda_mp_factorized, d, m)
-    return int_poly_param(_lambda_mp_integer(d, Fraction(m)))
-
-
-# ---------------------------------------------------------------------------
-# Casimir eigenvalues
-# ---------------------------------------------------------------------------
+    return _character(_lambda_mp_integer, d, Fraction(m))
 
 
 def lorentz_quadratic_eigenvalue(terms, m: int) -> ParamPolynomial:
-    """Eigenvalue polynomial of sum_i c_i X_i Y_i on the minimal-spin module."""
-    total = {}
-    for c, a, b in terms:
-        for state, poly in lorentz_apply_word((b, a), m).items():
-            _add_into(total, state, poly * c)
-    corner = (abs(m), abs(m))
-    module = f"minimal-spin-{m} Lorentz module"
-    return _corner_scalar(total, corner, POLY_ZERO, module, "quadratic element")
+    """Eigenvalue polynomial of sum_i c_i X_i Y_i on the minimal-spin module.
+
+    The one-chord walk applies a term's left generator first, so this is
+    the walk of THETA under the terms with left and right swapped.
+    """
+    swapped = InfinitesimalRMatrix("lorentz", tuple((c, b, a) for c, a, b in terms))
+    return lorentz_weight_raw(swapped, THETA, m)
 
 
 def casimir_eigenvalues(m: int, p=None):

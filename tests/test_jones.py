@@ -32,7 +32,13 @@ from lorentzknots.polynomials import (
     poly_variable,
     specialize,
 )
-from lorentzknots.series import TruncatedSeries, clear_caches, constant_series, q_dim
+from lorentzknots.series import (
+    TruncatedSeries,
+    clear_caches,
+    constant_series,
+    jet_constant,
+    q_dim,
+)
 
 F = Fraction
 
@@ -381,3 +387,22 @@ def test_trefoil_second_order_frozen():
     P = jones_z_interpolated(TREFOIL, 2)
     assert P.coeffs[1] == ParamPolynomial([0])
     assert P.coeffs[2] == (z * z + z) * F(-23, 6)
+
+
+def test_non_scalar_partial_trace_names_its_inputs(monkeypatch):
+    # Skew the diagonal entry of column 1 in the trefoil's partial trace:
+    # the error names the braid letters, 2alpha, the order and that column.
+    accumulate = jones.jet_accumulate
+
+    def skewed(store, key, jet):
+        accumulate(store, key, jet)
+        if key == 1:
+            accumulate(store, key, jet_constant(1, 2))
+
+    monkeypatch.setattr(jones, "jet_accumulate", skewed)
+    message = (
+        "partial trace of the braid operator of s1 s1 s1 at 2alpha = 2, order 2 "
+        "is not a scalar: diagonal entry 1 differs from entry 0"
+    )
+    with pytest.raises(InternalConsistencyError, match=message):
+        jones._tangle_scalar.__wrapped__(2, TREFOIL.letters, 2, 2)

@@ -1,15 +1,18 @@
 """Weight maps and central characters, by both routes."""
 
+import hashlib
+import json
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from lorentzknots import weights
 from lorentzknots.diagrams import (
     THETA,
+    DiagramSum,
     UNIT_DIAGRAM,
     connected_sum,
     enumerate_diagrams,
@@ -148,13 +151,29 @@ def test_sl2_walk_equals_word_expansion_five_chords():
         assert _sl2_walk(T_JONES_SL2, d, 0) == literal, d.gauss_text()
 
 
+def _i_power(e):
+    """i^e as a GaussianRational."""
+    return (GR_I if e % 2 else GaussianRational(1)) * (-1 if e % 4 >= 2 else 1)
+
+
+def _lorentz_walk(t, d, m):
+    """The integer walk in the real basis f'(alpha, k) = i^alpha f(alpha, k),
+    converted to the basis f of lorentz_apply_word: the tensor's i^{#F} is
+    in its integer terms, so component (alpha, k) gains i^(alpha - |m|)."""
+    terms, den = weights._integer_terms(t)
+    am = abs(m)
+    step = partial(weights._lorentz_step, m=m)
+    walk = weights._transfer_walk(terms, d, 0, {(am, am): ((1,), den**d.n)}, step)
+    return {
+        (alpha, k): int_poly_param(value) * _i_power(alpha - am)
+        for (alpha, k), value in walk.items()
+    }
+
+
 def _assert_lorentz_walk_matches_words(t, diagrams, m):
-    walk_step = partial(weights._lorentz_step, m=m)
     for d in diagrams:
         literal = _literal(t, d, 0, partial(lorentz_apply_word, m=m))
-        corner = weights._lorentz_corner(m)
-        walk = weights._transfer_walk(t.terms, d, 0, corner, walk_step)
-        assert walk == literal, d.gauss_text()
+        assert _lorentz_walk(t, d, m) == literal, d.gauss_text()
         assert lorentz_weight_raw(t, d, m) == literal.get((m, m), 0)
 
 
@@ -171,43 +190,69 @@ def test_lorentz_walk_equals_word_expansion_four_chords():
     _assert_lorentz_walk_matches_words(T_LEFT, [parse_diagram("ABCDABCD")], 0)
 
 
+# (the character, its value when the walk gives the corner the vector below,
+# the corner, an off-corner state, a walk vector, a cancelled value, the
+# module's name): the sl2 walk's values are integer tuples over D^n (D = 4
+# here), the Lorentz walk's (nums, den) pairs.
+CORNER_CASES = [
+    (
+        lambda: int_poly_param(
+            weights._lambda_z_literal.__wrapped__(THETA, T_JONES_SL2, 0)
+        ),
+        Z * F(1, 4),
+        0,
+        2,
+        (0, 1),
+        (),
+        "spin-z module from basepoint 0",
+    ),
+    (
+        lambda: lorentz_weight_raw(T_LORENTZ, THETA, 1),
+        Z,
+        (1, 1),
+        (2, 0),
+        ((0, 1), 1),
+        ((), 7),
+        "Lorentz module of minimal spin m = 1",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "evaluate, corner, survivor, vector, module",
-    [
-        (
-            lambda: weights._lambda_z_literal.__wrapped__(THETA, T_JONES_SL2, 0),
-            0,
-            2,
-            (0, 1),
-            "spin-z module",
-        ),
-        (
-            lambda: lorentz_weight_raw(T_LORENTZ, THETA, 1),
-            (1, 1),
-            (2, 0),
-            poly_variable(),
-            "minimal-spin-1 Lorentz module",
-        ),
-    ],
+    "evaluate, value, corner, survivor, vector, zero, module",
+    CORNER_CASES,
     ids=["sl2", "lorentz"],
 )
 def test_surviving_off_corner_component_is_reported(
-    monkeypatch, evaluate, corner, survivor, vector, module
+    monkeypatch, evaluate, value, corner, survivor, vector, zero, module
 ):
     # Both modules share one corner check; feed it a vector with an
-    # off-corner component, in the module's own values (integer tuples for
-    # sl2, ParamPolynomials for Lorentz), through each module's character.
+    # off-corner component through each module's character.
     monkeypatch.setattr(
         weights, "_transfer_walk", lambda *args: {corner: vector, survivor: vector}
     )
     message = (
-        f"central element moved the corner state {corner} of the {module} "
+        f"the weight of AA moved the corner state {corner} of the {module} "
         f"(component {survivor} survived): scalar extraction invalid"
     )
     with pytest.raises(InternalConsistencyError, match=re.escape(message)):
         evaluate()
 
 
+@pytest.mark.parametrize(
+    "evaluate, value, corner, survivor, vector, zero, module",
+    CORNER_CASES,
+    ids=["sl2", "lorentz"],
+)
+def test_cancelled_off_corner_component_is_not_reported(
+    monkeypatch, evaluate, value, corner, survivor, vector, zero, module
+):
+    # A cancelled component is an empty numerator; as a (nums, den) pair it
+    # is truthy, and must still pass the corner check.
+    monkeypatch.setattr(
+        weights, "_transfer_walk", lambda *args: {corner: vector, survivor: zero}
+    )
+    assert evaluate() == value
 def test_clear_caches_empties_the_character_tables():
     tables = (
         weights._lambda_z_literal,
@@ -221,9 +266,11 @@ def test_clear_caches_empties_the_character_tables():
 
 
 def test_characters_compute_on_integers_only(monkeypatch):
-    # On cold diagrams the sl2 walk, the substitution in p and the coproduct
-    # sum run on Python ints: no polynomial or Gaussian-rational product
-    # happens anywhere in lambda_z_sl2 or lambda_mp_factorized, and every
+    # On cold diagrams the sl2 and Lorentz walks, the substitution in p and
+    # the coproduct sum run on Python ints: no polynomial or
+    # Gaussian-rational product happens anywhere in lambda_z_sl2,
+    # lambda_mp_factorized, lambda_mp_direct, lorentz_weight_raw or
+    # lorentz_quadratic_eigenvalue, on a diagram or a DiagramSum, and every
     # walk value and coproduct factor is a tuple of ints.
     def refuse(self, other):
         raise AssertionError(f"{type(self).__name__} product in an integer character")
@@ -233,7 +280,8 @@ def test_characters_compute_on_integers_only(monkeypatch):
         assert type(den) is int and all(type(x) is int for x in nums), p
         return p
 
-    sl2_step, mul = weights._sl2_step, weights.int_poly_mul
+    sl2_step, lorentz_step = weights._sl2_step, weights._lorentz_step
+    mul = weights.int_poly_mul
     steps, products = [], []
 
     def int_step(vec, gen, coeff, out):
@@ -242,32 +290,68 @@ def test_characters_compute_on_integers_only(monkeypatch):
         steps.append(gen)
         return sl2_step(vec, gen, coeff, out)
 
+    def int_lorentz_step(vec, gen, coeff, out, m):
+        assert type(coeff) is int
+        for value in vec.values():
+            ints(value)
+        steps.append(gen)
+        return lorentz_step(vec, gen, coeff, out, m)
+
     def int_mul(p, q):
         products.append(1)
         return ints(mul(ints(p), ints(q)))
 
+    sums = [
+        four_t_generators(3)[0],
+        DiagramSum([(parse_diagram("ABAB"), GR_I * F(2, 3)), (THETA, F(-1, 2))]),
+    ]
     clear_caches()
     monkeypatch.setattr(weights, "_sl2_step", int_step)
+    monkeypatch.setattr(weights, "_lorentz_step", int_lorentz_step)
     monkeypatch.setattr(weights, "int_poly_mul", int_mul)
     for kind in (ParamPolynomial, GaussianRational):
         monkeypatch.setattr(kind, "__mul__", refuse)
         monkeypatch.setattr(kind, "__rmul__", refuse)
-    values = []
+    values = []  # each route is checked against the other afterwards
     for text in ("ABCDBADC", "ABCABC"):  # four and three chords
         d = parse_diagram(text)
         values.append(lambda_z_sl2(d))
         values.extend(lambda_mp_factorized(d, m) for m in (0, 1, F(1, 2)))
+        values.extend(lambda_mp_direct(d, m) for m in (0, 1))
+    raw = [lorentz_weight_raw(T_LEFT, THETA, m) for m in (0, 1, 2)]
+    casimirs = [
+        lorentz_quadratic_eigenvalue(terms, m)
+        for m in (0, 1, 2)
+        for terms in (CASIMIR_LEFT_TERMS, CASIMIR_RIGHT_TERMS)
+    ]
+    linear = [
+        [lambda_z_sl2(g), lambda_mp_factorized(g, 1), lambda_mp_direct(g, 1)]
+        for g in sums
+    ]
     assert steps and products
     monkeypatch.undo()
     clear_caches()
-    for text, k in (("ABCDBADC", 0), ("ABCABC", 4)):
+    for text, k in (("ABCDBADC", 0), ("ABCABC", 6)):
         d = parse_diagram(text)
         assert values[k] == lambda_z_sl2(d)
-        assert values[k + 1 : k + 4] == [
+        assert values[k + 1 : k + 6] == [
             lambda_mp_direct(d, 0),
             lambda_mp_direct(d, 1),
             lambda_mp_factorized(d, F(1, 2)),
+            lambda_mp_factorized(d, 0),
+            lambda_mp_factorized(d, 1),
         ]
+    assert raw == [casimir_eigenvalues(m)[0] for m in (0, 1, 2)]
+    assert casimirs == [x for m in (0, 1, 2) for x in casimir_eigenvalues(m)]
+    for g, row in zip(sums, linear):
+        terms = g.terms.items()
+        assert row == [
+            sum((c * lambda_z_sl2(d) for d, c in terms), ParamPolynomial()),
+            sum((c * lambda_mp_factorized(d, 1) for d, c in terms), ParamPolynomial()),
+            sum((c * lambda_mp_factorized(d, 1) for d, c in terms), ParamPolynomial()),
+        ]
+    assert linear[0] == [ParamPolynomial()] * 3
+    assert not linear[1][0].is_zero()
 
 
 def test_sl2_characters_refuse_a_non_real_tensor():
@@ -277,6 +361,66 @@ def test_sl2_characters_refuse_a_non_real_tensor():
     message = "the coefficient 1/2*i of H (x) H is not real"
     with pytest.raises(ValueError, match=re.escape(message)):
         lambda_z_sl2(THETA, t)
+
+
+def test_lorentz_characters_refuse_a_tensor_not_real_in_the_real_basis():
+    # The walk's generators are F' = -iF, so a term c H3 (x) F3 is
+    # c i H3 (x) F3': T_LORENTZ, whose coefficients are i/4 and i/8, is real
+    # there, and the same tensor divided by i is not.
+    t = InfinitesimalRMatrix("lorentz", tuple((c.im, a, b) for c, a, b in T_LORENTZ.terms))
+    message = "the coefficient 1/4 times i^1 of H3 (x) F3 is not real"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lorentz_weight_raw(t, THETA, 1)
+
+
+def test_zero_terms_leave_a_weight_unchanged():
+    # A zero coefficient is dropped with the term: kept, its branches would
+    # carry all-zero coefficient tuples that the corner check reads as
+    # surviving components.
+    d = parse_diagram("ABCABC")
+    for t, gen, weight in (
+        (T_LORENTZ, "F3", lambda t: lorentz_weight_raw(t, d, 1)),
+        (T_JONES_SL2, "F", lambda t: lambda_z_sl2(d, t)),
+    ):
+        padded = InfinitesimalRMatrix(t.alphabet, t.terms + ((0, gen, gen),))
+        assert weight(padded) == weight(t)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _compact(value):
+    return json.dumps(value.to_json(), separators=(",", ":"))
+
+
+def test_lorentz_values_match_the_parent_digest():
+    # Golden digests of the Lorentz module's values, taken from the Q(i)
+    # walk that the real-basis integer walk replaced: the direct character
+    # of every diagram with at most four chords, both Casimir term sets and
+    # every word of length <= 3 applied to the corner, states in order.
+    direct = [
+        f"{d.gauss_text()}|{m}|{_compact(lambda_mp_direct(d, m))}"
+        for n in range(5)
+        for d in enumerate_diagrams(n)
+        for m in range(4)
+    ]
+    casimir = [
+        f"{side}|{m}|{_compact(lorentz_quadratic_eigenvalue(terms, m))}"
+        for side, terms in (("L", CASIMIR_LEFT_TERMS), ("R", CASIMIR_RIGHT_TERMS))
+        for m in range(4)
+    ]
+    words = [w for k in range(4) for w in product(weights.LORENTZ_ALPHABET, repeat=k)]
+    applied = [
+        f"{' '.join(w)}|{m}|{state}|{_compact(value)}"
+        for m in range(3)
+        for w in words
+        for state, value in sorted(lorentz_apply_word(w, m).items())
+    ]
+    assert (len(direct), len(casimir), len(words), len(applied)) == (108, 8, 259, 924)
+    assert _digest(direct) == "a81ae634a286d8b63ddcc3838884d53b84533d26432763cfac0d81aa9d55dfac"
+    assert _digest(casimir) == "f9ad4c823d73b57f6f709d7d168ae9f60caeaf93540027e493bd51177084c2fc"
+    assert _digest(applied) == "99847f0e374c41fe6a6ac3ca2eecf9d797944b795dff8681f38a96badd2e57ba"
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +536,17 @@ LORENTZ_COMMUTATORS = [
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_lorentz_module_commutation_relations(m):
-    # Checks the rescaled matrix elements against the algebra: each relation
-    # holds exactly on every state with alpha <= 3.
+    # Checks the real-basis matrix elements against the algebra in its
+    # original generators: each relation holds exactly on every state with
+    # alpha <= 3.  The walk's generators are F' = -iF, so a product of
+    # original generators is i^{#F} times the walk's product.
     def act(factors, state):
-        """The operator product X Y ... on f(state); the last factor acts first."""
-        vec = {state: POLY_ONE}
+        """The operator product X Y ... on f'(state); the last factor acts first."""
+        vec = {state: ((1,), 1)}
         for gen in reversed(factors):
             vec = weights._lorentz_step(vec, gen, 1, {}, m)
-        return vec
+        phase = _i_power(sum(gen[0] == "F" for gen in factors))
+        return {s: int_poly_param(value) * phase for s, value in vec.items()}
 
     states = [(alpha, k) for alpha in range(m, 4) for k in range(-alpha, alpha + 1)]
     for x, y, rhs in LORENTZ_COMMUTATORS:
@@ -499,3 +646,58 @@ def test_direct_matches_factorized_on_cross_tensor():
     for m in (0, 1, 2):
         left, _ = casimir_eigenvalues(m)
         assert lorentz_weight_raw(T_LEFT, THETA, m) == left
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the characters depend only on the intersection graph
+# ---------------------------------------------------------------------------
+
+
+def _intersection_class(d):
+    """A canonical form of the intersection graph of ``d``, built from its
+    pairing alone: the least sorted edge list over every vertex labelling.
+
+    Chords are vertices; two chords cross when exactly one endpoint of one
+    lies strictly between the endpoints of the other.
+    """
+    chords = [(i, j) for i, j in enumerate(d.pairing) if i < j]
+    edges = [
+        (u, v)
+        for u, (a, b) in enumerate(chords)
+        for v, (c, e) in enumerate(chords)
+        if u < v and (a < c < b) != (a < e < b)
+    ]
+    return min(
+        tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+        for label in permutations(range(len(chords)))
+    )
+
+
+# (n, number of intersection-graph classes) for n <= 5
+GRAPH_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_characters_depend_only_on_the_intersection_graph(n):
+    # Chmutov-Lando: a weight system that cannot tell mutants apart depends
+    # only on the intersection graph; sl2 qualifies, and the Lorentz
+    # character through the coproduct.  The direct route is checked against
+    # each class's value wherever its cost guard admits the diagram.
+    classes = {}
+    for d in enumerate_diagrams(n):
+        classes.setdefault(_intersection_class(d), []).append(d)
+    assert len(classes) == GRAPH_CLASS_COUNTS[n]
+    direct = 0
+    for members in classes.values():
+        first = members[0]
+        for t in (T_JONES_SL2, T_CK_SL2):
+            value = lambda_z_sl2(first, t)
+            assert all(lambda_z_sl2(d, t) == value for d in members), members
+        for m in (0, 1, 2):
+            value = lambda_mp_factorized(first, m)
+            assert all(lambda_mp_factorized(d, m) == value for d in members), members
+            for d in members:
+                if weights._direct_cost(d) <= weights._DIRECT_COST_LIMIT:
+                    assert lambda_mp_direct(d, m) == value, (d.gauss_text(), m)
+                    direct += 1
+    assert direct
