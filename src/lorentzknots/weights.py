@@ -16,7 +16,8 @@ open at once, not |t|^n.  Evaluating the element on a module with a central
 character gives a scalar, extracted here from the highest-weight (corner)
 state with an explicit cancellation check on every other component.  Each
 diagram's exact sl2 character is computed once per tensor and basepoint and
-shared by the Lorentz characters' coproduct factors, and each diagram's
+shared by the Lorentz characters' coproduct factors, each diagram's
+coproduct once, as integer chord-subset counts, and each diagram's
 factorized Lorentz character once per m (memo tables emptied by
 :func:`lorentzknots.series.clear_caches`).
 
@@ -57,7 +58,7 @@ from functools import partial
 from itertools import product
 from math import lcm
 
-from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct
+from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct_counts
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import (
     ParamPolynomial,
@@ -540,18 +541,24 @@ def _sl2_character_in_p(d: ChordDiagram, m: Fraction):
 
 
 @memoized
+def _coproduct_table(d: ChordDiagram):
+    """The coproduct of ``d`` as ((w1, w2), chord-subset count) pairs."""
+    return tuple(coproduct_counts(d).items())
+
+
+@memoized
 def _lambda_mp_integer(d: ChordDiagram, m: Fraction):
     """The factorized character of one diagram, before the per-chord sign,
     as an integer polynomial in p."""
     total = ((), 1)
-    for (w1, w2), c in coproduct(d).terms.items():
+    for (w1, w2), c in _coproduct_table(d):
         nums, den = int_poly_mul(
             _sl2_character_in_p(w1, m),
             _sl2_character_in_p(w2, -m),  # at w = (p - 1 - m)/2
         )
         # c counts the chord subsets giving (w1, w2); the right factor
         # carries -t
-        scale = c.re.numerator * (-1) ** w2.n
+        scale = c * (-1) ** w2.n
         total = int_poly_add(total, (tuple(scale * x for x in nums), den))
     return total
 
@@ -563,7 +570,9 @@ def lambda_mp_factorized(d, m) -> ParamPolynomial:
     spin parameters are z = (p-1+m)/2 and w = (p-1-m)/2.  Half-integer m
     (as a Fraction) is accepted here, unlike the direct route.  One
     diagram's value is summed over the coproduct in integers and memoized
-    per (diagram, m).
+    per (diagram, m).  Each diagram's coproduct is expanded once, into a
+    memo table of chord-subset counts that every m reads, and each raw
+    pairing in it is canonicalised once per expansion.
     """
     return _character(_lambda_mp_integer, d, Fraction(m))
 

@@ -21,6 +21,7 @@ from lorentzknots.diagrams import (
     reverse_orientation,
 )
 from lorentzknots.errors import ResourceGuardError
+from lorentzknots.scalars import GaussianRational
 
 F = Fraction
 
@@ -216,6 +217,18 @@ def test_grouplike_exponential_law(n):
     assert lhs == TensorDiagramSum(expected_terms)
 
 
+def test_coproduct_is_linear_on_sums():
+    a, b = parse_diagram("ABAB"), parse_diagram("ABCACB")
+    total = DiagramSum([(a, GaussianRational(F(1, 2), 3)), (b, -2), (THETA, 5)])
+    expected = (
+        GaussianRational(F(1, 2), 3) * coproduct(a)
+        + (-2) * coproduct(b)
+        + 5 * coproduct(THETA)
+    )
+    assert coproduct(total) == expected
+    assert coproduct(DiagramSum()) == TensorDiagramSum()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_coproduct_coassociative(n):
     for d in enumerate_diagrams(n):
@@ -244,13 +257,16 @@ def test_reverse_orientation_involution():
 
 
 def test_four_t_shape():
-    for n in (3, 4):
+    for n in (3, 4, 5):
         gens = four_t_generators(n)
         assert gens
         for g in gens:
             assert g.grade() == n
             assert sum(c.re for _, c in g.items()) == 0
             assert len(g.terms) <= 4
+            assert g.items()[0][1].re > 0  # the sign fixed by the leading term
+        # duplicates are removed up to sign
+        assert len(set(gens) | {-g for g in gens}) == 2 * len(gens)
 
 
 def test_four_t_degree_two_collapses():

@@ -15,6 +15,7 @@ from lorentzknots.diagrams import (
     DiagramSum,
     UNIT_DIAGRAM,
     connected_sum,
+    coproduct,
     enumerate_diagrams,
     four_t_generators,
     parse_diagram,
@@ -258,11 +259,28 @@ def test_clear_caches_empties_the_character_tables():
         weights._lambda_z_literal,
         weights._sl2_character_in_p,
         weights._lambda_mp_integer,
+        weights._coproduct_table,
     )
     lambda_mp_factorized(parse_diagram("ABAB"), 1)
     assert all(table.cache_info().currsize for table in tables)
     clear_caches()
     assert not any(table.cache_info().currsize for table in tables)
+
+
+def test_coproduct_is_expanded_once_per_diagram():
+    # Every m of the factorized route reads one table of integer
+    # chord-subset counts per diagram; the counts cover all 2^n subsets and
+    # are the coefficients of the coproduct.
+    clear_caches()
+    for m in (0, 1, 2, F(1, 2)):
+        lambda_mp_factorized(parse_diagram("ABCDBADC"), m)
+    assert weights._coproduct_table.cache_info().misses == 1
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            counts = dict(weights._coproduct_table(d))
+            assert all(type(c) is int for c in counts.values())
+            assert sum(counts.values()) == 2**n
+            assert counts == coproduct(d).terms
 
 
 def test_characters_compute_on_integers_only(monkeypatch):
@@ -480,11 +498,8 @@ def test_four_t_vanishing_sl2():
 
 
 def test_four_t_vanishing_sl2_six_chords():
-    # A pinned subset: every 100th of the 4477 six-chord generators.  The
-    # cost is per distinct diagram, and this subset meets 141 of the 902,
-    # where every 10th generator would already meet 650.
-    gens = four_t_generators(6)[::100]
-    assert len(gens) == 45
+    gens = four_t_generators(6)
+    assert len(gens) == 4477
     for g in gens:
         assert lambda_z_sl2(g).is_zero()
         assert lambda_z_sl2(g, T_CK_SL2).is_zero()
@@ -592,10 +607,8 @@ def test_four_t_vanishing_lorentz():
 
 
 def test_four_t_vanishing_lorentz_six_chords():
-    # The pinned subset of test_four_t_vanishing_sl2_six_chords: every 100th
-    # of the 4477 six-chord generators, meeting 141 of the 902 diagrams.
-    gens = four_t_generators(6)[::100]
-    assert len(gens) == 45
+    gens = four_t_generators(6)
+    assert len(gens) == 4477
     for g in gens:
         for m in (0, 1, 2):
             assert lambda_mp_factorized(g, m).is_zero()
