@@ -4,10 +4,11 @@ The spin-alpha module of the q-deformed sl2 (q = e^{h/2}) carries the
 standard braiding; a braid whose closure is a knot is evaluated as a
 (1,1)-tangle: apply the braid operator on the tensor power, weight every
 strand but the first with the group-like element q^{2 J_z}, take the partial
-trace over those strands, and read off the scalar multiple of the identity
-(scalarness is asserted order by order).  The returned normalization is the
-framed invariant divided by the ordinary dimension 2*alpha + 1, at
-blackboard (writhe) framing.
+trace over those strands, and read off the scalar multiple of the identity.
+Only the columns of diagonal entries 0 and 1 are walked, and the two entries
+are asserted equal order by order; the tests compare the full diagonal.  The
+returned normalization is the framed invariant divided by the ordinary
+dimension 2*alpha + 1, at blackboard (writhe) framing.
 
 The two-variable expansion in (spin z, h) at zero framing comes from the
 samples at the smallest half-integer spins.  Divided by the unknot's, the
@@ -112,9 +113,8 @@ def _inverse_cells(pos, two_alpha, order):
     out = {key: [] for key in pos}
     for (r1, r2), cell in pos.items():
         for a, b, jet in cell:
-            if any(jet[0]):
-                ratio = jet_mul(jet_mul(d[a], d[b]), jet_inverse(jet_mul(d[r1], d[r2])))
-                out[(b, a)].append((r2, r1, jet_mul(_reflect(jet), ratio)))
+            ratio = jet_mul(jet_mul(d[a], d[b]), jet_inverse(jet_mul(d[r1], d[r2])))
+            out[(b, a)].append((r2, r1, jet_mul(_reflect(jet), ratio)))
     return {key: sorted(cell) for key, cell in out.items()}
 
 
@@ -124,9 +124,10 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
 
     Returns (table, den) with table[(r1, r2)] = ((r1', r2', coeffs), ...).
     Basis index r = 0..two_alpha counts lowering steps from the highest
-    weight; the doubled weight of r is two_alpha - 2r.  The negative
-    crossing is the closed-form inverse of the positive one
-    (``_inverse_cells``).
+    weight; the doubled weight of r is two_alpha - 2r.  A term with n
+    lowering steps carries (q - q^{-1})^n = O(h^n), so n stops at ``order``
+    and no cell holds a zero jet.  The negative crossing is the closed-form
+    inverse of the positive one (``_inverse_cells``).
     """
     dim = two_alpha + 1
     step = jet_add(_q_power_jet(1, order), jet_neg(_q_power_jet(-1, order)))
@@ -134,7 +135,7 @@ def _braiding_table(two_alpha: int, order: int, sign: int):
     for r1 in range(dim):
         for r2 in range(dim):
             cell = []
-            for n in range(0, min(r1, two_alpha - r2) + 1):
+            for n in range(min(r1, two_alpha - r2, order) + 1):
                 coeff = _q_power_jet(Fraction(n * (n - 1), 2), order)
                 for _ in range(n):
                     coeff = jet_mul(coeff, step)
@@ -263,14 +264,42 @@ def _require_knot(b: BraidWord):
         raise ValueError("closure of the braid is not a knot")
 
 
+def _column_entry(column: tuple, letters: tuple, tables: dict, order: int):
+    """The diagonal entry of the braid operator at basis state ``column``:
+    integer coefficients over the product of the table denominators, or None
+    for the empty braid's unit and for an entry that no branch reaches.
+
+    A branch whose product truncates to the zero jet is dropped, since it
+    can never reach the diagonal.
+    """
+    vec = {column: None}  # None stands for the unit coefficient
+    for idx, sign in letters:
+        table, _ = tables[sign]
+        out = {}
+        for state, coeffs in vec.items():
+            r1, r2 = state[idx - 1], state[idx]
+            for a, b, entry in table[(r1, r2)]:
+                new_state = state[: idx - 1] + (a, b) + state[idx + 1 :]
+                if coeffs is None:
+                    accumulate(out, new_state, entry)
+                else:
+                    term = conv(coeffs, entry, order)
+                    if any(term):
+                        accumulate(out, new_state, term)
+        vec = out
+    return vec.get(column)
+
+
 @memoized
 def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     """Scalar of the (1,1)-tangle closure, as an integer jet.
 
-    Sums over basis columns; weight conservation makes the partial trace
-    diagonal, and all diagonal entries are asserted equal.
+    Weight conservation makes the partial trace diagonal.  The scalar is
+    diagonal entry 0, summed over the columns whose first strand is in
+    state 0; when two_alpha >= 1, entry 1 is summed from the columns of row
+    1 and asserted equal to it, order by order.  The tests compare every
+    diagonal entry.
     """
-    dim = two_alpha + 1
     tables = {}
     den_braid = 1
     for _, sign in letters:
@@ -279,37 +308,25 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
         den_braid *= tables[sign][1]
 
     diag = {}
-    for column in product(range(dim), repeat=strands):
-        vec = {column: None}  # None stands for the unit coefficient
-        for idx, sign in letters:
-            table, _ = tables[sign]
-            out = {}
-            for state, coeffs in vec.items():
-                r1, r2 = state[idx - 1], state[idx]
-                for a, b, entry in table[(r1, r2)]:
-                    new_state = state[: idx - 1] + (a, b) + state[idx + 1 :]
-                    if coeffs is None:
-                        accumulate(out, new_state, entry)
-                    else:
-                        accumulate(out, new_state, conv(coeffs, entry, order))
-            vec = out
-        coeffs = vec.get(column)
-        if letters and coeffs is None:
-            continue
-        weight = _q_power_jet(sum(two_alpha - 2 * r for r in column[1:]), order)
-        if coeffs is not None:
-            weight = jet_mul((coeffs, den_braid), weight)
-        jet_accumulate(diag, column[0], weight)
+    for row in range(min(two_alpha, 1) + 1):
+        for rest in product(range(two_alpha + 1), repeat=strands - 1):
+            column = (row,) + rest
+            coeffs = _column_entry(column, letters, tables, order)
+            if letters and coeffs is None:
+                continue
+            weight = _q_power_jet(sum(two_alpha - 2 * r for r in rest), order)
+            if coeffs is not None:
+                weight = jet_mul((coeffs, den_braid), weight)
+            jet_accumulate(diag, row, weight)
 
     zero = jet_constant(0, order)
     first = diag.get(0, zero)
-    for r1 in range(1, dim):
-        if diag.get(r1, zero) != first:
-            raise InternalConsistencyError(
-                f"partial trace of the braid operator of {BraidWord(strands, letters).text()} "
-                f"at 2alpha = {two_alpha}, order {order} is not a scalar: diagonal entry "
-                f"{r1} differs from entry 0; braiding/enhancement conventions are inconsistent"
-            )
+    if two_alpha >= 1 and diag.get(1, zero) != first:
+        raise InternalConsistencyError(
+            f"partial trace of the braid operator of {BraidWord(strands, letters).text()} "
+            f"at 2alpha = {two_alpha}, order {order} is not a scalar: diagonal entry "
+            f"1 differs from entry 0; braiding/enhancement conventions are inconsistent"
+        )
     return first
 
 

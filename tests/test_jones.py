@@ -1,6 +1,7 @@
 """Quantum sl2 braid engine: braiding identities, framing, interpolation."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -37,6 +38,7 @@ from lorentzknots.series import (
     clear_caches,
     constant_series,
     jet_constant,
+    jet_fractions,
     q_dim,
 )
 
@@ -87,6 +89,17 @@ def test_yang_baxter(two_alpha):
     R = r_matrix(two_alpha, 4)
     R12, R23 = _lift(R, dim, 0), _lift(R, dim, 1)
     assert R12.compose(R23).compose(R12) == R23.compose(R12).compose(R23)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_braiding_table_holds_no_zero_jet(sign):
+    # A term with n lowering steps is O(h^n): the table stops at n = order.
+    for two_alpha in range(9):
+        for order in range(4):
+            table, _ = jones._braiding_table(two_alpha, order, sign)
+            for cell in table.values():
+                for _, _, coeffs in cell:
+                    assert any(coeffs), (two_alpha, order, sign)
 
 
 def test_classical_limit_is_permutation():
@@ -145,6 +158,53 @@ def test_stabilization_matches_framing_factor(two_alpha, sign):
 # ---------------------------------------------------------------------------
 # Tangle evaluation
 # ---------------------------------------------------------------------------
+
+
+def _full_diagonal(b, two_alpha, order):
+    """Every diagonal entry, rows 0..two_alpha, of the partial trace of the
+    braid operator weighted by q^{2 J_z} on every strand but the first,
+    walked over all (two_alpha+1)^strands columns in Fraction arithmetic."""
+
+    def mul(u, v):
+        return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(order + 1)]
+
+    def q_power(k):  # q^k = e^{k h / 2}
+        return [F(k, 2) ** j / factorial(j) for j in range(order + 1)]
+
+    dim = two_alpha + 1
+    tables = {sign: jones._braiding_table(two_alpha, order, sign) for sign in (1, -1)}
+    zero = [F(0)] * (order + 1)
+    diag = [zero] * dim
+    for column in product(range(dim), repeat=b.strands):
+        vec = {column: [F(1)] + [F(0)] * order}
+        for idx, sign in b.letters:
+            table, den = tables[sign]
+            out = {}
+            for state, c in vec.items():
+                for x, y, entry in table[(state[idx - 1], state[idx])]:
+                    new = state[: idx - 1] + (x, y) + state[idx + 1 :]
+                    term = mul(c, [F(e, den) for e in entry])
+                    out[new] = [u + v for u, v in zip(out.get(new, zero), term)]
+            vec = out
+        if column in vec:
+            weighted = mul(vec[column], q_power(sum(two_alpha - 2 * r for r in column[1:])))
+            diag[column[0]] = [u + v for u, v in zip(diag[column[0]], weighted)]
+    return diag
+
+
+def _assert_every_diagonal_entry_is_the_scalar(b, order):
+    for two_alpha in range(5):
+        scalar = jet_fractions(jones._tangle_scalar(b.strands, b.letters, two_alpha, order))
+        for row, entry in enumerate(_full_diagonal(b, two_alpha, order)):
+            assert tuple(entry) == scalar, (str(b), two_alpha, row)
+
+
+@pytest.mark.parametrize(
+    "b", [k.braid for k in CATALOG.values()] + [KNOT_5_2], ids=str
+)
+def test_every_diagonal_entry_is_the_scalar(b):
+    # The runtime check compares rows 0 and 1 only; this walks them all.
+    _assert_every_diagonal_entry_is_the_scalar(b, 3)
 
 
 def test_unknot_framed_value():
@@ -279,6 +339,23 @@ _KNOT_BRAIDS = st.one_of(
 @given(_KNOT_BRAIDS)
 def test_random_knot_interpolation_equals_the_degree_2n_fit(b):
     assert jones_z_interpolated(b, 2) == _degree_2n_fit(b, 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_every_diagonal_entry_is_the_scalar_on_random_knots(b):
+    _assert_every_diagonal_entry_is_the_scalar(b, 2)
+
+
+def test_connected_sum_on_four_strands_is_multiplicative():
+    # s1^3 on strands 1-2 and s2 -s3 s2 -s3 on strands 2-4: 3_1 # 4_1.
+    # Tangle scalars multiply, and each factor of jones_zero_framed carries
+    # one unknot value [N]/N.
+    both = parse_braid("s1 s1 s1 s2 -s3 s2 -s3", 4)
+    for two_alpha in range(6):
+        lhs = jones_zero_framed(both, two_alpha, 3) * jones_zero_framed(UNKNOT, two_alpha, 3)
+        rhs = jones_zero_framed(TREFOIL, two_alpha, 3) * jones_zero_framed(FIG8, two_alpha, 3)
+        assert lhs == rhs, two_alpha
 
 
 def _reflect(series):
