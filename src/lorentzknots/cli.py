@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -97,7 +98,9 @@ def _resolve_braid(args, config):
     if braid_text is not None:
         strands = _setting(args, config, "strands")
         if strands is None:
-            strands = max((int(t.strip("-s")) for t in braid_text.split()), default=0) + 1
+            # parse_braid reports a malformed token; here it counts for nothing
+            indices = (re.fullmatch(r"-?s(\d+)", t) for t in braid_text.split())
+            strands = max((int(m.group(1)) for m in indices if m), default=0) + 1
         return parse_braid(braid_text, strands)
     raise ValueError("need --braid or --knot")
 

@@ -11,19 +11,25 @@ returned normalization is the framed invariant divided by the ordinary
 dimension 2*alpha + 1, at blackboard (writhe) framing.
 
 The two-variable expansion in (spin z, h) at zero framing comes from the
-samples at the smallest half-integer spins.  Divided by the unknot's, the
-h^n coefficient has degree at most n in z (Melvin-Morton), so each order-n
-expansion samples two_alpha = 0..n+2 only: the h^n coefficient of the
-quotient is fitted by exact Lagrange reconstruction through the first n+1
-spins, and the remaining samples (at least two) must lie on the fit.  The
-top coefficients are asserted against the Alexander polynomial
-(Melvin-Morton-Rozansky), and the quotient is multiplied back by the
-unknot's expansion, fitted the same way from its own samples.
+samples at the smallest half-integer spins.  f kinks multiply the invariant
+by the closed-form q-power q^{f 2z(2z+2)/2} = e^{f z(z+1) h} (the tests tie
+z(z+1) to twice the one-chord weight eigenvalue of the Jones tensor), and
+the unknot's value is [2z+1]/(2z+1), so the zero-framed invariant divided
+by the unknot's is the tangle scalar times that q-power at f = -writhe: one
+integer-jet product per spin.  Its h^n coefficient has degree at most n in
+z (Melvin-Morton), so each order-n expansion samples two_alpha = 0..n+2
+only: the h^n coefficient of the quotient is fitted by exact Lagrange
+reconstruction through the first n+1 spins, and the remaining samples (at
+least two) must lie on the fit.  The top coefficients are asserted against
+the Alexander polynomial (Melvin-Morton-Rozansky), and the quotient is
+multiplied back by the unknot's expansion, fitted the same way from its own
+samples.
 
 The braiding tables are built from the integer jets of
 :mod:`lorentzknots.series` (the q-jets) and stored over one shared
 denominator per table, so the tangle walk multiplies Python-int tuples; the
-group-like weights and the tangle scalar are integer jets as well.
+group-like weights, the tangle scalar and each spin sample are integer jets
+as well, converted to Gaussian-rational series only for the fit.
 """
 
 from __future__ import annotations
@@ -35,13 +41,7 @@ from math import lcm
 from .alexander import alexander_polynomial, inverse_alexander_exp
 from .braids import BraidWord
 from .errors import InternalConsistencyError
-from .polynomials import (
-    ParamPolynomial,
-    PolySeries,
-    interpolate_series,
-    specialize,
-)
-from .scalars import GaussianRational
+from .polynomials import PolySeries, interpolate_series
 from .series import (
     TruncatedSeries,
     _q_factorial_jet,
@@ -50,7 +50,6 @@ from .series import (
     accumulate,
     constant_series,
     conv,
-    exp_scaled,
     jet_accumulate,
     jet_add,
     jet_constant,
@@ -61,23 +60,14 @@ from .series import (
     jet_series,
     memoized,
 )
-from .weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
 __all__ = [
     "SeriesOperator",
     "r_matrix",
-    "framing_factor",
-    "framing_factor_numeric",
     "jones_framed",
     "jones_zero_framed",
     "jones_z_interpolated",
 ]
-
-# The spin interpolation and the braid sums must use one and the same
-# framing normalization; a positive stabilization multiplies the framed
-# invariant by exp(2 * w(z) * h), where w(z) is the one-chord weight-system
-# eigenvalue (z(z+1)/2 for the tensor behind the Jones normalization).
-_KINK_EXPONENT_FACTOR = 2
 
 _UNKNOT = BraidWord(1)
 
@@ -223,35 +213,8 @@ def r_matrix(two_alpha: int, order: int, sign: int = 1) -> SeriesOperator:
         col = r1 * dim + r2
         for a, b, coeffs in cell:
             row = a * dim + b
-            entries[(row, col)] = TruncatedSeries(
-                order, [GaussianRational(Fraction(c, den)) for c in coeffs]
-            )
+            entries[(row, col)] = jet_series((coeffs, den))
     return SeriesOperator(dim * dim, order, entries)
-
-
-# ---------------------------------------------------------------------------
-# Framing
-# ---------------------------------------------------------------------------
-
-
-def kink_exponent_polynomial() -> ParamPolynomial:
-    """Exponent polynomial c(z) with positive-kink factor e^{c(z) h}.
-
-    Derived from the weight-system one-chord eigenvalue, scaled by the
-    bridge factor 2 that matches the braiding's twist at q = e^{h/2}.
-    """
-    return _KINK_EXPONENT_FACTOR * sl2_quadratic_eigenvalue(T_JONES_SL2)
-
-
-def framing_factor(order: int, framing: int = 1) -> PolySeries:
-    """Spin-polynomial jet of the framing-change factor e^{framing*c(z)*h}."""
-    return exp_scaled(framing * kink_exponent_polynomial(), order)
-
-
-def framing_factor_numeric(two_alpha: int, order: int, framing: int = 1):
-    """The same factor evaluated at spin alpha = two_alpha/2, as an exact jet."""
-    c = kink_exponent_polynomial().evaluate(Fraction(two_alpha, 2))
-    return exp_scaled(framing * c, order)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +222,11 @@ def framing_factor_numeric(two_alpha: int, order: int, framing: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _require_knot(b: BraidWord):
+def _require_inputs(b: BraidWord, order: int, two_alpha: int = 0):
+    if two_alpha < 0:
+        raise ValueError(f"two_alpha must be nonnegative, got {two_alpha}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     if not b.is_knot():
         raise ValueError("closure of the braid is not a knot")
 
@@ -330,22 +297,40 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     return first
 
 
+def _framing_jet(two_alpha: int, order: int, framing: int):
+    """The factor of ``framing`` positive kinks at spin z = two_alpha/2, as an
+    integer jet: q^{framing * 2z(2z+2)/2} = e^{framing * z(z+1) h}."""
+    return _q_power_jet(Fraction(framing * two_alpha * (two_alpha + 2), 2), order)
+
+
+def _quotient(b: BraidWord, two_alpha: int, order: int, framing: int):
+    """The invariant over the unknot's at spin two_alpha/2, at blackboard
+    framing changed by ``framing`` kinks: the (1,1)-tangle scalar times the
+    framing q-power, as an integer jet."""
+    _require_inputs(b, order, two_alpha)
+    scalar = _tangle_scalar(b.strands, b.letters, two_alpha, order)
+    return jet_mul(scalar, _framing_jet(two_alpha, order, framing))
+
+
+def _sample(b: BraidWord, two_alpha: int, order: int, framing: int) -> TruncatedSeries:
+    """The quotient times the unknot's value [2*alpha+1]/(2*alpha+1)."""
+    dim = two_alpha + 1
+    value = jet_mul(_quotient(b, two_alpha, order, framing), _q_integer_jet(dim, order))
+    return jet_series(jet_scale(value, Fraction(1, dim)))
+
+
 def jones_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeries:
     """Framed invariant / (2*alpha+1) at blackboard framing, as an exact jet.
 
     The (1,1)-tangle scalar is multiplied by [2*alpha+1]/(2*alpha+1), so the
     zero-framed unknot value is the quantum dimension over the dimension.
     """
-    _require_knot(b)
-    scalar = _tangle_scalar(b.strands, b.letters, two_alpha, order)
-    scalar = jet_mul(scalar, _q_integer_jet(two_alpha + 1, order))
-    return jet_series(jet_scale(scalar, Fraction(1, two_alpha + 1)))
+    return _sample(b, two_alpha, order, 0)
 
 
 def jones_zero_framed(b: BraidWord, two_alpha: int, order: int) -> TruncatedSeries:
     """The framed invariant corrected to zero framing."""
-    framed = jones_framed(b, two_alpha, order)
-    return framed * framing_factor_numeric(two_alpha, order, -b.writhe())
+    return _sample(b, two_alpha, order, -b.writhe())
 
 
 def _fit_spins(b: BraidWord, samples) -> PolySeries:
@@ -389,32 +374,31 @@ def _check_mmr_diagonal(b: BraidWord, normalized: PolySeries, order: int):
 @memoized
 def _interpolated(strands: int, letters: tuple, order: int) -> PolySeries:
     b = BraidWord(strands, letters)
-    unknot = _unknot_expansion(order)
     quotients = [
-        jones_zero_framed(b, k, order) / specialize(unknot, Fraction(k, 2))
-        for k in range(order + 3)
+        jet_series(_quotient(b, k, order, -b.writhe())) for k in range(order + 3)
     ]
     normalized = _fit_spins(b, quotients)
     _check_mmr_diagonal(b, normalized, order)
-    return normalized * unknot
+    return normalized * _unknot_expansion(order)
 
 
 def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
     """Zero-framing spin expansion, a polynomial in the spin z per h-order.
 
-    Each zero-framed sample at two_alpha = 0..order+2 is divided by the
-    unknot's; the h^n coefficient of that quotient has degree at most n in
-    z (Melvin-Morton), so it is fitted through the first n+1 spins and the
-    remaining (at least two) samples must lie on the fit.  Its N^n
-    coefficient, N = 2z+1, is checked against 1/Delta(e^x).  The result is
-    the quotient times the unknot's expansion, which is fitted the same way
-    from its own samples at two_alpha = 0..2*order+2.
+    Each zero-framed sample at two_alpha = 0..order+2, divided by the
+    unknot's, is the tangle scalar times the framing q-power; the h^n
+    coefficient of that quotient has degree at most n in z (Melvin-Morton),
+    so it is fitted through the first n+1 spins and the remaining (at least
+    two) samples must lie on the fit.  Its N^n coefficient, N = 2z+1, is
+    checked against 1/Delta(e^x).  The result is the quotient times the
+    unknot's expansion, which is fitted the same way from its own samples
+    at two_alpha = 0..2*order+2.
 
     An expansion of the same braid memoized at a higher order is served cut
     at h^order: its coefficients do not depend on the truncation, and it
     was checked at more surplus spins.
     """
-    _require_knot(b)
+    _require_inputs(b, order)
     table = _interpolated.table
     if (b.strands, b.letters, order) not in table:
         higher = [k[2] for k in table if k[:2] == (b.strands, b.letters) and k[2] > order]

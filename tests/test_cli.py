@@ -81,6 +81,12 @@ def test_jones_strand_inference():
     assert code == 0
 
 
+def test_jones_strand_inference_reports_a_bad_token(capsys):
+    code, text = run_cli(["jones", "--braid", "s1 x1 s1", "--spin", "1"])
+    assert code == 2 and text == ""
+    assert "bad braid token 'x1'" in capsys.readouterr().err
+
+
 def test_lorentz_equivalence_report():
     code, text = run_cli(
         [

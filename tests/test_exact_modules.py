@@ -53,3 +53,12 @@ def test_importing_the_package_loads_no_mpmath():
         cwd=os.path.dirname(lorentzknots.__path__[0]),
     )
     assert result.stdout.strip() == "False"
+
+
+def test_jones_imports_neither_weights_nor_scalars():
+    # The spin pipeline computes on the integer jets of series; its kink
+    # factor is a closed-form q-power, tied to the weights by the tests.
+    from lorentzknots import jones
+
+    names = set(_imported_names(inspect.getsource(jones)))
+    assert not names & {".weights", ".scalars", "lorentzknots.weights", "lorentzknots.scalars"}

@@ -80,10 +80,13 @@ def test_framed_sensitivity_only_for_nonzero_m():
     # exponents whose net is twice the one-chord weight eigenvalue of the
     # balanced tensor: identically zero iff m = 0, and zero at p = 0.
     from lorentzknots.diagrams import THETA
-    from lorentzknots.jones import kink_exponent_polynomial
-    from lorentzknots.weights import lambda_mp_factorized
+    from lorentzknots.weights import (
+        T_JONES_SL2,
+        lambda_mp_factorized,
+        sl2_quadratic_eigenvalue,
+    )
 
-    cz = kink_exponent_polynomial()
+    cz = 2 * sl2_quadratic_eigenvalue(T_JONES_SL2)
     for m in (0, 1, 2):
         zsub = cz.compose_affine(F(1, 2), F(m - 1, 2))
         wsub = cz.compose_affine(F(1, 2), F(-m - 1, 2))

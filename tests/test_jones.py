@@ -19,12 +19,10 @@ from lorentzknots.braids import (
 from lorentzknots.errors import InternalConsistencyError
 from lorentzknots.jones import (
     SeriesOperator,
-    framing_factor,
-    framing_factor_numeric,
+    _framing_jet,
     jones_framed,
     jones_z_interpolated,
     jones_zero_framed,
-    kink_exponent_polynomial,
     r_matrix,
 )
 from lorentzknots.polynomials import (
@@ -36,11 +34,15 @@ from lorentzknots.polynomials import (
 from lorentzknots.series import (
     TruncatedSeries,
     clear_caches,
-    constant_series,
+    exp_scaled,
+    jet_add,
     jet_constant,
     jet_fractions,
+    jet_mul,
+    jet_series,
     q_dim,
 )
+from lorentzknots.weights import T_JONES_SL2, sl2_quadratic_eigenvalue
 
 F = Fraction
 
@@ -124,24 +126,36 @@ def test_classical_limit_is_permutation():
 
 
 def test_kink_exponent_is_z_z_plus_one():
+    # The positive-kink factor is e^{z(z+1) h}: twice the one-chord weight
+    # eigenvalue of the tensor behind the Jones normalization.
     z = poly_variable()
-    assert kink_exponent_polynomial() == z * z + z
+    assert 2 * sl2_quadratic_eigenvalue(T_JONES_SL2) == z * z + z
+
+
+def test_framing_jet_is_the_exponential_of_the_one_chord_weight():
+    kink = 2 * sl2_quadratic_eigenvalue(T_JONES_SL2)
+    for two_alpha in range(7):
+        for framing in (1, -1, 2, -2):
+            rate = framing * kink.evaluate(F(two_alpha, 2))
+            assert jet_series(_framing_jet(two_alpha, 5, framing)) == exp_scaled(rate, 5)
 
 
 def test_framing_factor_trivial_spin():
-    assert framing_factor_numeric(0, 5) == constant_series(1, 5)
+    for framing in (1, -1, 3):
+        assert _framing_jet(0, 5, framing) == jet_constant(1, 5)
 
 
 def test_framing_factor_parity_product():
     for ta in (1, 2, 3):
-        prod = framing_factor_numeric(ta, 5, +1) * framing_factor_numeric(ta, 5, -1)
-        assert prod == constant_series(1, 5)
+        prod = jet_mul(_framing_jet(ta, 5, +1), _framing_jet(ta, 5, -1))
+        assert prod == jet_constant(1, 5)
 
 
 def test_framing_factor_polynomial_matches_numeric():
-    ff = framing_factor(4)
+    z = poly_variable()
+    ff = exp_scaled(z * z + z, 4)
     for ta in (0, 1, 2, 3):
-        assert specialize(ff, F(ta, 2)) == framing_factor_numeric(ta, 4)
+        assert specialize(ff, F(ta, 2)) == jet_series(_framing_jet(ta, 4, 1))
 
 
 @pytest.mark.parametrize("two_alpha", [1, 2, 3])
@@ -149,8 +163,8 @@ def test_framing_factor_polynomial_matches_numeric():
 def test_stabilization_matches_framing_factor(two_alpha, sign):
     stab = BraidWord(3, TREFOIL.letters + ((2, sign),))
     lhs = jones_framed(stab, two_alpha, 4)
-    rhs = jones_framed(TREFOIL, two_alpha, 4) * framing_factor_numeric(
-        two_alpha, 4, sign
+    rhs = jones_framed(TREFOIL, two_alpha, 4) * jet_series(
+        _framing_jet(two_alpha, 4, sign)
     )
     assert lhs == rhs
 
@@ -221,6 +235,28 @@ def test_stabilized_unknot_zero_framed():
 def test_rejects_links():
     with pytest.raises(ValueError):
         jones_framed(parse_braid("s1", 3), 1, 3)
+
+
+@pytest.mark.parametrize("sample", [jones_framed, jones_zero_framed])
+@pytest.mark.parametrize("two_alpha", [-1, -2])
+def test_rejects_a_negative_spin(sample, two_alpha):
+    with pytest.raises(ValueError, match="two_alpha"):
+        sample(TREFOIL, two_alpha, 2)
+
+
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda order: jones_framed(TREFOIL, 1, order),
+        lambda order: jones_zero_framed(TREFOIL, 1, order),
+        lambda order: jones_z_interpolated(TREFOIL, order),
+    ],
+    ids=["framed", "zero_framed", "interpolated"],
+)
+@pytest.mark.parametrize("order", [-1, -4])
+def test_rejects_a_negative_order(expand, order):
+    with pytest.raises(ValueError, match="order"):
+        expand(order)
 
 
 def test_trefoil_order_zero_is_one():
@@ -347,6 +383,34 @@ def test_every_diagonal_entry_is_the_scalar_on_random_knots(b):
     _assert_every_diagonal_entry_is_the_scalar(b, 2)
 
 
+def _assert_expansion_holds_beyond_its_samples(b, order):
+    # The fit samples two_alpha = 0..order+2; check the next four spins.
+    expansion = jones_z_interpolated(b, order)
+    for two_alpha in range(order + 3, order + 7):
+        assert specialize(expansion, F(two_alpha, 2)) == jones_zero_framed(
+            b, two_alpha, order
+        ), two_alpha
+
+
+@pytest.mark.parametrize(
+    "b",
+    list(
+        dict.fromkeys(
+            [k.braid for k in CATALOG.values()] + [KNOT_5_2, parse_braid("s1 s1 s1 s1 s1", 2)]
+        )
+    ),
+    ids=str,
+)
+def test_expansion_holds_at_spins_it_never_sampled(b):
+    _assert_expansion_holds_beyond_its_samples(b, 3)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_expansion_holds_at_spins_it_never_sampled_on_random_knots(b):
+    _assert_expansion_holds_beyond_its_samples(b, 3)
+
+
 def test_connected_sum_on_four_strands_is_multiplicative():
     # s1^3 on strands 1-2 and s2 -s3 s2 -s3 on strands 2-4: 3_1 # 4_1.
     # Tangle scalars multiply, and each factor of jones_zero_framed carries
@@ -390,21 +454,32 @@ def test_surplus_node_catches_what_a_degree_2n_fit_absorbs(monkeypatch):
     # The bump z(z - 1/2)(z - 1)(z - 3/2) vanishes at every spin the
     # order-2 fit samples below its top one (two_alpha = 4) and has degree
     # 4 = 2n on the h^2 coefficient, so the degree-2n fit absorbs it
-    # without noticing.
-    def bumped(b, two_alpha, order):
-        series = jones_zero_framed(b, two_alpha, order)
-        if b != TREFOIL:
-            return series
+    # without noticing.  The unknot's value is 1 + O(h^2), so the bump on
+    # the h^2 coefficient of the quotient is the bump on the sample.
+    def bump(two_alpha):
         z = F(two_alpha, 2)
-        bump = z * (z - F(1, 2)) * (z - 1) * (z - F(3, 2))
+        return z * (z - F(1, 2)) * (z - 1) * (z - F(3, 2))
+
+    def bumped_sample(b, two_alpha, order):
+        series = jones_zero_framed(b, two_alpha, order)
         coeffs = list(series.coeffs)
-        coeffs[2] = coeffs[2] + bump
+        coeffs[2] = coeffs[2] + bump(two_alpha)
         return TruncatedSeries(order, coeffs)
 
+    quotient = jones._quotient
+
+    def bumped_quotient(b, two_alpha, order, framing):
+        jet = quotient(b, two_alpha, order, framing)
+        if b != TREFOIL:
+            return jet
+        height = bump(two_alpha)
+        nums = (0, 0, height.numerator) + (0,) * (order - 2)
+        return jet_add(jet, (nums, height.denominator))
+
     clear_caches()
-    absorbed = _degree_2n_fit(TREFOIL, 2, bumped)
+    absorbed = _degree_2n_fit(TREFOIL, 2, bumped_sample)
     assert absorbed != _degree_2n_fit(TREFOIL, 2)
-    monkeypatch.setattr(jones, "jones_zero_framed", bumped)
+    monkeypatch.setattr(jones, "_quotient", bumped_quotient)
     with pytest.raises(InternalConsistencyError) as err:
         jones_z_interpolated(TREFOIL, 2)
     message = str(err.value)
@@ -415,12 +490,14 @@ def test_surplus_node_catches_what_a_degree_2n_fit_absorbs(monkeypatch):
 def test_knots_are_sampled_up_to_two_alpha_order_plus_two(monkeypatch):
     sampled = {}
 
-    def recording(b, two_alpha, order):
+    quotient = jones._quotient
+
+    def recording(b, two_alpha, order, framing):
         sampled.setdefault(b, set()).add(two_alpha)
-        return jones_zero_framed(b, two_alpha, order)
+        return quotient(b, two_alpha, order, framing)
 
     clear_caches()
-    monkeypatch.setattr(jones, "jones_zero_framed", recording)
+    monkeypatch.setattr(jones, "_quotient", recording)
     jones_z_interpolated(FIG8, 3)
     assert sampled[FIG8] == set(range(6))
     assert sampled[UNKNOT] == set(range(9))
