@@ -22,8 +22,9 @@ The structure constants Lambda^{ABC}_D(p) of the balanced representation
 combine a decoupling and a coupling coefficient with q^{2 sigma p} weights.
 They are computed at real p only, as integer jets too, and they are all
 the braid walk of :mod:`lorentzknots.qlorentz` uses.  p enters only
-through those weights, e^{sigma p h}, so the h^k coefficient of a structure
-constant, or of a braid sum built from them, has degree at most k in p;
+through those weights, e^{sigma p h}: the sigma terms are kept once, over
+one radicand, and each p only weights and adds them.  So the h^k
+coefficient of a structure constant, or of a braid sum, has degree <= k in p;
 :func:`series_at` turns a computation at real p into one at any p by
 fitting it through real nodes.  The symbolic structure constants, and the
 braid sums and the closed trefoil sum at complex or symbolic p, are all
@@ -145,6 +146,12 @@ def _triangle(da: int, db: int, dc: int) -> bool:
     return abs(db - dc) <= da <= db + dc and (da + db + dc) % 2 == 0
 
 
+def _require_order(order):
+    """ValueError naming ``order`` unless it is a nonnegative int."""
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+
+
 # The value of ``p`` that leaves it symbolic.
 SYMBOLIC = "symbolic"
 
@@ -236,6 +243,7 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     condition holds.  Returns sign * sqrt(c0) * (rational jet) as a RootJet
     with radicand c0, the classical radicand, and an integer-jet value.
     """
+    _require_order(order)
     if not (
         _is_spin_index(dI, dm)
         and _is_spin_index(dJ, dn)
@@ -265,16 +273,10 @@ def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
 
 
 @memoized
-def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
-    """Structure constant Lambda^{A B C}_D(p) at real p (ValueError
-    otherwise; see :func:`lambda_coeff_symbolic`).
-
-    Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
-    D) column weights, as a RootJet: every sigma term has the same radical.
-    """
-    real = real_point(p)
-    if real is None:
-        raise ValueError(f"lambda_coeff needs a real p, not {p}")
+def _lambda_terms(dA, dB, dC, dD, order):
+    """The p-free part of Lambda^{A B C}_D: (radicand, ((d_sigma, jet), ...)),
+    the products decoupling(A -> C, B) coupling(B, C -> D) that do not
+    truncate to zero, as integer jets over the first one's radicand."""
     terms = []
     for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
         if (d_sigma - dC) % 2 or (d_sigma - dB) % 2:
@@ -285,14 +287,38 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
         right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
         if right.is_zero():
             continue
-        weight = RootJet(1, _q_power_jet(d_sigma * real, order))
-        terms.append(weight * (left * right))
-    return _root_sum(terms, order, ("Lambda", dA, dB, dC, dD))
+        term = left * right
+        if not term.is_zero():
+            terms.append((d_sigma, term))
+    radicand = terms[0][1].radicand if terms else 1
+    labels = ("Lambda", dA, dB, dC, dD)
+    return radicand, tuple((ds, t.scaled(1 / radicand, labels)) for ds, t in terms)
+
+
+@memoized
+def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
+    """Structure constant Lambda^{A B C}_D(p) at real p (ValueError
+    otherwise; see :func:`lambda_coeff_symbolic`).
+
+    Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
+    D) column weights, as a RootJet: every sigma term has the same radical,
+    so only the weights are computed per p (see :func:`_lambda_terms`).
+    """
+    _require_order(order)
+    real = real_point(p)
+    if real is None:
+        raise ValueError(f"lambda_coeff needs a real p, not {p}")
+    radicand, terms = _lambda_terms(dA, dB, dC, dD, order)
+    total = jet_constant(0, order)
+    for d_sigma, term in terms:
+        total = jet_add(total, jet_mul(_q_power_jet(d_sigma * real, order), term))
+    return RootJet(radicand, total)
 
 
 def lambda_coeff_symbolic(dA, dB, dC, dD, order):
     """Lambda^{A B C}_D with p left symbolic, as (radicand, PolySeries): the
     fit (``series_at``) of its real-p values, whose radicands must agree."""
+    _require_order(order)
     labels = ("Lambda", dA, dB, dC, dD)
     radicands = set()
 

@@ -17,10 +17,12 @@ The walk runs at real p only, where the dual-generator entries and the
 branch coefficients are integer jets of :mod:`lorentzknots.series`.  p
 enters the sum only through the weights q^{2 sigma p} = e^{sigma p h} of
 the structure constants, so its h^k coefficient is a polynomial of degree
-at most k in p.  At any other p, ``cg.series_at`` fits the walks at the
-real nodes p = 1..order+3: each h^k coefficient by exact Lagrange
-interpolation through the first k+1 of them, and the remaining nodes (at
-least two) must lie on the fit.  At complex p the fit is specialised.
+at most k in p, and each dual-generator entry keeps its p-free coupling
+products once (``_g_terms``).  At any other p, ``cg.series_at`` fits the
+walks, each memoized, at the real nodes p = 1..order+3: each h^k
+coefficient by exact Lagrange interpolation through the first k+1 of them,
+and the remaining nodes (at least two) must lie on the fit.  At complex p
+the fit is specialised.
 
 A braid whose closure is a knot becomes a single operator word by walking
 the closed-up diagram once: each crossing contributes its matrix-element
@@ -54,8 +56,9 @@ from math import factorial
 from .braids import BraidWord
 from .cg import (
     SYMBOLIC,
-    RootJet,
     _is_spin_index,
+    _lambda_terms,
+    _require_order,
     lambda_coeff,
     quantum_cg,
     quantum_cg_decoupling,
@@ -137,30 +140,24 @@ def _s_squared(d_beta: int, d_i: int) -> int:
 
 
 @memoized
-def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
-    """Column of the dual generator's action, or with ``forward`` False its
-    transposed row.
+def _g_terms(d_alpha, d_i, d_j, d_beta, d_ibeta, order, forward):
+    """The p-free part of ``g_action``: a tuple of (other state, labels of a
+    structure constant Lambda, c), Lambda(p) c being one term of the entry.
 
-    The argument state (beta, i_beta) is the source when ``forward`` and
-    the target otherwise; the result lists the other states, (state, jet).
     The source (b, i_b) decouples into alpha (x) D at index x = j + i_b,
     which couples to the target (c, i_c) with i_c = x - i; so the known
     state fixes x, and one loop over the coupled spin D and the other
     state's integer spin within |alpha -+ D| serves both directions.  The
     sum over D is finite, no approximation happens here.
 
-    Each entry is the matrix element from source to target in the rescaled
-    basis, times s(alpha, j) / s(alpha, i) from the label's matrix-element
-    partner: sqrt of s(b)^2 s(alpha, j)^2 / (s(c)^2 s(alpha, i)^2) times
-    the root jet, an integer jet (checked exactly).  ``p`` must be real;
-    ValueError otherwise.
+    c is the coupling product in the rescaled basis, times s(alpha, j) /
+    s(alpha, i) from the label's matrix-element partner and sqrt of
+    Lambda's radicand: an integer jet (checked exactly).
     """
-    if real_point(p) is None:
-        raise ValueError(f"g_action needs a real p, not {p}")
     known = (d_beta, d_ibeta)
     dx = d_ibeta + (d_j if forward else d_i)
     d_iother = dx - (d_i if forward else d_j)
-    out = {}
+    terms = []
     for dD in range(abs(d_alpha - d_beta), d_alpha + d_beta + 1, 2):
         if not _is_spin_index(dD, dx):
             continue
@@ -175,23 +172,35 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
             cgl = quantum_cg(target[0], d_alpha, dD, target[1], d_i, dx, order)
             if cgl.is_zero():
                 continue
-            lam = lambda_coeff(target[0], d_alpha, dD, source[0], p, order)
-            if lam.is_zero():
+            labels = (target[0], d_alpha, dD, source[0])
+            radicand, sigma_terms = _lambda_terms(*labels, order)
+            if not sigma_terms:
                 continue
-            term = _rescaled(lam * (cgl * cgr), target, source, d_alpha, d_i, d_j)
-            jet_accumulate(out, other, term)
+            square = radicand * Fraction(
+                _s_squared(*source) * _s_squared(d_alpha, d_j),
+                _s_squared(*target) * _s_squared(d_alpha, d_i),
+            )
+            c = (cgl * cgr).scaled(square, ("g", d_alpha, d_i, d_j, source, target))
+            terms.append((other, labels, c))
+    return tuple(terms)
+
+
+@memoized
+def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
+    """Column of the dual generator's action, or with ``forward`` False its
+    transposed row: the other states, (state, jet), of the argument state
+    (beta, i_beta), which is the source when ``forward`` and the target
+    otherwise.  Each entry, a matrix element in the rescaled basis, sums
+    Lambda(p) c over the p-free terms of :func:`_g_terms`; ``p`` must be
+    real (ValueError otherwise)."""
+    if real_point(p) is None:
+        raise ValueError(f"g_action needs a real p, not {p}")
+    out = {}
+    for other, labels, c in _g_terms(d_alpha, d_i, d_j, d_beta, d_ibeta, order, forward):
+        lam = lambda_coeff(*labels, p, order)
+        if not lam.is_zero():
+            jet_accumulate(out, other, jet_mul(lam.value, c))
     return tuple((s, v) for s, v in out.items() if any(v[0]))
-
-
-def _rescaled(term: RootJet, target, source, d_alpha, d_i, d_j):
-    """``term``, a matrix element from ``source`` to ``target`` of the dual
-    generator g_{ij} of spin alpha, in the rescaled basis and with the
-    label's factor s(alpha, j)/s(alpha, i): an integer jet."""
-    square = Fraction(
-        _s_squared(*source) * _s_squared(d_alpha, d_j),
-        _s_squared(*target) * _s_squared(d_alpha, d_i),
-    )
-    return term.scaled(square, ("g", d_alpha, d_i, d_j, source, target))
 
 
 def group_like_action(d_idx: int, order: int):
@@ -333,13 +342,16 @@ def braid_sum(b: BraidWord, p, order: int):
     1..order+3 for any other p (a node off the fit raises
     InternalConsistencyError naming the braid, order, h^k and node).
     """
-    walk = cheapest_walk(b)
+    _require_order(order)
+    rotation, forward, ops, signs = cheapest_walk(b)
+    walk = (rotation, forward, tuple(ops), tuple(signs))
     return series_at(p, order, lambda x: _walk(walk, x, order), f"symbolic braid sum of {b}")
 
 
+@memoized
 def _walk(walk, p, order):
-    """The sum along ``walk`` (as ``cheapest_walk`` returns it) at real p,
-    as an integer jet."""
+    """The sum along ``walk`` (as ``cheapest_walk`` returns it, with ops
+    and signs as tuples) at real p, as an integer jet."""
     rotation, forward, ops, signs = walk
 
     # key: (d_spin, d_idx, pending) with pending a frozenset of
@@ -442,6 +454,7 @@ def trefoil_closed_sum(p, order: int):
     their radical, so each product is a rational jet.  At real p it shares
     no code with the walk beyond the structure constants; at any other p
     both are fits (``series_at``) of their own real-p values."""
+    _require_order(order)
     return series_at(p, order, lambda x: _closed_sum(x, order), "closed trefoil sum")
 
 

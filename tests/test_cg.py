@@ -259,6 +259,54 @@ def test_symbolic_matches_numeric():
         assert at_point(sym, p) == lambda_coeff(2, 2, 2, 0, p, 3)
 
 
+def _lambda_reference(dA, dB, dC, dD, p, order):
+    """Lambda^{A B C}_D(p) by its per-p formula: the root-jet sum over
+    sigma of weight * left * right."""
+    from lorentzknots.series import _q_power_jet
+
+    terms = []
+    for d_sigma in range(-min(dB, dC), min(dB, dC) + 1):
+        if (d_sigma - dB) % 2 == 0 and (d_sigma - dC) % 2 == 0:
+            left = quantum_cg_decoupling(dA, dC, dB, 0, d_sigma, -d_sigma, order)
+            right = quantum_cg(dB, dC, dD, -d_sigma, d_sigma, 0, order)
+            weight = RootJet(1, _q_power_jet(d_sigma * Fraction(p), order))
+            terms.append(weight * (left * right))
+    return _root_sum(terms, order, ("reference",))
+
+
+def test_lambda_matches_its_per_p_formula():
+    # The p-free sigma terms weighted at p give the radicand and the jet
+    # of the per-p root-jet sum exactly.
+    for order in (2, 3, 4):
+        for labels in itertools.product(range(5), repeat=4):
+            for p in (1, 2, 3, Fraction(5, 2)):
+                value = lambda_coeff(*labels, p, order)
+                expect = _lambda_reference(*labels, p, order)
+                assert (value.radicand, value.value) == (expect.radicand, expect.value), (
+                    labels, order, p
+                )
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
+def test_quantum_cg_rejects_a_bad_order(order):
+    clear_caches()  # an order equal to a cached int one would be served
+    with pytest.raises(ValueError, match="order"):
+        quantum_cg(2, 1, 3, 0, 1, 1, order)
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
+def test_lambda_coeff_rejects_a_bad_order(order):
+    clear_caches()
+    with pytest.raises(ValueError, match="order"):
+        lambda_coeff(2, 2, 2, 0, 2, order)
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
+def test_lambda_coeff_symbolic_rejects_a_bad_order(order):
+    with pytest.raises(ValueError, match="order"):
+        lambda_coeff_symbolic(2, 2, 2, 0, order)
+
+
 def test_symbolic_degree_bound():
     _, fit = lambda_coeff_symbolic(2, 2, 2, 0, 4)
     for n, poly in enumerate(fit.coeffs):
@@ -322,8 +370,11 @@ def test_clear_caches_empties_every_memo_table():
         series._q_integer_jet,
         series._q_factorial_jet,
         cg.quantum_cg,
+        cg._lambda_terms,
         cg.lambda_coeff,
+        qlorentz._g_terms,
         qlorentz.g_action,
+        qlorentz._walk,
         qlorentz._antipode_factor,
         jones._braiding_table,
         jones._tangle_scalar,

@@ -180,6 +180,94 @@ def test_g_action_transpose_consistency():
                             assert back.get(state) == entry, (da, d_i, d_j, state, other)
 
 
+def _g_action_reference(da, d_i, d_j, d_beta, d_ibeta, p, order, forward):
+    """The dual-generator entry by its per-p formula: sum over D of
+    Lambda(p) (cgl cgr), each root-jet product rescaled to an integer jet
+    through RootJet.scaled, over every integer spin the selection rules
+    of the coupling coefficients admit."""
+    from math import factorial
+
+    from lorentzknots.cg import lambda_coeff, quantum_cg, quantum_cg_decoupling
+    from lorentzknots.series import jet_accumulate
+
+    def s_squared(d_b, d_ib):
+        return (d_b + 1) * factorial((d_b - d_ib) // 2) * factorial((d_b + d_ib) // 2)
+
+    known = (d_beta, d_ibeta)
+    dx = d_ibeta + (d_j if forward else d_i)
+    d_iother = dx - (d_i if forward else d_j)
+    out = {}
+    for dD in range(abs(da - d_beta), da + d_beta + 1, 2):
+        for d_other in range(0, da + dD + 1, 2):
+            if abs(d_iother) > d_other:
+                continue
+            other = (d_other, d_iother)
+            source, target = (known, other) if forward else (other, known)
+            cgr = quantum_cg_decoupling(dD, da, source[0], dx, d_j, source[1], order)
+            cgl = quantum_cg(target[0], da, dD, target[1], d_i, dx, order)
+            term = lambda_coeff(target[0], da, dD, source[0], p, order) * (cgl * cgr)
+            if term.is_zero():
+                continue
+            square = Fraction(
+                s_squared(*source) * s_squared(da, d_j), s_squared(*target) * s_squared(da, d_i)
+            )
+            jet_accumulate(out, other, term.scaled(square, ("reference",)))
+    return {state: v for state, v in out.items() if any(v[0])}
+
+
+def test_g_action_matches_its_per_p_formula():
+    # The p-free coupling products weighted by Lambda(p) give each entry
+    # exactly as the root-jet product at that p does.
+    order = 2
+    states = [(db, dib) for db in (0, 2, 4) for dib in range(-db, db + 1, 2)]
+    for p, da in itertools.product((1, 2, 3, Fraction(5, 2)), range(0, 5)):
+        for d_i, d_j in itertools.product(range(-da, da + 1, 2), repeat=2):
+            for state, forward in itertools.product(states, (True, False)):
+                args = (da, d_i, d_j, *state, p, order, forward)
+                assert dict(g_action(*args)) == _g_action_reference(*args), args
+
+
+def test_a_walk_at_a_new_p_builds_no_root_jet(monkeypatch):
+    # After a walk at p = 2, one at p = 7 only weights the p-free tables:
+    # no root-jet product and no square root happens in it.
+    from lorentzknots import cg, scalars
+
+    def refuse(*args):
+        raise AssertionError("root-jet work at a new p")
+
+    clear_caches()
+    braid_sum(FIG8, 2, 2)
+    with monkeypatch.context() as inside:
+        inside.setattr(cg.RootJet, "__mul__", refuse)
+        inside.setattr(scalars, "rational_sqrt", refuse)
+        inside.setattr(cg, "rational_sqrt", refuse)
+        served = braid_sum(FIG8, 7, 2)
+    clear_caches()
+    assert braid_sum(FIG8, 7, 2) == served
+
+
+def test_an_irrational_coupling_product_names_its_labels(monkeypatch):
+    # Double every structure constant's radicand: the rescaled coupling
+    # product is no longer rational, and the p-free table says where.
+    lambda_terms = qlorentz._lambda_terms
+
+    def doubled(*args):
+        radicand, terms = lambda_terms(*args)
+        return 2 * radicand, terms
+
+    clear_caches()
+    monkeypatch.setattr(qlorentz, "_lambda_terms", doubled)
+    with pytest.raises(InternalConsistencyError) as err:
+        g_action(2, 0, 2, 2, 0, 2, 3)
+    assert re.search(
+        r"radicand \S+ at labels \('g', 2, 0, 2, \(\d, -?\d\), \(\d, -?\d\)\) "
+        r"is not the square of a rational",
+        str(err.value),
+    )
+    monkeypatch.undo()
+    clear_caches()
+
+
 # ---------------------------------------------------------------------------
 # Braid sums
 # ---------------------------------------------------------------------------
@@ -230,6 +318,31 @@ def test_symbolic_mode_matches_numeric():
         assert specialize(sym, p) == braid_sum(TREFOIL_L, p, 2)
     for n, poly in enumerate(sym.coeffs):
         assert poly.degree() <= n
+
+
+def test_symbolic_sum_after_real_sums_equals_a_cold_one():
+    # The fit reuses the walks at p = 2 and 3 and walks only nodes 1, 4, 5.
+    clear_caches()
+    for p in (2, 3):
+        braid_sum(FIG8, p, 2)
+    misses = qlorentz._walk.cache_info().misses
+    served = braid_sum(FIG8, SYMBOLIC, 2)
+    assert qlorentz._walk.cache_info().misses == misses + 3
+    clear_caches()
+    cold = braid_sum(FIG8, SYMBOLIC, 2)
+    assert served == cold and served.to_json() == cold.to_json()
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
+def test_braid_sum_rejects_a_bad_order(order):
+    with pytest.raises(ValueError, match="order"):
+        braid_sum(TREFOIL_R, 2, order)
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
+def test_closed_sum_rejects_a_bad_order(order):
+    with pytest.raises(ValueError, match="order"):
+        trefoil_closed_sum(2, order)
 
 
 def test_symbolic_sum_rejects_a_node_off_the_fit(monkeypatch):
@@ -357,11 +470,17 @@ def test_walk_cost_key():
 
 @pytest.mark.parametrize("b", WALK_WORDS, ids=lambda b: b.text() or "unknot")
 def test_every_walk_gives_the_same_sum(monkeypatch, b):
+    clear_caches()
     chosen = braid_sum(b, 2, 2)
-    for walk in _walk_candidates(b):
+    walks = list(_walk_candidates(b))
+    for walk in walks:
         assert _forced_sum(monkeypatch, b, walk, 2, 2) == chosen, (
             f"rotation {walk[0]}, forward={walk[1]}"
         )
+    # the walk memo served no candidate from another's entry
+    signs = tuple(sign for _, sign in b.letters)
+    distinct = {(rotation, forward, tuple(ops), signs) for rotation, forward, ops in walks}
+    assert qlorentz._walk.cache_info().misses == len(distinct)
 
 
 # Symbolic p on the words whose 2L walks all cost well under a second.
@@ -383,6 +502,7 @@ def test_every_walk_gives_the_same_symbolic_sum(monkeypatch, b):
 
 
 def test_branch_guard(monkeypatch):
+    clear_caches()
     monkeypatch.setattr(qlorentz, "MAX_BRANCHES", 1)
     with pytest.raises(ResourceGuardError) as info:
         braid_sum(TREFOIL_L, 2, 2)
