@@ -44,6 +44,7 @@ from .series import (
     _q_factorial_jet,
     _q_integer_jet,
     _q_power_jet,
+    _require_order,
     clear_caches,
     jet_add,
     jet_constant,
@@ -146,19 +147,13 @@ def _triangle(da: int, db: int, dc: int) -> bool:
     return abs(db - dc) <= da <= db + dc and (da + db + dc) % 2 == 0
 
 
-def _require_order(order):
-    """ValueError naming ``order`` unless it is a nonnegative int."""
-    if not isinstance(order, int) or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
-
-
 # The value of ``p`` that leaves it symbolic.
 SYMBOLIC = "symbolic"
 
 
 def cache_state():
     """(coupling entries, structure-constant entries) currently memoized."""
-    return quantum_cg.cache_info().currsize, lambda_coeff.cache_info().currsize
+    return _quantum_cg.cache_info().currsize, _lambda_coeff.cache_info().currsize
 
 
 def real_point(p):
@@ -235,15 +230,20 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
     return jet_mul(prefactor, total), radicand
 
 
-@memoized
 def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     """Coupling coefficient of (I, m) (x) (J, n) -> (K, p), doubled labels.
 
     Zero unless m + n = p, each index is in range, and the triangle
     condition holds.  Returns sign * sqrt(c0) * (rational jet) as a RootJet
     with radicand c0, the classical radicand, and an integer-jet value.
+    ``order`` is checked before the memo lookup (ValueError).
     """
     _require_order(order)
+    return _quantum_cg(dI, dJ, dK, dm, dn, dp, order)
+
+
+@memoized
+def _quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     if not (
         _is_spin_index(dI, dm)
         and _is_spin_index(dJ, dn)
@@ -290,12 +290,11 @@ def _lambda_terms(dA, dB, dC, dD, order):
         term = left * right
         if not term.is_zero():
             terms.append((d_sigma, term))
-    radicand = terms[0][1].radicand if terms else 1
+    radicand = terms[0][1].radicand if terms else Fraction(1)
     labels = ("Lambda", dA, dB, dC, dD)
     return radicand, tuple((ds, t.scaled(1 / radicand, labels)) for ds, t in terms)
 
 
-@memoized
 def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     """Structure constant Lambda^{A B C}_D(p) at real p (ValueError
     otherwise; see :func:`lambda_coeff_symbolic`).
@@ -303,8 +302,14 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
     D) column weights, as a RootJet: every sigma term has the same radical,
     so only the weights are computed per p (see :func:`_lambda_terms`).
+    ``order`` is checked before the memo lookup (ValueError).
     """
     _require_order(order)
+    return _lambda_coeff(dA, dB, dC, dD, p, order)
+
+
+@memoized
+def _lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     real = real_point(p)
     if real is None:
         raise ValueError(f"lambda_coeff needs a real p, not {p}")
@@ -317,17 +322,14 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
 
 def lambda_coeff_symbolic(dA, dB, dC, dD, order):
     """Lambda^{A B C}_D with p left symbolic, as (radicand, PolySeries): the
-    fit (``series_at``) of its real-p values, whose radicands must agree."""
+    radicand of its p-free sigma terms (:func:`_lambda_terms`), which every
+    real-p value shares, and the fit (``series_at``) of its real-p values."""
     _require_order(order)
-    labels = ("Lambda", dA, dB, dC, dD)
-    radicands = set()
-
-    def value_at(x):
-        lam = lambda_coeff(dA, dB, dC, dD, x, order)
-        radicands.add(lam.radicand)
-        return lam.value
-
-    fit = series_at(SYMBOLIC, order, value_at, f"structure constant {labels}")
-    if len(radicands) > 1:
-        raise InternalConsistencyError(f"radicands {sorted(radicands)} of {labels} differ by p")
-    return radicands.pop(), fit
+    radicand, _ = _lambda_terms(dA, dB, dC, dD, order)
+    fit = series_at(
+        SYMBOLIC,
+        order,
+        lambda x: lambda_coeff(dA, dB, dC, dD, x, order).value,
+        f"structure constant {('Lambda', dA, dB, dC, dD)}",
+    )
+    return radicand, fit

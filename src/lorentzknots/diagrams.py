@@ -195,8 +195,10 @@ def enumerate_diagrams(n: int):
 # ---------------------------------------------------------------------------
 
 
-class DiagramSum:
-    """A finite Q(i)-linear combination of canonical chord diagrams."""
+class _Combination:
+    """A finite Q(i)-linear combination of hashable keys, immutable; the
+    one implementation of both combination classes below, which stay
+    distinct types (neither is an instance of the other)."""
 
     __slots__ = ("terms",)
 
@@ -213,25 +215,16 @@ class DiagramSum:
         )
 
     def __setattr__(self, name, value):
-        raise AttributeError("DiagramSum is immutable")
-
-    @staticmethod
-    def of(diagram, coeff=1):
-        return DiagramSum([(diagram, coeff)])
-
-    def grade(self):
-        """Uniform chord count of the support, or None if mixed/empty."""
-        grades = {d.n for d in self.terms}
-        return grades.pop() if len(grades) == 1 else None
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
-        return DiagramSum(list(self.terms.items()) + list(other.terms.items()))
+        return type(self)(list(self.terms.items()) + list(other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        return DiagramSum([(d, c * scalar) for d, c in self.terms.items()])
+        return type(self)([(d, c * scalar) for d, c in self.terms.items()])
 
     __rmul__ = __mul__
 
@@ -245,7 +238,7 @@ class DiagramSum:
         return sorted(self.terms.items(), key=lambda t: t[0])
 
     def __eq__(self, other):
-        if isinstance(other, DiagramSum):
+        if isinstance(other, type(self)):
             return self.terms == other.terms
         return NotImplemented
 
@@ -253,8 +246,27 @@ class DiagramSum:
         return hash(tuple(self.items()))
 
     def __repr__(self):
-        body = " + ".join(f"({c})*{d.gauss_text() or '1'}" for d, c in self.items())
-        return f"DiagramSum[{body or '0'}]"
+        body = " + ".join(f"({c})*{self._label(key)}" for key, c in self.items())
+        return f"{type(self).__name__}[{body or '0'}]"
+
+
+class DiagramSum(_Combination):
+    """A finite Q(i)-linear combination of canonical chord diagrams."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _label(d):
+        return d.gauss_text() or "1"
+
+    @staticmethod
+    def of(diagram, coeff=1):
+        return DiagramSum([(diagram, coeff)])
+
+    def grade(self):
+        """Uniform chord count of the support, or None if mixed/empty."""
+        grades = {d.n for d in self.terms}
+        return grades.pop() if len(grades) == 1 else None
 
     def to_json(self):
         return [
@@ -262,52 +274,14 @@ class DiagramSum:
         ]
 
 
-class TensorDiagramSum:
+class TensorDiagramSum(_Combination):
     """Linear combination of ordered pairs of canonical diagrams."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()):
-        collected = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for pair, c in items:
-            c = GaussianRational.coerce(c)
-            if not c:
-                continue
-            collected[pair] = collected.get(pair, 0) + c
-        object.__setattr__(
-            self, "terms", {p: c for p, c in collected.items() if c}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorDiagramSum is immutable")
-
-    def __add__(self, other):
-        return TensorDiagramSum(
-            list(self.terms.items()) + list(other.terms.items())
-        )
-
-    def __mul__(self, scalar):
-        return TensorDiagramSum(
-            [(p, c * scalar) for p, c in self.terms.items()]
-        )
-
-    __rmul__ = __mul__
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1]))
-
-    def __eq__(self, other):
-        if isinstance(other, TensorDiagramSum):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({c})*{a.gauss_text() or '1'}(x){b.gauss_text() or '1'}"
-            for (a, b), c in self.items()
-        )
-        return f"TensorDiagramSum[{body or '0'}]"
+    @staticmethod
+    def _label(pair):
+        return f"{DiagramSum._label(pair[0])}(x){DiagramSum._label(pair[1])}"
 
 
 # ---------------------------------------------------------------------------

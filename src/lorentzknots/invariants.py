@@ -21,7 +21,7 @@ from fractions import Fraction
 from .braids import BraidWord, mirror
 from .errors import InternalConsistencyError
 from .jones import jones_z_interpolated, jones_zero_framed
-from .polynomials import ParamPolynomial, PolySeries, specialize
+from .polynomials import PolySeries, specialize
 from .qlorentz import SYMBOLIC, braid_sum
 from .series import TruncatedSeries, q_dim
 
@@ -39,9 +39,6 @@ class LorentzInvariant:
 
     m: int
     series: PolySeries
-
-    def coefficient(self, n: int) -> ParamPolynomial:
-        return self.series.coeffs[n]
 
     def check_structure(self):
         """Degree, parity and trivial-representation constraints.

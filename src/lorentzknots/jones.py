@@ -47,6 +47,7 @@ from .series import (
     _q_factorial_jet,
     _q_integer_jet,
     _q_power_jet,
+    _require_order,
     accumulate,
     constant_series,
     conv,
@@ -223,10 +224,8 @@ def r_matrix(two_alpha: int, order: int, sign: int = 1) -> SeriesOperator:
 
 
 def _require_inputs(b: BraidWord, order: int, two_alpha: int = 0):
-    if two_alpha < 0:
-        raise ValueError(f"two_alpha must be nonnegative, got {two_alpha}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    _require_order(two_alpha, "two_alpha")
+    _require_order(order)
     if not b.is_knot():
         raise ValueError("closure of the braid is not a knot")
 
@@ -314,8 +313,9 @@ def _quotient(b: BraidWord, two_alpha: int, order: int, framing: int):
 
 def _sample(b: BraidWord, two_alpha: int, order: int, framing: int) -> TruncatedSeries:
     """The quotient times the unknot's value [2*alpha+1]/(2*alpha+1)."""
+    quotient = _quotient(b, two_alpha, order, framing)
     dim = two_alpha + 1
-    value = jet_mul(_quotient(b, two_alpha, order, framing), _q_integer_jet(dim, order))
+    value = jet_mul(quotient, _q_integer_jet(dim, order))
     return jet_series(jet_scale(value, Fraction(1, dim)))
 
 
@@ -394,15 +394,8 @@ def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
     unknot's expansion, which is fitted the same way from its own samples
     at two_alpha = 0..2*order+2.
 
-    An expansion of the same braid memoized at a higher order is served cut
-    at h^order: its coefficients do not depend on the truncation, and it
-    was checked at more surplus spins.
+    Each order is fitted from its own samples and memoized on its own; the
+    tests check that order k is order k+1 cut at h^k.
     """
     _require_inputs(b, order)
-    table = _interpolated.table
-    if (b.strands, b.letters, order) not in table:
-        higher = [k[2] for k in table if k[:2] == (b.strands, b.letters) and k[2] > order]
-        if higher:
-            full = table[(b.strands, b.letters, min(higher))]
-            return TruncatedSeries(order, full.coeffs[: order + 1])
     return _interpolated(b.strands, b.letters, order)

@@ -57,9 +57,8 @@ from .braids import BraidWord
 from .cg import (
     SYMBOLIC,
     _is_spin_index,
+    _lambda_coeff,
     _lambda_terms,
-    _require_order,
-    lambda_coeff,
     quantum_cg,
     quantum_cg_decoupling,
     real_point,
@@ -69,6 +68,7 @@ from .errors import InternalConsistencyError, ResourceGuardError
 from .series import (
     _q_integer_jet,
     _q_power_jet,
+    _require_order,
     jet_accumulate,
     jet_add,
     jet_constant,
@@ -185,19 +185,25 @@ def _g_terms(d_alpha, d_i, d_j, d_beta, d_ibeta, order, forward):
     return tuple(terms)
 
 
-@memoized
 def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     """Column of the dual generator's action, or with ``forward`` False its
     transposed row: the other states, (state, jet), of the argument state
     (beta, i_beta), which is the source when ``forward`` and the target
     otherwise.  Each entry, a matrix element in the rescaled basis, sums
     Lambda(p) c over the p-free terms of :func:`_g_terms`; ``p`` must be
-    real (ValueError otherwise)."""
+    real and ``order`` a nonnegative int, checked before the memo lookup
+    (ValueError otherwise)."""
+    _require_order(order)
+    return _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward)
+
+
+@memoized
+def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward):
     if real_point(p) is None:
         raise ValueError(f"g_action needs a real p, not {p}")
     out = {}
     for other, labels, c in _g_terms(d_alpha, d_i, d_j, d_beta, d_ibeta, order, forward):
-        lam = lambda_coeff(*labels, p, order)
+        lam = _lambda_coeff(*labels, p, order)
         if not lam.is_zero():
             jet_accumulate(out, other, jet_mul(lam.value, c))
     return tuple((s, v) for s, v in out.items() if any(v[0]))
@@ -421,7 +427,7 @@ def _walk(walk, p, order):
                     if sign < 0:
                         base = jet_mul(coeffs, _antipode_factor(da, dii, djj, order))
                         ai, aj = -dii, -djj
-                    for (ds2, di2), entry in g_action(
+                    for (ds2, di2), entry in _g_action(
                         da, ai, aj, ds, di, p, order, forward
                     ):
                         contrib = jet_mul(base, entry)
@@ -463,7 +469,7 @@ def _closed_sum(p, order):
     total = jet_constant(0, order)
     for alpha in range(0, order + 1):
         da = 2 * alpha
-        pair = lambda_coeff(0, da, da, da, p, order) * lambda_coeff(da, da, da, 0, p, order)
+        pair = _lambda_coeff(0, da, da, da, p, order) * _lambda_coeff(da, da, da, 0, p, order)
         dim = _q_integer_jet(da + 1, order)  # [2 alpha + 1]
         total = jet_add(total, jet_mul(dim, pair.scaled(1, ("closed sum", alpha))))
     return total

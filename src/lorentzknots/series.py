@@ -35,7 +35,6 @@ __all__ = [
     "TruncatedSeries",
     "conv",
     "accumulate",
-    "leading_order",
     "constant_series",
     "exp_scaled",
     "q_power",
@@ -211,14 +210,6 @@ def conv(a, b, order: int) -> tuple:
     return tuple(out)
 
 
-def leading_order(coeffs):
-    """Index of the first nonzero coefficient; None for the zero jet."""
-    for k, c in enumerate(coeffs):
-        if c:
-            return k
-    return None
-
-
 def accumulate(store: dict, key, coeffs: tuple):
     """Add the coefficient tuple ``coeffs`` into ``store[key]``."""
     cur = store.get(key)
@@ -267,9 +258,10 @@ def memoized(fn):
 
     The wrapper has ``cache_info()`` (hits, misses, currsize) and
     ``cache_clear()`` (which also resets the counts), and ``table``, the dict
-    from argument tuple to value, for code that serves one argument tuple
-    from another's entry (``jones.jones_z_interpolated`` truncates a
-    higher order's expansion to a lower order).
+    from argument tuple to value, which the tests read to see which
+    arguments were computed.  Each argument tuple is served from its own
+    entry only; arguments equal as keys (``2.0 == 2``) share one, so an
+    entry point that checks its arguments does so before the lookup.
     """
     table = {}
     counts = [0, 0]  # hits, misses
@@ -299,6 +291,12 @@ def clear_caches():
     """Empty every memo table of every imported ``lorentzknots`` module."""
     for memo in _MEMO_TABLES:
         memo.cache_clear()
+
+
+def _require_order(order, name="order"):
+    """ValueError naming ``name`` unless ``order`` is a nonnegative int."""
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {order!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,10 @@ def jet_accumulate(store: dict, key, jet):
 
 def jet_lead(jet):
     """Index of the first nonzero coefficient; None for the zero jet."""
-    return leading_order(jet[0])
+    for k, n in enumerate(jet[0]):
+        if n:
+            return k
+    return None
 
 
 def jet_inverse(a):

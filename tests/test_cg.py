@@ -289,7 +289,7 @@ def test_lambda_matches_its_per_p_formula():
 
 @pytest.mark.parametrize("order", [-1, -2, 2.0, "2"], ids=repr)
 def test_quantum_cg_rejects_a_bad_order(order):
-    clear_caches()  # an order equal to a cached int one would be served
+    clear_caches()  # cold; test_a_warm_table_refuses_a_bad_order is the warm case
     with pytest.raises(ValueError, match="order"):
         quantum_cg(2, 1, 3, 0, 1, 1, order)
 
@@ -307,22 +307,42 @@ def test_lambda_coeff_symbolic_rejects_a_bad_order(order):
         lambda_coeff_symbolic(2, 2, 2, 0, order)
 
 
+@pytest.mark.parametrize("order", [2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda order: quantum_cg(2, 1, 3, 0, 1, 1, order),
+        lambda order: lambda_coeff(2, 2, 2, 0, 2, order),
+        lambda order: _g_action_jets(2, 0, 0, 0, 0, 2, order),
+    ],
+    ids=["quantum_cg", "lambda_coeff", "g_action"],
+)
+def test_a_warm_table_refuses_a_bad_order(compute, warm, order):
+    # 2.0 and Fraction(2) are equal to 2 as memo keys: the check runs
+    # before the lookup, so an order-2 entry is never served for them.
+    clear_caches()
+    if warm:
+        compute(2)
+    with pytest.raises(ValueError, match="order"):
+        compute(order)
+    clear_caches()
+
+
 def test_symbolic_degree_bound():
     _, fit = lambda_coeff_symbolic(2, 2, 2, 0, 4)
     for n, poly in enumerate(fit.coeffs):
         assert poly.degree() <= n
 
 
-def test_symbolic_radicands_must_agree_across_nodes(monkeypatch):
-    real = cg.lambda_coeff
-
-    def drifting(dA, dB, dC, dD, p, order):
-        value = real(dA, dB, dC, dD, p, order)
-        return RootJet(value.radicand * (1 + (p == 3)), value.value)
-
-    monkeypatch.setattr(cg, "lambda_coeff", drifting)
-    with pytest.raises(InternalConsistencyError, match=r"\('Lambda', 2, 2, 2, 0\)"):
-        lambda_coeff_symbolic(2, 2, 2, 0, 2)
+def test_symbolic_radicands_must_agree_across_nodes():
+    # The symbolic constant's radicand is that of every real-p value: at
+    # the fit's nodes p = 1..order+3 and off them.
+    order = 2
+    for labels in itertools.product(range(5), repeat=4):
+        radicand, _ = lambda_coeff_symbolic(*labels, order)
+        for p in [*range(1, order + 4), Fraction(5, 2)]:
+            assert lambda_coeff(*labels, p, order).radicand == radicand, (labels, p)
 
 
 def test_structure_constants_compute_on_integer_jets_only(monkeypatch):
@@ -369,11 +389,11 @@ def test_clear_caches_empties_every_memo_table():
         series._q_power_jet,
         series._q_integer_jet,
         series._q_factorial_jet,
-        cg.quantum_cg,
+        cg._quantum_cg,
         cg._lambda_terms,
-        cg.lambda_coeff,
+        cg._lambda_coeff,
         qlorentz._g_terms,
-        qlorentz.g_action,
+        qlorentz._g_action,
         qlorentz._walk,
         qlorentz._antipode_factor,
         jones._braiding_table,
@@ -418,7 +438,7 @@ def test_values_do_not_depend_on_the_working_precision(name, compute):
 
     from lorentzknots import qlorentz
 
-    tables = [quantum_cg, lambda_coeff, qlorentz.g_action, qlorentz._antipode_factor]
+    tables = [cg._quantum_cg, cg._lambda_coeff, qlorentz._g_action, qlorentz._antipode_factor]
     clear_caches()
     with mpmath.workdps(15):
         low = compute()

@@ -55,6 +55,21 @@ def test_importing_the_package_loads_no_mpmath():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_module_reads_no_memo_table(name):
+    # A memo entry serves its own argument tuple only: no module reads a
+    # memo's ``table`` to serve one key from another key's entry.
+    module = importlib.import_module(f"lorentzknots.{name}")
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "table"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert not reads
+
+
 def test_jones_imports_neither_weights_nor_scalars():
     # The spin pipeline computes on the integer jets of series; its kink
     # factor is a closed-form q-power, tied to the weights by the tests.

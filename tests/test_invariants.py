@@ -1,5 +1,6 @@
 """Assembled two-parameter invariants and the cross-pipeline comparison."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -165,3 +166,41 @@ def test_x_invariant_rejects_links_and_bad_m():
         x_invariant(parse_braid("s1", 3), 0, 2)
     with pytest.raises(ValueError):
         x_invariant(TREFOIL, F(1, 2), 2)
+
+
+def _value_lines():
+    """Exact values of both pipelines, one line each: the spin expansions
+    and X(m, p), the symbolic structure constants and the coproducts."""
+    from lorentzknots.cg import lambda_coeff_symbolic
+    from lorentzknots.diagrams import coproduct, enumerate_diagrams
+
+    def coeffs(series):
+        return ";".join(repr(c) for c in series.coeffs)
+
+    knots = [k.braid for k in CATALOG.values()] + [parse_braid("s1 s1 s1 s2 -s1 s2", 3)]
+    lines = []
+    for order in range(4, -1, -1):
+        clear_caches()
+        for b in knots:
+            lines.append(f"I|{b}|{order}|{coeffs(jones_z_interpolated(b, order))}")
+    for b in knots:
+        for m in (0, 1, 2):
+            lines.append(f"X{m}|{b}|{coeffs(x_invariant(b, m, 3).series)}")
+    for dA in range(5):
+        for dC in range(5):
+            for dD in range(5):
+                radicand, fit = lambda_coeff_symbolic(dA, 1, dC, dD, 3)
+                lines.append(f"L|{dA},1,{dC},{dD}|{radicand}|{coeffs(fit)}")
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            lines.append(f"D|{d.gauss_text()}|{coproduct(d)!r}")
+    clear_caches()
+    return lines
+
+
+def test_values_match_the_parent_digest():
+    # SHA-256 of the lines above, taken from the code before its memo,
+    # radicand and diagram-sum paths were merged: a refactor that keeps
+    # behaviour keeps every one of these exact values.
+    digest = hashlib.sha256("\n".join(_value_lines()).encode()).hexdigest()
+    assert digest == "84d391d8c5319cbf7314b0e4517f80d460e488392082c97a2192e882f4656df8"

@@ -259,6 +259,28 @@ def test_rejects_a_negative_order(expand, order):
         expand(order)
 
 
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda order: jones_framed(TREFOIL, 2, order),
+        lambda order: jones_zero_framed(TREFOIL, 2, order),
+        lambda order: jones_z_interpolated(TREFOIL, order),
+    ],
+    ids=["framed", "zero_framed", "interpolated"],
+)
+@pytest.mark.parametrize("order", [2.0, "2"], ids=repr)
+def test_rejects_a_non_integer_order(expand, order):
+    with pytest.raises(ValueError, match="order"):
+        expand(order)
+
+
+@pytest.mark.parametrize("sample", [jones_framed, jones_zero_framed])
+@pytest.mark.parametrize("two_alpha", [2.0, "2"], ids=repr)
+def test_rejects_a_non_integer_spin(sample, two_alpha):
+    with pytest.raises(ValueError, match="two_alpha"):
+        sample(TREFOIL, two_alpha, 2)
+
+
 def test_trefoil_order_zero_is_one():
     s = jones_framed(TREFOIL, 1, 4)
     assert s.coeffs[0] == 1
@@ -522,14 +544,19 @@ def test_repeated_interpolation_is_a_memo_hit():
 
 
 def test_lower_order_is_cut_from_a_memoized_higher_order():
-    clear_caches()
-    full = jones_z_interpolated(FIG8, 4)
-    misses = jones._tangle_scalar.cache_info().misses
-    cut = jones_z_interpolated(FIG8, 3)
-    assert jones._tangle_scalar.cache_info().misses == misses
-    assert cut.coeffs == full.coeffs[:4]
-    clear_caches()
-    assert jones_z_interpolated(FIG8, 3) == cut
+    # The expansion is sound under truncation: order k is order k+1 cut at
+    # h^k.  Order k is fitted from its own samples even when order k+1 is
+    # memoized, and a cold call gives the same expansion.
+    for b in (k.braid for k in CATALOG.values()):
+        for order in range(4):
+            clear_caches()
+            higher = jones_z_interpolated(b, order + 1)
+            misses = jones._interpolated.cache_info().misses
+            lower = jones_z_interpolated(b, order)
+            assert jones._interpolated.cache_info().misses == misses + 1
+            assert lower.coeffs == higher.coeffs[: order + 1]
+            clear_caches()
+            assert jones_z_interpolated(b, order) == lower
     clear_caches()
 
 
