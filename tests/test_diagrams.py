@@ -1,10 +1,12 @@
 """Chord diagram combinatorics: canonical forms, products, coproduct, 4T."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from lorentzknots import diagrams
 from lorentzknots.diagrams import (
     THETA,
     UNIT_DIAGRAM,
@@ -13,6 +15,7 @@ from lorentzknots.diagrams import (
     TensorDiagramSum,
     connected_sum,
     coproduct,
+    coproduct_counts,
     enumerate_diagrams,
     exact_rank,
     four_t_generators,
@@ -22,6 +25,7 @@ from lorentzknots.diagrams import (
 )
 from lorentzknots.errors import ResourceGuardError
 from lorentzknots.scalars import GaussianRational
+from lorentzknots.series import clear_caches
 
 F = Fraction
 
@@ -365,3 +369,137 @@ def test_diagram_sum_json():
     s = DiagramSum([(parse_diagram("ABAB"), F(3, 2))])
     doc = s.to_json()
     assert doc == [{"word": "ABAB", "coeff": [3, 2, 0, 1]}]
+
+
+# ---------------------------------------------------------------------------
+# The per-process basis and four-term tables
+# ---------------------------------------------------------------------------
+
+
+def _diagram_lines():
+    """The four-term generators with their terms in dict order, the bases
+    with their stored pairings, and the quotient dimensions, one per line."""
+    lines = []
+    for n in range(2, 6):
+        for g in four_t_generators(n):
+            terms = ";".join(f"{d.gauss_text()}:{c!r}" for d, c in g.terms.items())
+            lines.append(f"gen|{n}|{g!r}|{terms}")
+    for n in range(7):
+        for d in enumerate_diagrams(n):
+            lines.append(f"diag|{n}|{d.gauss_text()}|{d.pairing}")
+    for n in range(6):
+        lines.append(f"qdim|{n}|{quotient_dimension(n)}")
+    return lines
+
+
+def test_diagrams_match_the_golden_digest():
+    # SHA-256 of the lines above, taken from the code before the bases and
+    # four-term relations were memoized: it pins the generators' term
+    # order, which the CLI prints, as well as the values.
+    lines = _diagram_lines()
+    assert len(lines) == 1433
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d6586631276af78055738c744f910c98a6136b603d25bb99c341f8f71dc7a973"
+
+
+@pytest.mark.parametrize(
+    "compute,n",
+    [(enumerate_diagrams, 4), (four_t_generators, 5), (quotient_dimension, 4)],
+    ids=["enumerate_diagrams", "four_t_generators", "quotient_dimension"],
+)
+@pytest.mark.parametrize("bad", [float, Fraction, str], ids=lambda t: t.__name__)
+def test_a_warm_table_refuses_a_non_int_count(compute, n, bad):
+    # 4.0 and Fraction(4) are equal to 4 as memo keys: the check runs
+    # before the lookup, so a warm entry is never served for them.
+    compute(n)
+    with pytest.raises(TypeError, match="chord count must be an int"):
+        compute(bad(n))
+
+
+def test_returned_lists_are_fresh():
+    basis = enumerate_diagrams(4)
+    basis.clear()
+    assert len(enumerate_diagrams(4)) == 18
+    gens = four_t_generators(4)
+    before = list(gens)
+    gens.pop()
+    again = four_t_generators(4)
+    assert again == before and again is not gens
+    assert all(a is not b for a, b in zip(again, before))
+
+
+def test_clear_caches_empties_the_diagram_tables():
+    quotient_dimension(4)
+    tables = (diagrams._diagrams, diagrams._four_t_counts)
+    assert all(t.cache_info().currsize for t in tables)
+    clear_caches()
+    assert not any(t.cache_info().currsize for t in tables)
+    assert not any(t.table for t in tables)
+    assert len(four_t_generators(4)) == 25
+
+
+def test_four_t_counts_are_int_tables_of_the_generators():
+    for n in (3, 4, 5):
+        counts = diagrams._four_t_counts(n)
+        assert isinstance(counts, tuple) and all(isinstance(g, tuple) for g in counts)
+        assert all(type(c) is int and c for g in counts for _, c in g)
+        assert [DiagramSum(list(g)) for g in counts] == four_t_generators(n)
+
+
+# ---------------------------------------------------------------------------
+# Combinations built from a dict or from a list of pairs
+# ---------------------------------------------------------------------------
+
+
+def test_dict_and_pair_list_give_equal_sums():
+    a, b, c = parse_diagram("ABAB"), parse_diagram("AABB"), THETA
+    values = {a: F(3, 2), b: -2, c: GaussianRational(1, -1)}
+    from_dict = DiagramSum(values)
+    from_list = DiagramSum(list(values.items()))
+    assert from_dict == from_list
+    assert list(from_dict.terms) == list(from_list.terms) == [a, b, c]
+    assert all(type(v) is GaussianRational for v in from_dict.terms.values())
+    assert from_dict.terms[b] == GaussianRational(-2)
+
+
+def test_zero_values_are_dropped():
+    a, b = parse_diagram("ABAB"), parse_diagram("AABB")
+    for terms in ({a: 0, b: 1}, [(a, 0), (b, 1)], {a: GaussianRational(0)}):
+        s = DiagramSum(terms)
+        assert a not in s.terms
+    assert DiagramSum({a: 0}).is_zero()
+
+
+def test_repeated_keys_in_a_list_add_up():
+    a, b = parse_diagram("ABAB"), parse_diagram("AABB")
+    s = DiagramSum([(a, 1), (b, F(1, 2)), (a, 2), (b, F(-1, 2))])
+    assert s.terms == {a: GaussianRational(3)}
+    s = DiagramSum([(b, 1), (a, 1), (b, -1), (b, 5)])
+    assert list(s.terms) == [b, a] and s.terms[b] == GaussianRational(5)
+
+
+def test_tensor_sums_from_coproduct_counts_are_unchanged():
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            counts = coproduct_counts(d)
+            tensor = coproduct(d)
+            assert tensor == TensorDiagramSum(list(counts.items()))
+            assert list(tensor.terms) == list(counts)
+            assert tensor.terms == {k: GaussianRational(v) for k, v in counts.items()}
+
+
+def test_exact_rank_takes_int_rows_without_fractions(monkeypatch):
+    rows = [
+        {index: c for index, c in enumerate(row) if c}
+        for row in ([1, -1, 0, 2], [0, 3, -3, 0], [1, 2, -3, 2], [0, 0, 0, 0], [2, 0, 4, -6])
+    ]
+    expected = _dense_rank(rows, 4)
+    assert expected == 3
+
+    def refuse(*args):
+        raise AssertionError("Fraction built for an int row")
+
+    monkeypatch.setattr(diagrams, "Fraction", refuse)
+    assert exact_rank(rows) == expected
+    monkeypatch.undo()
+    assert exact_rank([{c: F(v) for c, v in row.items()} for row in rows]) == expected
