@@ -450,18 +450,15 @@ def four_t_generators(n: int):
     sit in arbitrary positions.  Each generator's sign is fixed so that its
     leading term (in diagram order) has a positive coefficient.  The +-1
     coefficients add as ints in a table built once per process
-    (``_four_t_counts``); each call builds fresh DiagramSums from it, which
-    share one immutable Q(i) coefficient per distinct count.
+    (``_four_t_counts``); each call builds fresh DiagramSums from it.
 
-    Guarded at 2 <= n <= 6; n = 6 gives 4477 generators in about 0.13 s
-    from cold, 0.02 s of it building the DiagramSums.
+    Guarded at 2 <= n <= 6; n = 6 gives 4477 generators in about 0.17 s
+    from cold, 0.05 s of it building the DiagramSums.
     """
     _require_int(n)
     if not 2 <= n <= 6:
         raise ResourceGuardError(f"four_t_generators guards at 2 <= n <= 6, got {n}")
-    counts = _four_t_counts(n)
-    coeffs = {c: GaussianRational(c) for c in {c for gen in counts for _, c in gen}}
-    return [DiagramSum({d: coeffs[c] for d, c in gen}) for gen in counts]
+    return [DiagramSum(dict(gen)) for gen in _four_t_counts(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +469,9 @@ def four_t_generators(n: int):
 def exact_rank(rows) -> int:
     """Rank over Q of sparse rows (dicts column -> Fraction-like).
 
-    A row of ints is taken as it is; any other row is scaled to integers by
-    the lcm of its denominators.  Each row is then eliminated fraction-free:
-    against the pivot row P of its least column c it becomes
+    Each row is scaled to integers by the lcm of its denominators (an int
+    has denominator 1, so a row of ints needs no Fraction), then eliminated
+    fraction-free: against the pivot row P of its least column c it becomes
     P[c] * row - row[c] * P (both multipliers divided by their gcd), and
     every row is divided by its content, the gcd of its entries, so the
     entries stay small integers.
@@ -485,13 +482,12 @@ def exact_rank(rows) -> int:
         row = {c: v for c, v in row.items() if v}
         if not row:
             continue
-        if not all(type(v) is int for v in row.values()):
-            row = {
-                c: v if isinstance(v, (int, Fraction)) else Fraction(v)
-                for c, v in row.items()
-            }
-            scale = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+        row = {
+            c: v if isinstance(v, (int, Fraction)) else Fraction(v)
+            for c, v in row.items()
+        }
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
         while row:
             content = gcd(*row.values())
             if content != 1:
@@ -517,19 +513,15 @@ def exact_rank(rows) -> int:
 def quotient_dimension(n: int) -> int:
     """dim of (n-chord diagrams) / (four-term relations), exactly.
 
-    Reads the basis and the four-term counts from their per-process tables
-    and hands :func:`exact_rank` rows of ints.  Guarded at n <= 6, the bound
-    of :func:`four_t_generators`; n = 6 (902 diagrams, 4477 relations,
-    dimension 19) takes about 0.8 s from cold: 0.15 s enumerating the basis,
-    0.12 s building the relations, 0.01 s writing the rows and 0.5 s in
-    :func:`exact_rank`.  Warm, only the rows and the rank are redone.
+    Takes the basis from :func:`enumerate_diagrams`, with its guards
+    (n <= 6, the bound of :func:`four_t_generators`), and the four-term
+    counts from their per-process table, and hands :func:`exact_rank` rows
+    of ints.  n = 6 (902 diagrams, 4477 relations, dimension 19) takes about
+    0.8 s from cold: 0.15 s enumerating the basis, 0.12 s building the
+    relations, 0.01 s writing the rows and 0.55 s in :func:`exact_rank`.
+    Warm, only the rows and the rank are redone.
     """
-    _require_int(n)
-    if n < 0:
-        raise ValueError("chord count must be nonnegative")
-    if n > 6:
-        raise ResourceGuardError(f"quotient_dimension guards at n <= 6, got {n}")
-    basis = _diagrams(n)
+    basis = enumerate_diagrams(n)
     if n < 2:
         return len(basis)
     index = {d: i for i, d in enumerate(basis)}
