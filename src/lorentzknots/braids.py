@@ -9,7 +9,7 @@ invariant entry point checks.  Invariants are computed at blackboard
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = [
     "BraidWord",
@@ -23,22 +23,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BraidWord:
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record of the two or more fields in ``__slots__`` (the
+    arguments of ``__init__``, in order), compared, hashed, printed and
+    pickled by them as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class BraidWord(_Record):
     """A word in sigma_1..sigma_{strands-1}; letters are (index, sign)."""
 
-    strands: int
-    letters: tuple = ()
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters=()):
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for i, sign in self.letters:
-            if not 1 <= i <= self.strands - 1:
+        letters = tuple(letters)
+        for i, sign in letters:
+            if not 1 <= i <= strands - 1:
                 raise ValueError(f"generator index {i} out of range")
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +-1, got {sign}")
+        _set(self, "strands", strands)
+        _set(self, "letters", letters)
 
     def writhe(self) -> int:
         return sum(sign for _, sign in self.letters)
@@ -135,16 +170,16 @@ def markov_variants(b: BraidWord):
     return variants
 
 
-@dataclass(frozen=True)
-class KnotPresentation:
+class KnotPresentation(_Record):
     """A named braid whose closure is a knot."""
 
-    braid: BraidWord
-    name: str = ""
+    __slots__ = ("braid", "name")
 
-    def __post_init__(self):
-        if not self.braid.is_knot():
+    def __init__(self, braid: BraidWord, name: str = ""):
+        if not braid.is_knot():
             raise ValueError("closure of the braid is not a knot")
+        _set(self, "braid", braid)
+        _set(self, "name", name)
 
 
 def _make_catalog():

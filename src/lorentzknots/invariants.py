@@ -15,10 +15,9 @@ symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .braids import BraidWord, mirror
+from .braids import BraidWord, _Record, mirror
 from .errors import InternalConsistencyError
 from .jones import jones_z_interpolated, jones_zero_framed
 from .polynomials import PolySeries, specialize
@@ -33,12 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LorentzInvariant:
+class LorentzInvariant(_Record):
     """PolySeries in p for fixed minimal spin m, at zero framing."""
 
-    m: int
-    series: PolySeries
+    __slots__ = ("m", "series")
+
+    def __init__(self, m: int, series: PolySeries):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "series", series)
 
     def check_structure(self):
         """Degree, parity and trivial-representation constraints.

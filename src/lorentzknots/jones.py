@@ -6,7 +6,12 @@ standard braiding; a braid whose closure is a knot is evaluated as a
 strand but the first with the group-like element q^{2 J_z}, take the partial
 trace over those strands, and read off the scalar multiple of the identity.
 Only the columns of diagonal entries 0 and 1 are walked, and the two entries
-are asserted equal order by order; the tests compare the full diagonal.  The
+are asserted equal order by order; the tests compare the full diagonal.
+Against the plain swap, a braiding term that moves n lowering steps moves
+the state by L1 distance 2n and carries h-valuation >= n, so a column c
+whose distance sum_i |c_i - c_{pi(i)}| from its image under the braid's
+permutation pi exceeds 2*order has a zero diagonal entry through h^order
+and is not walked (``_closable``); the tests walk it.  The
 returned normalization is the framed invariant divided by the ordinary
 dimension 2*alpha + 1, at blackboard (writhe) framing.
 
@@ -21,7 +26,8 @@ z (Melvin-Morton), so each order-n expansion samples two_alpha = 0..n+2
 only: the h^n coefficient of the quotient is fitted by exact Lagrange
 reconstruction through the first n+1 spins, and the remaining samples (at
 least two) must lie on the fit.  The top coefficients are asserted against
-the Alexander polynomial (Melvin-Morton-Rozansky), and the quotient is
+1/Delta(e^x), an integer jet from the Alexander polynomial
+(Melvin-Morton-Rozansky), and the quotient is
 multiplied back by the unknot's expansion, fitted the same way from its own
 samples.
 
@@ -38,7 +44,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .alexander import alexander_polynomial, inverse_alexander_exp
+from .alexander import _inverse_alexander_jet, alexander_polynomial
 from .braids import BraidWord
 from .errors import InternalConsistencyError
 from .polynomials import PolySeries, interpolate_series
@@ -230,6 +236,12 @@ def _require_inputs(b: BraidWord, order: int, two_alpha: int = 0):
         raise ValueError("closure of the braid is not a knot")
 
 
+def _closable(column: tuple, perm: tuple, order: int) -> bool:
+    """False when ``column`` lies farther than 2 * order in L1 from its image
+    under ``perm``, so that its diagonal entry is zero through h^order."""
+    return sum(abs(x - column[p]) for x, p in zip(column, perm)) <= 2 * order
+
+
 def _column_entry(column: tuple, letters: tuple, tables: dict, order: int):
     """The diagonal entry of the braid operator at basis state ``column``:
     integer coefficients over the product of the table denominators, or None
@@ -263,8 +275,14 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     Weight conservation makes the partial trace diagonal.  The scalar is
     diagonal entry 0, summed over the columns whose first strand is in
     state 0; when two_alpha >= 1, entry 1 is summed from the columns of row
-    1 and asserted equal to it, order by order.  The tests compare every
-    diagonal entry.
+    1 and asserted equal to it, order by order.
+
+    Columns that ``_closable`` rejects are skipped, exactly: a term with n
+    lowering steps carries h-valuation >= n for both signs
+    (``_inverse_cells`` keeps it) and moves the state by L1 distance 2n from
+    the plain swap, and swaps are L1 isometries, so a branch back at column
+    c has valuation >= sum_i |c_i - c_{pi(i)}| / 2.  The tests compare every
+    diagonal entry and see every skipped column's entry is zero.
     """
     tables = {}
     den_braid = 1
@@ -273,10 +291,13 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
             tables[sign] = _braiding_table(two_alpha, order, sign)
         den_braid *= tables[sign][1]
 
+    perm = BraidWord(strands, letters).permutation()
     diag = {}
     for row in range(min(two_alpha, 1) + 1):
         for rest in product(range(two_alpha + 1), repeat=strands - 1):
             column = (row,) + rest
+            if not _closable(column, perm, order):
+                continue
             coeffs = _column_entry(column, letters, tables, order)
             if letters and coeffs is None:
                 continue
@@ -359,15 +380,21 @@ def _unknot_expansion(order: int) -> PolySeries:
 
 def _check_mmr_diagonal(b: BraidWord, normalized: PolySeries, order: int):
     """The N^n coefficient of the h^n term of J/J(unknot), N = 2z+1, is the
-    h^n coefficient of 1/Delta(e^h) (Melvin-Morton-Rozansky)."""
-    diagonal = inverse_alexander_exp(alexander_polynomial(b), order)
+    h^n coefficient of 1/Delta(e^h) (Melvin-Morton-Rozansky).
+
+    The fit bounds the h^n term at degree n in z = (N-1)/2, so its N^n
+    coefficient is its z^n coefficient over 2^n; 1/Delta(e^h) is an integer
+    jet.
+    """
+    nums, den = _inverse_alexander_jet(alexander_polynomial(b), order)
     for n, poly in enumerate(normalized.coeffs):
-        top = poly.compose_affine(Fraction(1, 2), Fraction(-1, 2)).coefficient(n)
-        if top != diagonal.coeffs[n]:
+        top = poly.coefficient(n)
+        expected = Fraction(nums[n], den)
+        if top.im or top.re / 2**n != expected:
             raise InternalConsistencyError(
                 f"spin expansion of {b} at order {order}: the N^{n} h^{n} "
-                f"coefficient of J/J(unknot) is {top}, but 1/Delta(e^x) has "
-                f"x^{n} coefficient {diagonal.coeffs[n]} (Melvin-Morton-Rozansky)"
+                f"coefficient of J/J(unknot) is ({top})/2^{n}, but 1/Delta(e^x) "
+                f"has x^{n} coefficient {expected} (Melvin-Morton-Rozansky)"
             )
 
 
@@ -383,16 +410,9 @@ def _interpolated(strands: int, letters: tuple, order: int) -> PolySeries:
 
 
 def jones_z_interpolated(b: BraidWord, order: int) -> PolySeries:
-    """Zero-framing spin expansion, a polynomial in the spin z per h-order.
-
-    Each zero-framed sample at two_alpha = 0..order+2, divided by the
-    unknot's, is the tangle scalar times the framing q-power; the h^n
-    coefficient of that quotient has degree at most n in z (Melvin-Morton),
-    so it is fitted through the first n+1 spins and the remaining (at least
-    two) samples must lie on the fit.  Its N^n coefficient, N = 2z+1, is
-    checked against 1/Delta(e^x).  The result is the quotient times the
-    unknot's expansion, which is fitted the same way from its own samples
-    at two_alpha = 0..2*order+2.
+    """Zero-framing spin expansion, a polynomial in the spin z per h-order,
+    fitted from the samples at two_alpha = 0..order+2 and checked against
+    1/Delta(e^x) as the module docstring describes.
 
     Each order is fitted from its own samples and memoized on its own; the
     tests check that order k is order k+1 cut at h^k.

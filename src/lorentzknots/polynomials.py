@@ -40,6 +40,7 @@ __all__ = [
     "interpolate_series",
     "int_coeffs_add",
     "int_coeffs_times_linear",
+    "int_coeffs_mul",
     "int_poly_add",
     "int_poly_mul",
     "int_poly_compose_affine",
@@ -334,16 +335,19 @@ def int_poly_add(p, q):
     return int_coeffs_add(pn, qn), pd
 
 
-def int_poly_mul(p, q):
-    pn, pd = p
-    qn, qd = q
-    if not pn or not qn:
-        return (), pd * qd
-    out = [0] * (len(pn) + len(qn) - 1)
-    for i, x in enumerate(pn):
-        for j, y in enumerate(qn):
+def int_coeffs_mul(a, b) -> tuple:
+    """The product of two integer coefficient tuples without trailing zeros."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             out[i + j] += x * y
-    return tuple(out), pd * qd
+    return tuple(out)
+
+
+def int_poly_mul(p, q):
+    return int_coeffs_mul(p[0], q[0]), p[1] * q[1]
 
 
 def int_poly_compose_affine(p, a: Fraction, b: Fraction):

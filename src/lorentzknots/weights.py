@@ -52,12 +52,12 @@ is summed on integers, real and imaginary coefficient parts apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
 
+from .braids import _Record
 from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct_counts
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import (
@@ -98,20 +98,19 @@ LORENTZ_ALPHABET = ("H+", "H-", "H3", "F+", "F-", "F3")
 _SIGN_PER_CHORD = -1
 
 
-@dataclass(frozen=True)
-class InfinitesimalRMatrix:
+class InfinitesimalRMatrix(_Record):
     """A symmetric 2-tensor as a finite list of (coeff, left, right) terms."""
 
-    alphabet: str
-    terms: tuple
+    __slots__ = ("alphabet", "terms")
 
-    def __post_init__(self):
-        gens = SL2_ALPHABET if self.alphabet == "sl2" else LORENTZ_ALPHABET
+    def __init__(self, alphabet: str, terms: tuple):
+        gens = SL2_ALPHABET if alphabet == "sl2" else LORENTZ_ALPHABET
         norm = []
-        for coeff, a, b in self.terms:
+        for coeff, a, b in terms:
             if a not in gens or b not in gens:
-                raise ValueError(f"generator outside the {self.alphabet} alphabet")
+                raise ValueError(f"generator outside the {alphabet} alphabet")
             norm.append((GaussianRational.coerce(coeff), a, b))
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "terms", tuple(norm))
 
     def is_symmetric(self) -> bool:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lorentzknots import alexander
+from lorentzknots import alexander, polynomials, scalars
 from lorentzknots.alexander import alexander_polynomial, inverse_alexander_exp
 from lorentzknots.braids import BraidWord, markov_variants, mirror, parse_braid, reverse
 
@@ -62,6 +62,19 @@ def test_inverse_alexander_exp_of_the_trefoil():
     # Delta(e^x) = 2 cosh x - 1 = 1 + x^2 + x^4/12 + ...
     jet = inverse_alexander_exp(ROLFSEN["3_1"], 4)
     assert list(jet.coeffs) == [1, 0, -1, 0, Fraction(11, 12)]
+
+
+def test_burau_determinant_builds_no_gaussian_rational(monkeypatch):
+    # The Burau product, Faddeev-LeVerrier and 1/Delta(e^h) run on integers.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q(i) value built")
+
+    monkeypatch.setattr(scalars, "_make", refuse)
+    monkeypatch.setattr(scalars.GaussianRational, "__init__", refuse)
+    monkeypatch.setattr(polynomials.ParamPolynomial, "__init__", refuse)
+    for name, b in BRAIDS.items():
+        assert alexander_polynomial(b) == ROLFSEN[name]
+    assert alexander._inverse_alexander_jet(ROLFSEN["3_1"], 4) == ((12, 0, -12, 0, 11), 12)
 
 
 def _imported_modules(path):

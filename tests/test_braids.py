@@ -1,5 +1,8 @@
 """Braid words, closures, Markov move sampling."""
 
+import copy
+import pickle
+
 import pytest
 
 from lorentzknots.braids import (
@@ -104,3 +107,26 @@ def test_knot_presentation_rejects_links():
         from lorentzknots.braids import KnotPresentation
 
         KnotPresentation(parse_braid("s1", 3))
+
+
+def test_records_compare_hash_print_and_pickle_by_their_fields():
+    from lorentzknots.braids import KnotPresentation
+
+    b = BraidWord(2, [(1, -1)])
+    assert b == BraidWord(strands=2, letters=((1, -1),))
+    assert hash(b) == hash((2, ((1, -1),)))
+    assert repr(b) == "BraidWord(strands=2, letters=((1, -1),))"
+    assert b != BraidWord(2, [(1, 1)]) and b != (2, ((1, -1),))
+    knot = KnotPresentation(parse_braid("s1 s1 s1", 2), name="trefoil-right")
+    assert repr(knot) == (
+        "KnotPresentation(braid=BraidWord(strands=2, letters=((1, 1), (1, 1), (1, 1))), "
+        "name='trefoil-right')"
+    )
+    assert hash(knot) == hash((knot.braid, "trefoil-right"))
+    for record in (b, knot):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record
+    with pytest.raises(AttributeError):
+        b.strands = 3
+    with pytest.raises(AttributeError):
+        del knot.name

@@ -43,16 +43,28 @@ def test_module_does_not_import_mpmath(name):
         assert origin is None or not origin.__name__.startswith("mpmath"), value
 
 
-def test_importing_the_package_loads_no_mpmath():
-    # A fresh interpreter: this test session has loaded mpmath itself.
+def _loaded_after_importing_the_package(module):
+    # A fresh interpreter: this test process has loaded mpmath and
+    # dataclasses itself.
     names = ", ".join(f"lorentzknots.{name}" for name in MODULES)
-    code = f"import sys, {names}; print('mpmath' in sys.modules)"
+    code = f"import sys, {names}; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         cwd=os.path.dirname(lorentzknots.__path__[0]),
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_importing_the_package_loads_no_mpmath():
+    assert not _loaded_after_importing_the_package("mpmath")
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # The records (BraidWord, KnotPresentation, LorentzInvariant,
+    # InfinitesimalRMatrix) are plain slotted classes: importing dataclasses
+    # would add to the start-up of every process that uses the package.
+    assert not _loaded_after_importing_the_package("dataclasses")
 
 
 @pytest.mark.parametrize("name", MODULES)

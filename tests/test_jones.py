@@ -1,13 +1,14 @@
 """Quantum sl2 braid engine: braiding identities, framing, interpolation."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentzknots import jones
+from lorentzknots import jones, polynomials, scalars
 from lorentzknots.braids import (
     CATALOG,
     BraidWord,
@@ -50,6 +51,7 @@ TREFOIL = parse_braid("s1 s1 s1", 2)
 UNKNOT = BraidWord(1)
 FIG8 = parse_braid("s1 -s2 s1 -s2", 3)
 KNOT_5_2 = parse_braid("s1 s1 s1 s2 -s1 s2", 3)
+KNOT_6_1 = parse_braid("s1 s1 s2 -s1 -s3 s2 -s3", 4)
 
 
 def _lift(op, dim, slot):
@@ -174,35 +176,46 @@ def test_stabilization_matches_framing_factor(two_alpha, sign):
 # ---------------------------------------------------------------------------
 
 
+def _mul(u, v):
+    return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))]
+
+
+@cache
+def _column_entries(b, two_alpha, order):
+    """The diagonal entry of the braid operator at each of the
+    (two_alpha+1)^strands columns as Fractions, walked on the integer
+    numerators of the tables with no branch or column skipped."""
+    tables = {sign: jones._braiding_table(two_alpha, order, sign) for sign in (1, -1)}
+    zero = [0] * (order + 1)
+    den = 1
+    for _, sign in b.letters:
+        den *= tables[sign][1]
+    entries = {}
+    for column in product(range(two_alpha + 1), repeat=b.strands):
+        vec = {column: [1] + zero[1:]}
+        for idx, sign in b.letters:
+            out = {}
+            for state, c in vec.items():
+                for x, y, entry in tables[sign][0][(state[idx - 1], state[idx])]:
+                    new = state[: idx - 1] + (x, y) + state[idx + 1 :]
+                    out[new] = [u + v for u, v in zip(out.get(new, zero), _mul(c, entry))]
+            vec = out
+        entries[column] = [F(n, den) for n in vec.get(column, zero)]
+    return entries
+
+
 def _full_diagonal(b, two_alpha, order):
     """Every diagonal entry, rows 0..two_alpha, of the partial trace of the
     braid operator weighted by q^{2 J_z} on every strand but the first,
-    walked over all (two_alpha+1)^strands columns in Fraction arithmetic."""
-
-    def mul(u, v):
-        return [sum(u[j] * v[k - j] for j in range(k + 1)) for k in range(order + 1)]
+    summed over all (two_alpha+1)^strands columns."""
 
     def q_power(k):  # q^k = e^{k h / 2}
         return [F(k, 2) ** j / factorial(j) for j in range(order + 1)]
 
-    dim = two_alpha + 1
-    tables = {sign: jones._braiding_table(two_alpha, order, sign) for sign in (1, -1)}
-    zero = [F(0)] * (order + 1)
-    diag = [zero] * dim
-    for column in product(range(dim), repeat=b.strands):
-        vec = {column: [F(1)] + [F(0)] * order}
-        for idx, sign in b.letters:
-            table, den = tables[sign]
-            out = {}
-            for state, c in vec.items():
-                for x, y, entry in table[(state[idx - 1], state[idx])]:
-                    new = state[: idx - 1] + (x, y) + state[idx + 1 :]
-                    term = mul(c, [F(e, den) for e in entry])
-                    out[new] = [u + v for u, v in zip(out.get(new, zero), term)]
-            vec = out
-        if column in vec:
-            weighted = mul(vec[column], q_power(sum(two_alpha - 2 * r for r in column[1:])))
-            diag[column[0]] = [u + v for u, v in zip(diag[column[0]], weighted)]
+    diag = [[F(0)] * (order + 1)] * (two_alpha + 1)
+    for column, entry in _column_entries(b, two_alpha, order).items():
+        weighted = _mul(entry, q_power(sum(two_alpha - 2 * r for r in column[1:])))
+        diag[column[0]] = [u + v for u, v in zip(diag[column[0]], weighted)]
     return diag
 
 
@@ -214,11 +227,33 @@ def _assert_every_diagonal_entry_is_the_scalar(b, order):
 
 
 @pytest.mark.parametrize(
-    "b", [k.braid for k in CATALOG.values()] + [KNOT_5_2], ids=str
+    "b", [k.braid for k in CATALOG.values()] + [KNOT_5_2, KNOT_6_1], ids=str
 )
 def test_every_diagonal_entry_is_the_scalar(b):
     # The runtime check compares rows 0 and 1 only; this walks them all.
     _assert_every_diagonal_entry_is_the_scalar(b, 3)
+
+
+def _assert_skipped_columns_are_zero(b, order):
+    """Every column that ``_closable`` skips has a diagonal entry that is
+    zero through h^order; returns how many were skipped at 2alpha <= 4."""
+    perm = b.permutation()
+    skipped = 0
+    for two_alpha in range(5):
+        for column, entry in _column_entries(b, two_alpha, order).items():
+            if not jones._closable(column, perm, order):
+                skipped += 1
+                assert not any(entry), (str(b), two_alpha, order, column)
+    return skipped
+
+
+@pytest.mark.parametrize(
+    "b", [k.braid for k in CATALOG.values() if k.braid.letters] + [KNOT_5_2, KNOT_6_1],
+    ids=str,
+)
+def test_skipped_columns_have_zero_diagonal_entries(b):
+    for order in range(4):
+        assert _assert_skipped_columns_are_zero(b, order), order
 
 
 def test_unknot_framed_value():
@@ -405,6 +440,13 @@ def test_every_diagonal_entry_is_the_scalar_on_random_knots(b):
     _assert_every_diagonal_entry_is_the_scalar(b, 2)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_KNOT_BRAIDS)
+def test_skipped_columns_have_zero_diagonal_entries_on_random_knots(b):
+    for order in range(3):
+        _assert_skipped_columns_are_zero(b, order)
+
+
 def _assert_expansion_holds_beyond_its_samples(b, order):
     # The fit samples two_alpha = 0..order+2; check the next four spins.
     expansion = jones_z_interpolated(b, order)
@@ -533,6 +575,49 @@ def test_mmr_diagonal_is_checked(monkeypatch):
     message = str(err.value)
     for part in ("s1 s1 s1", "order 2", "1/Delta(e^x)"):
         assert part in message
+
+
+def test_a_skewed_top_coefficient_fails_the_mmr_check(monkeypatch):
+    # Delta is right; the fitted z^2 coefficient of the h^2 term is off.
+    fit = jones._fit_spins
+
+    def skewed(b, samples):
+        fitted = fit(b, samples)
+        if b == UNKNOT:
+            return fitted
+        coeffs = list(fitted.coeffs)
+        coeffs[2] = coeffs[2] + poly_variable() ** 2 * F(1, 7)
+        return TruncatedSeries(fitted.order, coeffs)
+
+    clear_caches()
+    monkeypatch.setattr(jones, "_fit_spins", skewed)
+    with pytest.raises(InternalConsistencyError) as err:
+        jones_z_interpolated(TREFOIL, 2)
+    message = str(err.value)
+    for part in ("s1 s1 s1", "order 2", "N^2 h^2", "1/Delta(e^x)"):
+        assert part in message
+
+
+def test_mmr_check_builds_no_gaussian_rational(monkeypatch):
+    # The Burau determinant and 1/Delta(e^h) run on integers; the fitted
+    # expansion is only read.
+    calls = []
+    monkeypatch.setattr(jones, "_check_mmr_diagonal", lambda *args: calls.append(args))
+    for b in (TREFOIL, FIG8, KNOT_5_2, KNOT_6_1):
+        clear_caches()
+        jones_z_interpolated(b, 3)
+    clear_caches()
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q(i) value built")
+
+    monkeypatch.setattr(scalars, "_make", refuse)
+    monkeypatch.setattr(scalars.GaussianRational, "__init__", refuse)
+    monkeypatch.setattr(polynomials.ParamPolynomial, "__init__", refuse)
+    assert len(calls) == 4
+    for args in calls:
+        jones._check_mmr_diagonal(*args)
 
 
 def test_repeated_interpolation_is_a_memo_hit():
