@@ -31,9 +31,9 @@ least two) must lie on the fit.  The top coefficients are asserted against
 multiplied back by the unknot's expansion, fitted the same way from its own
 samples.
 
-The braiding tables are built from the integer jets of
-:mod:`lorentzknots.series` (the q-jets) and stored over one shared
-denominator per table, so the tangle walk multiplies Python-int tuples; the
+The braiding tables, both signs by one recurrence, are built from the
+integer jets of :mod:`lorentzknots.series` (the q-jets) and stored over one
+shared denominator per table, so the tangle walk multiplies Python-int tuples; the
 group-like weights, the tangle scalar and each spin sample are integer jets
 as well, converted to Gaussian-rational series only for the fit.
 """
@@ -50,7 +50,6 @@ from .errors import InternalConsistencyError
 from .polynomials import PolySeries, interpolate_series
 from .series import (
     TruncatedSeries,
-    _q_factorial_jet,
     _q_integer_jet,
     _q_power_jet,
     _require_order,
@@ -84,69 +83,48 @@ _UNKNOT = BraidWord(1)
 # ---------------------------------------------------------------------------
 
 
-def _q_binomial_jet(n: int, r: int, order: int):
-    """[n choose r]_q = [n]! / ([r]! [n-r]!), an integer jet even in h."""
-    den = jet_mul(_q_factorial_jet(r, order), _q_factorial_jet(n - r, order))
-    return jet_mul(_q_factorial_jet(n, order), jet_inverse(den))
-
-
-def _reflect(jet):
-    """The integer jet at -h: its odd coefficients change sign."""
-    nums, den = jet
-    return tuple(-n if k % 2 else n for k, n in enumerate(nums)), den
-
-
-def _inverse_cells(pos, two_alpha, order):
-    """The inverse braiding in closed form, from the positive one.
-
-    With d_r = [2 alpha choose r]_q, output (a, b) and input (x, y),
-    c^{-1}(h)_{(a,b),(x,y)} = c(-h)_{(y,x),(b,a)} d_x d_y / (d_a d_b): the
-    braiding at -h, transposed, with its two tensor factors swapped and
-    conjugated by the diagonal d (the U_q(sl2) R-matrix inverse, Kassel,
-    *Quantum Groups*, ch. VII, in this basis).  The tests check
-    R R^{-1} = R^{-1} R = 1.
-    """
-    d = [_q_binomial_jet(two_alpha, r, order) for r in range(two_alpha + 1)]
-    out = {key: [] for key in pos}
-    for (r1, r2), cell in pos.items():
-        for a, b, jet in cell:
-            ratio = jet_mul(jet_mul(d[a], d[b]), jet_inverse(jet_mul(d[r1], d[r2])))
-            out[(b, a)].append((r2, r1, jet_mul(_reflect(jet), ratio)))
-    return {key: sorted(cell) for key, cell in out.items()}
-
-
 @memoized
 def _braiding_table(two_alpha: int, order: int, sign: int):
     """Sparse braiding matrix on V (x) V as integer jets over a common den.
 
-    Returns (table, den) with table[(r1, r2)] = ((r1', r2', coeffs), ...).
-    Basis index r = 0..two_alpha counts lowering steps from the highest
-    weight; the doubled weight of r is two_alpha - 2r.  A term with n
-    lowering steps carries (q - q^{-1})^n = O(h^n), so n stops at ``order``
-    and no cell holds a zero jet.  The negative crossing is the closed-form
-    inverse of the positive one (``_inverse_cells``).
+    Returns (table, den) with table[(r1, r2)] = ((r1', r2', coeffs), ...),
+    each cell in ascending output state.  Basis index r = 0..two_alpha
+    counts lowering steps from the highest weight, of doubled weight
+    w(r) = two_alpha - 2r.  One loop serves both signs (Kassel, *Quantum
+    Groups*, ch. VII): c = flip o q^{H(x)H/2} Theta and c^{-1} = Theta^{-1}
+    q^{-H(x)H/2} o flip.  Theta^{sign} acts on (x, y) = (r1, r2), or (r2, r1)
+    after the flip; its term n lands on (x - n, y + n) and is term n-1 times
+    sign q^{sign(n-1)} (q - q^{-1}) [2alpha-x+n] [y+n] / [n].  The factor
+    (q - q^{-1})^n makes it O(h^n), so n stops at ``order`` and no cell
+    holds a zero jet; the tests check R R^{-1} = R^{-1} R = 1.
     """
     dim = two_alpha + 1
     step = jet_add(_q_power_jet(1, order), jet_neg(_q_power_jet(-1, order)))
+    ratio = [None] + [
+        jet_mul(
+            jet_scale(jet_mul(step, _q_power_jet(sign * (n - 1), order)), sign),
+            jet_inverse(_q_integer_jet(n, order)),
+        )
+        for n in range(1, order + 1)
+    ]
     entries = {}
-    for r1 in range(dim):
-        for r2 in range(dim):
-            cell = []
-            for n in range(min(r1, two_alpha - r2, order) + 1):
-                coeff = _q_power_jet(Fraction(n * (n - 1), 2), order)
-                for _ in range(n):
-                    coeff = jet_mul(coeff, step)
-                coeff = jet_mul(coeff, jet_inverse(_q_factorial_jet(n, order)))
-                for j in range(1, n + 1):
-                    coeff = jet_mul(coeff, _q_integer_jet(two_alpha - r1 + j, order))
-                    coeff = jet_mul(coeff, _q_integer_jet(r2 + j, order))
-                w_out1 = two_alpha - 2 * (r2 + n)
-                w_out2 = two_alpha - 2 * (r1 - n)
-                coeff = jet_mul(coeff, _q_power_jet(Fraction(w_out1 * w_out2, 2), order))
-                cell.append((r2 + n, r1 - n, coeff))
-            entries[(r1, r2)] = cell
-    if sign < 0:
-        entries = _inverse_cells(entries, two_alpha, order)
+    for r1, r2 in product(range(dim), repeat=2):
+        x, y = (r1, r2) if sign > 0 else (r2, r1)
+        term = jet_constant(1, order)
+        cell = []
+        for n in range(min(x, two_alpha - y, order) + 1):
+            if n:
+                grow = jet_mul(
+                    _q_integer_jet(two_alpha - x + n, order), _q_integer_jet(y + n, order)
+                )
+                term = jet_mul(jet_mul(term, ratio[n]), grow)
+            a, b = x - n, y + n
+            # the weight factor q^{sign w w'/2}: at the output (b, a) of the
+            # positive crossing, at the input (x, y) of Theta^{-1}
+            u, v, out = (a, b, (b, a)) if sign > 0 else (x, y, (a, b))
+            w = Fraction(sign * (two_alpha - 2 * u) * (two_alpha - 2 * v), 2)
+            cell.append((*out, jet_mul(term, _q_power_jet(w, order))))
+        entries[(r1, r2)] = sorted(cell)
     den = lcm(*(jet[1] for cell in entries.values() for _, _, jet in cell))
     table = {
         key: tuple(
@@ -211,8 +189,13 @@ def r_matrix(two_alpha: int, order: int, sign: int = 1) -> SeriesOperator:
     """The braiding on V_alpha (x) V_alpha as a SeriesOperator.
 
     The constant term is the flip of the classical limit: a permutation
-    matrix.  ``sign=-1`` gives the inverse braiding.
+    matrix.  ``sign=-1`` gives the inverse braiding; ``two_alpha`` and
+    ``order`` must be nonnegative ints and ``sign`` must be +1 or -1.
     """
+    _require_order(two_alpha, "two_alpha")
+    _require_order(order)
+    if not isinstance(sign, int) or sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     table, den = _braiding_table(two_alpha, order, sign)
     dim = two_alpha + 1
     entries = {}
@@ -278,10 +261,10 @@ def _tangle_scalar(strands: int, letters: tuple, two_alpha: int, order: int):
     1 and asserted equal to it, order by order.
 
     Columns that ``_closable`` rejects are skipped, exactly: a term with n
-    lowering steps carries h-valuation >= n for both signs
-    (``_inverse_cells`` keeps it) and moves the state by L1 distance 2n from
-    the plain swap, and swaps are L1 isometries, so a branch back at column
-    c has valuation >= sum_i |c_i - c_{pi(i)}| / 2.  The tests compare every
+    lowering steps carries the factor (q - q^{-1})^n, so h-valuation >= n,
+    for both signs (``_braiding_table``), and moves the state by L1 distance
+    2n from the plain swap; swaps are L1 isometries, so a branch back at
+    column c has valuation >= sum_i |c_i - c_{pi(i)}| / 2.  The tests compare every
     diagonal entry and see every skipped column's entry is zero.
     """
     tables = {}

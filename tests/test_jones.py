@@ -78,13 +78,36 @@ def test_r_matrix_trivial_colour():
     assert op.dim == 1 and op.is_identity()
 
 
-@pytest.mark.parametrize("two_alpha", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("two_alpha", range(9))
 def test_r_matrix_invertible(two_alpha):
-    # The negative braiding is built in closed form, not by inversion.
-    R = r_matrix(two_alpha, 4, +1)
-    Rinv = r_matrix(two_alpha, 4, -1)
-    assert R.compose(Rinv).is_identity()
-    assert Rinv.compose(R).is_identity()
+    # The negative braiding is built from the inverse R-matrix, not by
+    # inversion; this is the test that ties the two signs together.
+    for order in (0, 2, 4):
+        R = r_matrix(two_alpha, order, +1)
+        Rinv = r_matrix(two_alpha, order, -1)
+        assert R.compose(Rinv).is_identity(), (two_alpha, order)
+        assert Rinv.compose(R).is_identity(), (two_alpha, order)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((2, 3, 0), "sign"),
+        ((2, 3, 2), "sign"),
+        ((2, 3, -2), "sign"),
+        ((2, 3, 1.0), "sign"),
+        ((-1, 3, 1), "two_alpha"),
+        ((2.0, 3, 1), "two_alpha"),
+        ((2, -1, 1), "order"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else v,
+)
+def test_r_matrix_rejects_bad_inputs(args, name):
+    # The checks run before the memo lookup, where 2.0 and 1.0 would share
+    # the keys of 2 and 1; warm that entry first.
+    r_matrix(2, 3, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        r_matrix(*args)
 
 
 @pytest.mark.parametrize("two_alpha", [1, 2])
@@ -97,13 +120,18 @@ def test_yang_baxter(two_alpha):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_braiding_table_holds_no_zero_jet(sign):
-    # A term with n lowering steps is O(h^n): the table stops at n = order.
+    # A term with n = |a - r2| lowering steps carries (q - q^{-1})^n, and its
+    # other factors have nonzero constant terms, so its first nonzero
+    # coefficient is at h^n (the fact behind the _closable skip rule); the
+    # table stops at n = order.
     for two_alpha in range(9):
-        for order in range(4):
+        for order in range(5):
             table, _ = jones._braiding_table(two_alpha, order, sign)
-            for cell in table.values():
-                for _, _, coeffs in cell:
+            for (_, r2), cell in table.items():
+                for a, _, coeffs in cell:
                     assert any(coeffs), (two_alpha, order, sign)
+                    lead = next(k for k, c in enumerate(coeffs) if c)
+                    assert lead == abs(a - r2), (two_alpha, order, sign, a, r2)
 
 
 def test_classical_limit_is_permutation():
