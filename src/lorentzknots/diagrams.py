@@ -167,11 +167,13 @@ def parse_diagram(text: str) -> ChordDiagram:
     return ChordDiagram(pairing)
 
 
-def _require_int(n):
-    """TypeError unless the chord count ``n`` is an int.  Checked before a
-    memo lookup, where 4.0 would share the key of 4."""
+def _require_count(n):
+    """TypeError unless the chord count ``n`` is an int, ValueError if it is
+    negative; checked before a memo lookup, where 4.0 shares the key of 4."""
     if not isinstance(n, int):
         raise TypeError(f"chord count must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("chord count must be nonnegative")
 
 
 @memoized
@@ -180,12 +182,13 @@ def _diagrams(n):
 
     Every n-chord diagram is an (n-1)-chord one with one chord added, so the
     new chord is inserted (:func:`_insert_chord`) into each diagram of
-    ``_diagrams(n - 1)`` at every pair of its 2n - 1 slots.
+    ``_diagrams(n - 1)`` at every pair of its slots but the last, which is
+    the first up to rotation (one chord keeps its one slot).
     """
     if n == 0:
         return (UNIT_DIAGRAM,)
     forms = {}
-    slots = range(2 * n - 1)
+    slots = range(max(2 * n - 2, 1))
     return tuple(sorted({
         _insert_chord(base, s, t, forms)
         for base in _diagrams(n - 1) for s in slots for t in slots[s:]
@@ -196,9 +199,7 @@ def enumerate_diagrams(n: int):
     """All canonical n-chord diagrams, each exactly once, in diagram order
     (n <= 6).  The basis is built once per process; each call returns a
     fresh list."""
-    _require_int(n)
-    if n < 0:
-        raise ValueError("chord count must be nonnegative")
+    _require_count(n)
     if n > 6:
         raise ResourceGuardError(f"enumerate_diagrams guards at n <= 6, got {n}")
     return list(_diagrams(n))
@@ -448,12 +449,16 @@ def four_t_generators(n: int):
     coefficients add as ints in a table built once per process
     (``_four_t_counts``); each call builds fresh DiagramSums from it.
 
-    Guarded at 2 <= n <= 6; n = 6 gives 4477 generators in about 0.17 s
-    from cold, 0.05 s of it building the DiagramSums.
+    None has fewer than two chords.  Guarded at n <= 6; n = 6 gives 4477
+    generators in about 0.17 s from cold, 0.05 s of it building DiagramSums.
     """
-    _require_int(n)
-    if not 2 <= n <= 6:
-        raise ResourceGuardError(f"four_t_generators guards at 2 <= n <= 6, got {n}")
+    _require_count(n)
+    if n > 6:
+        raise ResourceGuardError(
+            f"four_t_generators builds relations only at 2 <= n <= 6, got {n}"
+        )
+    if n < 2:
+        return []
     return [DiagramSum(dict(gen)) for gen in _four_t_counts(n)]
 
 

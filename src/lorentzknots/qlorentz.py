@@ -33,10 +33,11 @@ over crossing labels is truncated at spin <= the series order, which is
 exact: a term's h-adic order dominates each of its crossing spins, so the
 dropped tail starts above the truncation order.  Evaluation streams the
 word against the vacuum vector, branching over labels the first time a
-crossing is met and closing them with delta constraints at the partner
-factor; branches whose accumulated h-order plus current spin exceed the
-truncation order can no longer contribute and are pruned, and the h-order
-is read off exactly (the first nonzero coefficient).
+crossing is met (into that crossing's slot of the branch key) and closing
+them with delta constraints at the partner factor; branches whose
+accumulated h-order plus current spin exceed the truncation order can no
+longer contribute and are pruned, and the h-order is read off exactly (the
+first nonzero coefficient).
 
 The sum is invariant under conjugation, so every cyclic rotation of the
 braid word, read from either end of the open strand, gives it; the cost of
@@ -123,7 +124,7 @@ def tangle_word(b: BraidWord):
     expected = 2 * len(b.letters) + (b.strands - 1)
     if len(ops) != expected:
         raise InternalConsistencyError(
-            f"tangle word has {len(ops)} factors, expected {expected}"
+            f"tangle word of {b} has {len(ops)} factors, expected {expected}"
         )
     return ops, signs
 
@@ -194,13 +195,25 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     real and ``order`` a nonnegative int, checked before the memo lookup
     (ValueError otherwise)."""
     _require_order(order)
-    return _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward)
+    return _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, 1)
 
 
 @memoized
-def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward):
+def _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, sign):
     if real_point(p) is None:
         raise ValueError(f"g_action needs a real p, not {p}")
+    if sign < 0:
+        # A negative crossing's label (i, j) reads (d_i, d_j) = (-i, -j): the
+        # positive entries times the inverse antipode's q^{j-i} (-1)^{i-j} and
+        # s(alpha, i)^2 / s(alpha, j)^2, since X_ij needs s(alpha, i)/s(alpha, j)
+        # and the entries at (-i, -j) fold in s(alpha, j)/s(alpha, i) (s is even
+        # in i).
+        ratio = Fraction(_s_squared(d_alpha, d_i), _s_squared(d_alpha, d_j))
+        if ((d_i - d_j) // 2) % 2:
+            ratio = -ratio
+        factor = jet_scale(_q_power_jet(Fraction(d_i - d_j, 2), order), ratio)
+        positive = _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, 1)
+        return tuple((s, jet_mul(factor, v)) for s, v in positive)
     out = {}
     for other, labels, c in _g_terms(d_alpha, d_i, d_j, d_beta, d_ibeta, order, forward):
         lam = _lambda_coeff(*labels, p, order)
@@ -213,22 +226,6 @@ def group_like_action(d_idx: int, order: int):
     """Diagonal weight q^{2 i} = e^{i h} of the group-like element, as an
     integer jet."""
     return _q_power_jet(d_idx, order)
-
-
-@memoized
-def _antipode_factor(d_alpha: int, d_i: int, d_j: int, order: int):
-    """Scalar q^{j - i} (-1)^{i - j} s(alpha, i)^2 / s(alpha, j)^2, as an
-    integer jet.
-
-    The first two factors are the inverse antipode's.  The matrix-element
-    partner X_ij needs s(alpha, i)/s(alpha, j) on the dual entry, but
-    ``g_action`` called at (-i, -j) folds in s(alpha, j)/s(alpha, i)
-    (s(alpha, -i) = s(alpha, i)); the last factor is the difference.
-    """
-    ratio = Fraction(_s_squared(d_alpha, d_i), _s_squared(d_alpha, d_j))
-    if ((d_i - d_j) // 2) % 2:
-        ratio = -ratio
-    return jet_scale(_q_power_jet(Fraction(d_j - d_i, 2), order), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +244,9 @@ def _min_headroom(ds, pend):
     (pending dual factors impose no such visit).
     """
     req = ds
-    for _, da, _, _, awaits_x in pend:
-        if awaits_x:
-            need = abs(da - ds) + da
+    for lab in pend:
+        if lab is not None and lab[3]:
+            need = abs(lab[0] - ds) + lab[0]
             if need > req:
                 req = need
     return req
@@ -359,39 +356,32 @@ def _walk(walk, p, order):
     """The sum along ``walk`` (as ``cheapest_walk`` returns it, with ops
     and signs as tuples) at real p, as an integer jet."""
     rotation, forward, ops, signs = walk
+    walked = f"rotation {rotation}, read {'forward' if forward else 'transposed'}"
 
-    # key: (d_spin, d_idx, pending) with pending a frozenset of
-    # (crossing, d_alpha, d_i, d_j) label assignments awaiting their partner
-    vec = {(0, 0, frozenset()): jet_constant(1, order)}
+    # key: (d_spin, d_idx, pending), pending holding one slot per crossing:
+    # None while its label is not open, else (d_alpha, d_i, d_j, awaits_x),
+    # the label assignment awaiting its partner factor
+    closed = (None,) * len(signs)
+    vec = {(0, 0, closed): jet_constant(1, order)}
 
     for position, op in enumerate(ops):
         out = {}
-        if op[0] == "G":
-            for (ds, di, pend), coeffs in vec.items():
-                weight = group_like_action(di, order)
-                jet_accumulate(out, (ds, di, pend), jet_mul(coeffs, weight))
+        if op[0] == "G":  # diagonal: every branch keeps its key
+            for key, coeffs in vec.items():
+                out[key] = jet_mul(coeffs, group_like_action(key[1], order))
         elif op[0] == "X":
-            xread, xwrite = (0, 1) if forward else (1, 0)
+            k = op[1]
             for (ds, di, pend), coeffs in vec.items():
-                k = op[1]
-                known = next((lab for lab in pend if lab[0] == k), None)
-                if known is not None:
-                    _, da, dii, djj, _awaits = known
-                    idx = (dii, djj)[xread]
-                    if ds == da and di == idx:
-                        jet_accumulate(
-                            out,
-                            (da, (dii, djj)[xwrite], pend - {known}),
-                            coeffs,
-                        )
-                else:
+                head, tail = pend[:k], pend[k + 1:]
+                if pend[k] is None:
                     for dj in range(-ds, ds + 1, 2):
-                        lab = (
-                            (k, ds, di, dj, False)
-                            if forward
-                            else (k, ds, dj, di, False)
-                        )
-                        jet_accumulate(out, (ds, dj, pend | {lab}), coeffs)
+                        lab = (ds, di, dj, False) if forward else (ds, dj, di, False)
+                        jet_accumulate(out, (ds, dj, head + (lab,) + tail), coeffs)
+                    continue
+                da, dii, djj, _ = pend[k]
+                read, write = (dii, djj) if forward else (djj, dii)
+                if ds == da and di == read:
+                    jet_accumulate(out, (da, write, head + (None,) + tail), coeffs)
         else:  # dual generator
             k = op[1]
             sign = signs[k]
@@ -399,16 +389,16 @@ def _walk(walk, p, order):
                 lead0 = jet_lead(coeffs)
                 if lead0 is None or 2 * lead0 + _min_headroom(ds, pend) > 2 * order:
                     continue
-                known = next((lab for lab in pend if lab[0] == k), None)
-                if known is not None:
-                    labels = [(known[1], known[2], known[3], pend - {known})]
+                head, tail = pend[:k], pend[k + 1:]
+                if pend[k] is not None:
+                    labels = [(*pend[k][:3], head + (None,) + tail)]
                 else:
                     # The matrix-element partner will pin the state to spin
                     # alpha, and the walk must end at spin 0; every unit of
                     # spin movement costs at least one h-order, so a fresh
                     # label needs |alpha - s| + alpha orders of headroom.
                     labels = [
-                        (da, dii, djj, pend | {(k, da, dii, djj, True)})
+                        (da, dii, djj, head + ((da, dii, djj, True),) + tail)
                         for da in range(0, 2 * order + 1)
                         if 2 * lead0 + abs(da - ds) + da <= 2 * order
                         for dii in range(-da, da + 1, 2)
@@ -417,24 +407,16 @@ def _walk(walk, p, order):
                 # A positive crossing pairs the matrix-element factor X_{ij}
                 # with the dual generator at transposed indices g_{ji}; a
                 # negative crossing pairs it with the inverse antipode
-                # q^{j-i} (-1)^{i-j} g_{-i,-j}.  This is the unique index
-                # arrangement under which mixed-sign unknot words evaluate
-                # to 1 and the trefoil matches its closed one-dimensional
-                # reduction; the tests pin it.
+                # q^{j-i} (-1)^{i-j} g_{-i,-j} (the scalar is in ``_g_action``).
+                # This is the unique index arrangement under which mixed-sign
+                # unknot words evaluate to 1 and the trefoil matches its closed
+                # one-dimensional reduction; the tests pin it.
                 for da, dii, djj, newpend in labels:
-                    ai, aj = djj, dii
-                    base = coeffs
-                    if sign < 0:
-                        base = jet_mul(coeffs, _antipode_factor(da, dii, djj, order))
-                        ai, aj = -dii, -djj
-                    for (ds2, di2), entry in _g_action(
-                        da, ai, aj, ds, di, p, order, forward
-                    ):
-                        contrib = jet_mul(base, entry)
+                    ai, aj = (djj, dii) if sign > 0 else (-dii, -djj)
+                    for (ds2, di2), entry in _g_action(da, ai, aj, ds, di, p, order, forward, sign):
+                        contrib = jet_mul(coeffs, entry)
                         lead2 = jet_lead(contrib)
-                        if lead2 is None or 2 * lead2 + _min_headroom(
-                            ds2, newpend
-                        ) > 2 * order:
+                        if lead2 is None or 2 * lead2 + _min_headroom(ds2, newpend) > 2 * order:
                             continue
                         jet_accumulate(out, (ds2, di2, newpend), contrib)
         vec = out
@@ -442,15 +424,16 @@ def _walk(walk, p, order):
             raise ResourceGuardError(
                 f"braid sum reached {len(vec)} branches at operator "
                 f"{position + 1} of {len(ops)} ({_describe_op(op)}) of the "
-                f"walk along rotation {rotation}, read "
-                f"{'forward' if forward else 'transposed'}, above the limit "
-                f"MAX_BRANCHES={MAX_BRANCHES}"
+                f"walk along {walked}, above the limit MAX_BRANCHES={MAX_BRANCHES}"
             )
 
-    if any(pend for _, _, pend in vec):
-        raise InternalConsistencyError("crossing label left unresolved")
+    unresolved = sorted({k + 1 for _, _, pend in vec for k, lab in enumerate(pend) if lab})
+    if unresolved:
+        raise InternalConsistencyError(
+            f"labels of crossings {unresolved} left unresolved by the walk along {walked}"
+        )
     # Branches are keyed by state, so at most one ends at spin 0.
-    return vec.get((0, 0, frozenset()), jet_constant(0, order))
+    return vec.get((0, 0, closed), jet_constant(0, order))
 
 
 def trefoil_closed_sum(p, order: int):

@@ -395,7 +395,6 @@ def test_clear_caches_empties_every_memo_table():
         qlorentz._g_terms,
         qlorentz._g_action,
         qlorentz._walk,
-        qlorentz._antipode_factor,
         jones._braiding_table,
         jones._tangle_scalar,
         jones._interpolated,
@@ -438,7 +437,7 @@ def test_values_do_not_depend_on_the_working_precision(name, compute):
 
     from lorentzknots import qlorentz
 
-    tables = [cg._quantum_cg, cg._lambda_coeff, qlorentz._g_action, qlorentz._antipode_factor]
+    tables = [cg._quantum_cg, cg._lambda_coeff, qlorentz._g_action]
     clear_caches()
     with mpmath.workdps(15):
         low = compute()

@@ -324,6 +324,16 @@ def test_resource_guard_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("n, expect", [("-1", 2), ("0", 0), ("1", 0), ("7", 3)])
+def test_four_t_exit_codes(n, expect):
+    # A negative count is a usage error, not a resource guard; below two
+    # chords there is no relation to print.
+    code, text = run_cli(["diagrams", "--four-t", n])
+    assert code == expect
+    if expect == 0:
+        assert json.loads(text) == []
+
+
 def test_run_config_invariants_enforced():
     code, _ = run_cli(["qlg", "--knot", "trefoil-left", "--p", "2", "--order", "-1"])
     assert code == 2

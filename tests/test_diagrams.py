@@ -285,6 +285,20 @@ def test_four_t_guard():
         four_t_generators(7)
 
 
+@pytest.mark.parametrize("n", [-2, -1, 0, 1])
+def test_four_t_below_two_chords(n):
+    # A negative count is an input error, as for the basis; no four-term
+    # relation has fewer than two chords, so the quotient is the basis.
+    clear_caches()
+    if n < 0:
+        with pytest.raises(ValueError, match="chord count must be nonnegative"):
+            four_t_generators(n)
+    else:
+        assert four_t_generators(n) == []
+        assert quotient_dimension(n) == len(enumerate_diagrams(n)) == 1
+    assert not diagrams._four_t_counts.table
+
+
 def _dense_rank(rows, ncols):
     # Independent dense elimination for cross-checking exact_rank.
     mat = [[F(0)] * ncols for _ in rows]

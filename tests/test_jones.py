@@ -295,6 +295,42 @@ def test_stabilized_unknot_zero_framed():
         assert jones_zero_framed(b, ta, 5) == q_dim(ta, 5) * F(1, ta + 1)
 
 
+def _torus_closed_form(n, two_alpha, order):
+    """Zero-framed J of the closure of s1^n at spin alpha over its unknot
+    value, from the decomposition of V_alpha (x) V_alpha into V_j, j =
+    0..2 alpha, on which s1 acts as (-1)^{2 alpha - j} q^{c(j) - 2 c(alpha)}
+    (q = e^{h/2}, c(x) = x(x + 1)); the framing correction is q^{-2n c(alpha)}.
+    Plain Fraction jets, nothing from ``series`` or ``jones``."""
+    alpha = F(two_alpha, 2)
+
+    def c(x):
+        return x * (x + 1)
+
+    def q_power(x):  # q^x = e^{x h / 2}
+        return [(F(x) / 2) ** k / factorial(k) for k in range(order + 1)]
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)]
+
+    total = [F(0)] * (order + 1)
+    for j in range(two_alpha + 1):
+        # [2j + 1] = q^{2j} + q^{2j - 2} + ... + q^{-2j}
+        dim = [sum(col) for col in zip(*(q_power(2 * j - 2 * l) for l in range(2 * j + 1)))]
+        sign = -1 if n * (two_alpha - j) % 2 else 1
+        term = mul(q_power(n * (c(j) - 2 * c(alpha))), dim)
+        total = [x + sign * y for x, y in zip(total, term)]
+    return [x / (two_alpha + 1) for x in mul(q_power(-2 * n * c(alpha)), total)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, -3, -5])
+@pytest.mark.parametrize("two_alpha", [1, 2, 3, 4])
+def test_torus_knots_match_their_closed_form(n, two_alpha):
+    # The (2, n) torus knots of either chirality at spins 1/2..2, order 5.
+    b = parse_braid(" ".join(["s1" if n > 0 else "-s1"] * abs(n)), 2)
+    got = jones_zero_framed(b, two_alpha, 5)
+    assert list(got.coeffs) == _torus_closed_form(n, two_alpha, 5)
+
+
 def test_rejects_links():
     with pytest.raises(ValueError):
         jones_framed(parse_braid("s1", 3), 1, 3)

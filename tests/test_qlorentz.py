@@ -1,5 +1,6 @@
 """Balanced-representation actions and truncated braid sums, exactly."""
 
+import hashlib
 import itertools
 import re
 from fractions import Fraction
@@ -305,6 +306,32 @@ def test_truncation_soundness():
         assert braid_sum(braid, 2, 3) == TruncatedSeries(3, high.coeffs[:4])
 
 
+# The catalog, 5_2 and two mixed-sign Markov variants of the right trefoil.
+DIGEST_WORDS = [k.braid for k in CATALOG.values()] + [
+    parse_braid("s1 s1 s1 s2 -s1 s2", 3),
+    parse_braid("s1 s1 s1 s1 -s1", 2),
+    parse_braid("-s2 s1 s1 s1 s2 s2", 3),
+]
+
+
+def test_braid_sums_match_the_parent_digest():
+    # Every coefficient of the order-3 sums at p = 2, 3 and symbolic p, and
+    # of the closed trefoil sum: the walk's state and dual-factor tables may
+    # change shape, never a value.
+    clear_caches()
+    lines = []
+    for b in DIGEST_WORDS:
+        for p in (2, 3, SYMBOLIC):
+            coeffs = ";".join(repr(c) for c in braid_sum(b, p, 3).coeffs)
+            lines.append(f"S|{b}|{p}|{coeffs}")
+    for p in (2, 3, SYMBOLIC):
+        coeffs = ";".join(repr(c) for c in trefoil_closed_sum(p, 3).coeffs)
+        lines.append(f"T|{p}|{coeffs}")
+    assert len(lines) == 24
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b88b62663710cf647adcd7045aafde463b0769e53348fbb12ac6f7b4c91a924f"
+
+
 def test_markov_invariance_small_order():
     base = braid_sum(TREFOIL_R, 2, 2)
     for v in markov_variants(TREFOIL_R)[:6]:
@@ -518,3 +545,22 @@ def test_branch_guard(monkeypatch):
         message,
     )
     assert "MAX_BRANCHES=1" in message
+
+
+@pytest.mark.parametrize(
+    "walk, named",
+    [
+        ((0, True, (("g", 0),), (1,)), "crossings [1] left unresolved by the walk "
+         "along rotation 0, read forward"),
+        ((3, False, (("g", 0), ("G",), ("g", 1)), (1, -1)), "crossings [1, 2] left "
+         "unresolved by the walk along rotation 3, read transposed"),
+    ],
+    ids=["one-dual-factor", "two-dual-factors"],
+)
+def test_an_unresolved_label_names_its_crossings_and_walk(walk, named):
+    # Dual factors whose matrix-element partners never come leave their
+    # crossings' labels open at the end of the word.
+    clear_caches()
+    with pytest.raises(InternalConsistencyError) as err:
+        qlorentz._walk(walk, 2, 1)
+    assert named in str(err.value)
