@@ -9,7 +9,10 @@ quantum factorials.  R's constant term c0, the classical radicand, is a
 positive rational and R/c0 has constant term 1, so sqrt(R/c0) is a rational
 jet: the coefficient is a :class:`RootJet`, sqrt(c0) times a rational jet.
 Coupling coefficients do not depend on p and are real, so all of this runs
-on the integer jets of :mod:`lorentzknots.series`.
+on the integer jets of :mod:`lorentzknots.series`, the denominators as
+memoized inverse q-factorial jets.  The swap symmetry C(I, J, K; m, n, p)(q)
+= (-1)^{I+J-K} C(J, I, K; n, m, p)(1/q) (Kirillov-Reshetikhin) serves the
+coefficients with (J, n) < (I, m) from their partner: same radicand, h -> -h.
 
 For real q the coupling matrices are orthogonal (Kirillov-Reshetikhin), so
 the decoupling coefficient is the transposed coupling coefficient; the
@@ -43,12 +46,12 @@ from .series import (
     TruncatedSeries,
     _q_factorial_jet,
     _q_integer_jet,
+    _q_inverse_factorial_jet,
     _q_power_jet,
     _require_order,
     clear_caches,
     jet_add,
     jet_constant,
-    jet_inverse,
     jet_mul,
     jet_neg,
     jet_scale,
@@ -125,18 +128,6 @@ class RootJet:
         return f"RootJet(radicand={self.radicand}, jet={self.jet!r})"
 
 
-def _root_sum(terms, order, labels) -> RootJet:
-    """Sum of root jets whose radicands differ by rational squares."""
-    terms = [t for t in terms if not t.is_zero()]
-    if not terms:
-        return RootJet(1, jet_constant(0, order))
-    radicand = terms[0].radicand
-    total = terms[0].value
-    for term in terms[1:]:
-        total = jet_add(total, term.scaled(1 / radicand, labels))
-    return RootJet(radicand, total)
-
-
 def _is_spin_index(dj: int, dm: int) -> bool:
     """Y(j, m): m runs through -j..j in integer steps."""
     return abs(dm) <= dj and (dj - dm) % 2 == 0
@@ -145,6 +136,14 @@ def _is_spin_index(dj: int, dm: int) -> bool:
 def _triangle(da: int, db: int, dc: int) -> bool:
     """Y(a, b, c): a appears in the decomposition of b (x) c."""
     return abs(db - dc) <= da <= db + dc and (da + db + dc) % 2 == 0
+
+
+def _require_labels(**labels):
+    """TypeError naming a label that is not an int: 2.0 shares the memo key
+    of 2."""
+    for name, value in labels.items():
+        if not isinstance(value, int):
+            raise TypeError(f"doubled label {name} must be an int, got {value!r}")
 
 
 # The value of ``p`` that leaves it symbolic.
@@ -184,13 +183,9 @@ def series_at(p, order, jet_at, context):
 def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
     """(signed exact rational jet, radicand jet) of the coupling
     coefficient, as integer jets."""
-    exponent = (
-        Fraction(dm, 2) * (Fraction(dp, 2) + 1)
-        + Fraction(dJ, 4) * (Fraction(dJ, 2) + 1)
-        - Fraction(dI, 4) * (Fraction(dI, 2) + 1)
-        - Fraction(dK, 4) * (Fraction(dK, 2) + 1)
-    )
-    prefactor = _q_power_jet(exponent, order)
+    # 8 (m (p + 1) + J (J + 1)/2 - I (I + 1)/2 - K (K + 1)/2), the q-power
+    e8 = 2 * dm * (dp + 2) + dJ * (dJ + 2) - dI * (dI + 2) - dK * (dK + 2)
+    prefactor = _q_power_jet(Fraction(e8, 8), order)
     if ((dI - dm) // 2) % 2:
         prefactor = jet_neg(prefactor)
 
@@ -203,7 +198,6 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
         (dK + dp) // 2,
     ):
         radicand = jet_mul(radicand, _q_factorial_jet(arg, order))
-    denom = jet_constant(1, order)
     for arg in (
         (dK + dJ - dI) // 2,
         (dI + dK - dJ) // 2,
@@ -211,8 +205,7 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
         (dI + dm) // 2,
         (dJ + dn) // 2,
     ):
-        denom = jet_mul(denom, _q_factorial_jet(arg, order))
-    radicand = jet_mul(radicand, jet_inverse(denom))
+        radicand = jet_mul(radicand, _q_inverse_factorial_jet(arg, order))
 
     v_lo = max(0, (dK - dJ - dm) // 2)
     v_hi = min((dK - dp) // 2, (dI - dm) // 2)
@@ -223,10 +216,9 @@ def _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order):
             term = jet_neg(term)
         for arg in ((dI + dm) // 2 + V, (dJ + dK - dm) // 2 - V):
             term = jet_mul(term, _q_factorial_jet(arg, order))
-        dd = jet_constant(1, order)
         for arg in (V, (dK - dp) // 2 - V, (dI - dm) // 2 - V, (dJ - dK + dm) // 2 + V):
-            dd = jet_mul(dd, _q_factorial_jet(arg, order))
-        total = jet_add(total, jet_mul(term, jet_inverse(dd)))
+            term = jet_mul(term, _q_inverse_factorial_jet(arg, order))
+        total = jet_add(total, term)
     return jet_mul(prefactor, total), radicand
 
 
@@ -236,9 +228,10 @@ def quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     Zero unless m + n = p, each index is in range, and the triangle
     condition holds.  Returns sign * sqrt(c0) * (rational jet) as a RootJet
     with radicand c0, the classical radicand, and an integer-jet value.
-    ``order`` is checked before the memo lookup (ValueError).
+    ``order`` (ValueError) and labels (TypeError) are checked before lookup.
     """
     _require_order(order)
+    _require_labels(dI=dI, dJ=dJ, dK=dK, dm=dm, dn=dn, dp=dp)
     return _quantum_cg(dI, dJ, dK, dm, dn, dp, order)
 
 
@@ -252,6 +245,12 @@ def _quantum_cg(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
         and _triangle(dI, dJ, dK)
     ):
         return RootJet(1, jet_constant(0, order))
+    if (dJ, dn) < (dI, dm):
+        # the swap symmetry (module docstring); q -> 1/q is h -> -h
+        partner = _quantum_cg(dJ, dI, dK, dn, dm, dp, order)
+        (nums, den), sign = partner.value, (-1) ** ((dI + dJ - dK) // 2)
+        nums = tuple(c * sign * (-1) ** k for k, c in enumerate(nums))
+        return RootJet(partner.radicand, (nums, den))
     exact, radicand = _cg_exact_parts(dI, dJ, dK, dm, dn, dp, order)
     nums, den = radicand
     c0 = Fraction(nums[0], den)
@@ -264,6 +263,7 @@ def quantum_cg_decoupling(dI, dJ, dK, dm, dn, dp, order) -> RootJet:
     n + p = m.  The coupling matrices are orthogonal, so this is the
     transposed coupling coefficient of (J, n) (x) (K, p) -> (I, m); the
     tests check both completeness relations."""
+    _require_labels(dI=dI, dJ=dJ, dK=dK, dm=dm, dn=dn, dp=dp)
     return quantum_cg(dJ, dK, dI, dn, dp, dm, order)
 
 
@@ -302,9 +302,10 @@ def lambda_coeff(dA, dB, dC, dD, p, order) -> RootJet:
     Sum over sigma of q^{2 sigma p} decoupling(A -> C, B) coupling(B, C ->
     D) column weights, as a RootJet: every sigma term has the same radical,
     so only the weights are computed per p (see :func:`_lambda_terms`).
-    ``order`` is checked before the memo lookup (ValueError).
+    ``order`` (ValueError) and labels (TypeError) are checked before lookup.
     """
     _require_order(order)
+    _require_labels(dA=dA, dB=dB, dC=dC, dD=dD)
     return _lambda_coeff(dA, dB, dC, dD, p, order)
 
 
@@ -325,6 +326,7 @@ def lambda_coeff_symbolic(dA, dB, dC, dD, order):
     radicand of its p-free sigma terms (:func:`_lambda_terms`), which every
     real-p value shares, and the fit (``series_at``) of its real-p values."""
     _require_order(order)
+    _require_labels(dA=dA, dB=dB, dC=dC, dD=dD)
     radicand, _ = _lambda_terms(dA, dB, dC, dD, order)
     fit = series_at(
         SYMBOLIC,

@@ -36,8 +36,8 @@ word against the vacuum vector, branching over labels the first time a
 crossing is met (into that crossing's slot of the branch key) and closing
 them with delta constraints at the partner factor; branches whose
 accumulated h-order plus current spin exceed the truncation order can no
-longer contribute and are pruned, and the h-order is read off exactly (the
-first nonzero coefficient).
+longer contribute and are pruned, before a product is made: integer jets
+have no zero divisors, so its h-order is the sum of its factors'.
 
 The sum is invariant under conjugation, so every cyclic rotation of the
 braid word, read from either end of the open strand, gives it; the cost of
@@ -60,6 +60,7 @@ from .cg import (
     _is_spin_index,
     _lambda_coeff,
     _lambda_terms,
+    _require_labels,
     quantum_cg,
     quantum_cg_decoupling,
     real_point,
@@ -192,9 +193,10 @@ def g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward=True):
     (beta, i_beta), which is the source when ``forward`` and the target
     otherwise.  Each entry, a matrix element in the rescaled basis, sums
     Lambda(p) c over the p-free terms of :func:`_g_terms`; ``p`` must be
-    real and ``order`` a nonnegative int, checked before the memo lookup
-    (ValueError otherwise)."""
+    real and ``order`` a nonnegative int (ValueError otherwise), the labels
+    ints (TypeError), checked before the memo lookup."""
     _require_order(order)
+    _require_labels(d_alpha=d_alpha, d_i=d_i, d_j=d_j, d_beta=d_beta, d_ibeta=d_ibeta)
     return _g_action(d_alpha, d_i, d_j, d_beta, d_ibeta, p, order, forward, 1)
 
 
@@ -414,11 +416,10 @@ def _walk(walk, p, order):
                 for da, dii, djj, newpend in labels:
                     ai, aj = (djj, dii) if sign > 0 else (-dii, -djj)
                     for (ds2, di2), entry in _g_action(da, ai, aj, ds, di, p, order, forward, sign):
-                        contrib = jet_mul(coeffs, entry)
-                        lead2 = jet_lead(contrib)
-                        if lead2 is None or 2 * lead2 + _min_headroom(ds2, newpend) > 2 * order:
+                        lead2 = lead0 + jet_lead(entry)  # the product's: no zero divisors
+                        if 2 * lead2 + _min_headroom(ds2, newpend) > 2 * order:
                             continue
-                        jet_accumulate(out, (ds2, di2, newpend), contrib)
+                        jet_accumulate(out, (ds2, di2, newpend), jet_mul(coeffs, entry))
         vec = out
         if len(vec) > MAX_BRANCHES:
             raise ResourceGuardError(

@@ -490,6 +490,12 @@ def _q_factorial_jet(n: int, order: int):
     return jet_mul(_q_factorial_jet(n - 1, order), _q_integer_jet(n, order))
 
 
+@memoized
+def _q_inverse_factorial_jet(n: int, order: int):
+    """1 / [n]!, the coupling coefficients' denominators as factors."""
+    return jet_inverse(_q_factorial_jet(n, order))
+
+
 def q_power(r, order: int) -> TruncatedSeries:
     """q^r with q = e^{h/2}, i.e. the jet of e^{r h / 2}; r may be complex."""
     r = GaussianRational.coerce(r)

@@ -10,7 +10,6 @@ import pytest
 from lorentzknots import cg
 from lorentzknots.cg import (
     RootJet,
-    _root_sum,
     cache_state,
     clear_caches,
     lambda_coeff,
@@ -24,11 +23,27 @@ from lorentzknots.scalars import GaussianRational, rational_sqrt
 from lorentzknots.series import (
     TruncatedSeries,
     constant_series,
+    jet_add,
     jet_constant,
     jet_fractions,
+    jet_mul,
+    jet_scale,
+    jet_sqrt,
     q_power,
     real_jet,
 )
+
+
+def _root_sum(terms, order, labels) -> RootJet:
+    """Sum of root jets whose radicands differ by rational squares."""
+    terms = [t for t in terms if not t.is_zero()]
+    if not terms:
+        return RootJet(1, jet_constant(0, order))
+    radicand = terms[0].radicand
+    total = terms[0].value
+    for term in terms[1:]:
+        total = jet_add(total, term.scaled(1 / radicand, labels))
+    return RootJet(radicand, total)
 
 
 def is_value(value, constant):
@@ -173,6 +188,56 @@ def test_coupling_radicands_factor_by_row_and_column():
                 for r in range(len(pairs)):
                     for c in range(len(spins)):
                         rational_sqrt(c0[r][c] * c0[0][0] / (c0[r][0] * c0[0][c]))
+
+
+def _direct_cg(dI, dJ, dK, dm, dn, order):
+    """The coupling coefficient from its own formula, never through the
+    swap symmetry: ``_cg_exact_parts`` and the root of its radicand."""
+    exact, radicand = cg._cg_exact_parts(dI, dJ, dK, dm, dn, dm + dn, order)
+    c0 = jet_fractions(radicand)[0]
+    return c0, jet_mul(exact, jet_sqrt(jet_scale(radicand, 1 / c0)))
+
+
+def test_swap_partners_equal_the_direct_route():
+    # C(I, J, K; m, n, p)(q) = (-1)^{I+J-K} C(J, I, K; n, m, p)(1/q) serves
+    # the entries with (J, n) < (I, m); each equals its own formula.
+    clear_caches()
+    count = swapped = 0
+    for order in range(5):
+        for dI, dJ in itertools.product(range(5), repeat=2):
+            for dK in range(abs(dI - dJ), dI + dJ + 1, 2):
+                for dm, dn in itertools.product(range(-dI, dI + 1, 2), range(-dJ, dJ + 1, 2)):
+                    if abs(dm + dn) > dK:
+                        continue
+                    served = quantum_cg(dI, dJ, dK, dm, dn, dm + dn, order)
+                    assert (served.radicand, served.value) == _direct_cg(
+                        dI, dJ, dK, dm, dn, order
+                    ), (dI, dJ, dK, dm, dn, order)
+                    count += 1
+                    swapped += (dJ, dn) < (dI, dm)
+    assert (count, swapped) == (5 * 517, 5 * 244)
+    clear_caches()
+
+
+def test_braid_sums_build_one_coefficient_per_swap_pair(monkeypatch):
+    from lorentzknots.braids import CATALOG
+    from lorentzknots.qlorentz import braid_sum
+
+    built = []
+
+    def record(*labels):
+        built.append(labels)
+        return exact_parts(*labels)
+
+    exact_parts = cg._cg_exact_parts
+    monkeypatch.setattr(cg, "_cg_exact_parts", record)
+    clear_caches()
+    for knot in CATALOG.values():
+        braid_sum(knot.braid, 2, 2)
+    monkeypatch.undo()
+    clear_caches()
+    assert built and len(set(built)) == len(built)
+    assert all((dI, dm) <= (dJ, dn) for dI, dJ, _, dm, dn, _, _ in built)
 
 
 def test_irrational_combination_names_its_labels():
@@ -329,6 +394,30 @@ def test_a_warm_table_refuses_a_bad_order(compute, warm, order):
     clear_caches()
 
 
+@pytest.mark.parametrize("label", [2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "name, compute",
+    [
+        ("dI", lambda d: quantum_cg(d, 2, 2, 0, 0, 0, 1)),
+        ("dI", lambda d: quantum_cg_decoupling(d, 2, 2, 0, 0, 0, 1)),
+        ("dA", lambda d: lambda_coeff(d, 2, 2, 0, 2, 1)),
+        ("dA", lambda d: lambda_coeff_symbolic(d, 2, 2, 0, 1)),
+        ("d_alpha", lambda d: _g_action_jets(d, 0, 0, 2, 0, 2, 1)),
+    ],
+    ids=["quantum_cg", "quantum_cg_decoupling", "lambda_coeff",
+         "lambda_coeff_symbolic", "g_action"],
+)
+def test_a_warm_table_refuses_a_non_int_label(name, compute, warm, label):
+    # As with the order: 2.0 and Fraction(2) would be served the entry of 2.
+    clear_caches()
+    if warm:
+        compute(2)
+    with pytest.raises(TypeError, match=f"label {name} must be an int"):
+        compute(label)
+    clear_caches()
+
+
 def test_symbolic_degree_bound():
     _, fit = lambda_coeff_symbolic(2, 2, 2, 0, 4)
     for n, poly in enumerate(fit.coeffs):
@@ -389,6 +478,7 @@ def test_clear_caches_empties_every_memo_table():
         series._q_power_jet,
         series._q_integer_jet,
         series._q_factorial_jet,
+        series._q_inverse_factorial_jet,
         cg._quantum_cg,
         cg._lambda_terms,
         cg._lambda_coeff,

@@ -392,6 +392,35 @@ def test_kernel_leading_order_and_accumulate():
     assert jet_lead(store["k"]) == 3
 
 
+def _shifted(jet, zeros):
+    """``jet`` with its first ``zeros`` coefficients set to 0."""
+    nums, den = jet
+    return real_jet([0] * zeros + list(jet_fractions((nums, den))[zeros:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_jets(), real_jets(), st.integers(0, 5), st.integers(0, 5))
+def test_product_lead_is_the_sum_of_the_leads(a, b, za, zb):
+    # The braid walk tests a branch's h-order before it multiplies: exact
+    # because integer jets have no zero divisors.
+    a, b = _shifted(a, za), _shifted(b, zb)
+    la, lb = jet_lead(a), jet_lead(b)
+    product = jet_lead(jet_mul(a, b))
+    if la is None or lb is None or la + lb > 4:
+        assert product is None
+    else:
+        assert product == la + lb
+
+
+def test_inverse_q_factorial_jets_invert_the_q_factorials():
+    for order in range(7):
+        for n in range(13):
+            inverse = series._q_inverse_factorial_jet(n, order)
+            assert _is_canonical(inverse)
+            one = jet_mul(inverse, series._q_factorial_jet(n, order))
+            assert one == jet_constant(1, order)
+
+
 def test_integer_sqrt_equals_gaussian_sqrt_on_coupling_radicands():
     from lorentzknots.cg import _cg_exact_parts, _is_spin_index, _triangle
 
