@@ -58,16 +58,24 @@ class _Record:
         return type(self), self._fields
 
 
+def _check_int(field: str, value):
+    if type(value) is not int:
+        raise TypeError(f"braid {field} must be an int, got {value!r}")
+
+
 class BraidWord(_Record):
     """A word in sigma_1..sigma_{strands-1}; letters are (index, sign)."""
 
     __slots__ = ("strands", "letters")
 
     def __init__(self, strands: int, letters=()):
+        _check_int("strands", strands)
         if strands < 1:
             raise ValueError("a braid needs at least one strand")
         letters = tuple(letters)
         for i, sign in letters:
+            _check_int("index", i)
+            _check_int("sign", sign)
             if not 1 <= i <= strands - 1:
                 raise ValueError(f"generator index {i} out of range")
             if sign not in (1, -1):

@@ -39,7 +39,6 @@ __all__ = [
     "lagrange_interpolate",
     "interpolate_series",
     "int_coeffs_add",
-    "int_coeffs_times_linear",
     "int_coeffs_mul",
     "int_poly_add",
     "int_poly_mul",
@@ -320,11 +319,6 @@ def int_coeffs_add(a, b) -> tuple:
     return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
-def int_coeffs_times_linear(v, a: int, b: int) -> tuple:
-    """The integer coefficient tuple ``v`` times a + b x, for b != 0."""
-    return tuple(a * x + b * y for x, y in zip(v + (0,), (0,) + v))
-
-
 def int_poly_add(p, q):
     pn, pd = p
     qn, qd = q
@@ -336,13 +330,16 @@ def int_poly_add(p, q):
 
 
 def int_coeffs_mul(a, b) -> tuple:
-    """The product of two integer coefficient tuples without trailing zeros."""
+    """The product of two integer coefficient tuples without trailing zeros;
+    the shorter factor drives the outer loop."""
     if not a or not b:
         return ()
+    if len(a) > len(b):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        for j, y in enumerate(b, i):
+            out[j] += x * y
     return tuple(out)
 
 
@@ -365,7 +362,7 @@ def int_poly_compose_affine(p, a: Fraction, b: Fraction):
     acc, power = (nums[-1],), 1
     for coeff in reversed(nums[:-1]):
         power *= c
-        acc = int_coeffs_add(int_coeffs_times_linear(acc, big_b, big_a), (coeff * power,))
+        acc = int_coeffs_add(int_coeffs_mul(acc, (big_b, big_a)), (coeff * power,))
     return acc, den * power
 
 

@@ -26,34 +26,35 @@ one-chord weight, i.e. the evaluation carries a factor (-1) per chord.  All
 routes in this module share the convention, so cross-route equalities are
 unaffected; it fixes the absolute sign of odd-degree values.
 
-Both module backends walk on the integer polynomials of
-:mod:`lorentzknots.polynomials`: a tensor's terms are scaled to integers
-over their common denominator D (T_CK_SL2 = (1/4, 1/4, 1/2) becomes
-(1, 1, 2) over 4), so the tensor must be real in the module's basis (else
-ValueError).  Values become ParamPolynomials only at return; a DiagramSum
-is summed on integers, real and imaginary coefficient parts apart.
+Both modules walk on the integer polynomials of
+:mod:`lorentzknots.polynomials`: a vector is {state: (nums, den)}, and one
+:func:`_step` reads the module's memoized matrix-element table.  A tensor's
+terms are scaled to integers over their common denominator D (T_CK_SL2 =
+(1/4, 1/4, 1/2) becomes (1, 1, 2) over 4), so the tensor must be real in
+the module's basis (else ValueError).  Values become ParamPolynomials only
+at return; a DiagramSum is summed on integers, real and imaginary parts
+apart.
 
-* the lowered-spin sl2 module with formal spin z: a vector is {j: tuple of
-  ints}.  The factorized Lorentz route substitutes z = (p - 1 + m)/2 in its
-  characters and sums left * right over the coproduct.
-* the minimal-spin-m discrete-basis module of the Lorentz algebra with
-  formal parameter p.  Its states are not the orthonormal Gelfand-Naimark
-  vectors e(alpha, k) (alpha >= |m|, |k| <= alpha) but f'(alpha, k) =
-  i^alpha f(alpha, k), where f(alpha, k) = d(alpha, k) e(alpha, k),
-  d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!), g(|m|) = 1 and
-  g(alpha)/g(alpha-1) = c_alpha; the walk's generators are H+, H-, H3 and
-  F' = -iF for F+, F-, F3.  Every matrix element is then an integer times
-  1, c_alpha^2 or -i B_alpha = p m/(alpha (alpha + 1)), real polynomials
-  in p, so a vector is {(alpha, k): (nums, den)} and a term c X (x) Y of a
-  tensor is the real c i^{#F} X' (x) Y'.  The change of basis is diagonal
-  and the corner state is an eigenvector of every central element, so the
-  characters are those of the orthonormal basis.
+* the lowered-spin sl2 module with formal spin z: states are depths j >= 0,
+  acted on by E, F and H with factors j, 2z - j and z - j.  The factorized
+  Lorentz route substitutes z = (p - 1 + m)/2 in its characters.
+* the minimal-spin-m (int m) discrete-basis module of the Lorentz algebra
+  with formal parameter p.  Its states are not the orthonormal
+  Gelfand-Naimark vectors e(alpha, k) (alpha >= |m|, |k| <= alpha) but
+  f'(alpha, k) = i^alpha f(alpha, k), where f(alpha, k) = d(alpha, k)
+  e(alpha, k), d(alpha, k) = g(alpha) sqrt((alpha+k)!/(alpha-k)!),
+  g(|m|) = 1 and g(alpha)/g(alpha-1) = c_alpha; the walk's generators are
+  H+, H-, H3 and F' = -iF for F+, F-, F3.  Every matrix element is then an
+  integer times 1, c_alpha^2 or -i B_alpha = p m/(alpha (alpha + 1)), real
+  polynomials in p, and a term c X (x) Y of a tensor is the real
+  c i^{#F} X' (x) Y'.  The change of basis is diagonal and the corner state
+  is an eigenvector of every central element, so the characters are those
+  of the orthonormal basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import lcm
 
@@ -62,8 +63,6 @@ from .diagrams import ChordDiagram, DiagramSum, THETA, coproduct_counts
 from .errors import InternalConsistencyError, ResourceGuardError
 from .polynomials import (
     ParamPolynomial,
-    int_coeffs_add,
-    int_coeffs_times_linear,
     int_poly_add,
     int_poly_compose_affine,
     int_poly_mul,
@@ -234,20 +233,19 @@ def phi_words(t: InfinitesimalRMatrix, d: ChordDiagram, start: int = 0):
     return words
 
 
-def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
+def _transfer_walk(terms, d: ChordDiagram, start: int, corner, targets):
     """The weight of ``d`` under a tensor applied to the module vector ``corner``.
 
     ``terms`` are the tensor's (coeff, left, right) triples from
-    :func:`_integer_terms`.  One walk round the circle from ``start``.  Its
-    state maps the term index pending on each chord (-1 before the chord
-    opens and after it closes) to a module vector {module state: value}.  A
-    chord's first endpoint branches over the terms, applying the term's left
-    generator times its coefficient; the second endpoint applies the stored
-    term's right generator and clears the label, so branches that differ
-    only in closed chords merge.  ``step(vec, gen, coeff, out)`` adds
-    coeff * gen(vec) into the vector ``out``, dropping components that
-    cancel, and returns ``out``.  The result equals the sum of coeff * word
-    over :func:`phi_words`.
+    :func:`_integer_terms`, and ``targets`` the module's matrix-element
+    table, read by :func:`_step`.  One walk round the circle from
+    ``start``.  Its state maps the term index pending on each chord (-1
+    before the chord opens and after it closes) to a module vector
+    {state: (nums, den)}.  A chord's first endpoint branches over the terms,
+    applying the term's left generator times its coefficient; the second
+    endpoint applies the stored term's right generator and clears the label,
+    so branches that differ only in closed chords merge.  The result equals
+    the sum of coeff * word over :func:`phi_words`.
     """
     closed = (-1,) * d.n
     branches = {closed: corner}
@@ -257,12 +255,13 @@ def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
             head, tail = pending[:chord], pending[chord + 1:]
             if role == 1:
                 for index, (coeff, left, _) in enumerate(terms):
-                    moved = step(vec, left, coeff, {})
+                    moved = _step(vec, left, coeff, {}, targets)
                     if moved:
                         out[head + (index,) + tail] = moved
             else:
                 label = head + (-1,) + tail
-                merged = step(vec, terms[pending[chord]][2], 1, out.get(label, {}))
+                right = terms[pending[chord]][2]
+                merged = _step(vec, right, 1, out.get(label, {}), targets)
                 if merged:
                     out[label] = merged
                 else:
@@ -271,9 +270,27 @@ def _transfer_walk(terms, d: ChordDiagram, start: int, corner, step):
     return branches.get(closed, {})
 
 
+def _step(vec, gen: str, coeff: int, out, targets):
+    """Add coeff * gen(vec) into ``out``, dropping components that cancel,
+    and return ``out``; ``targets(gen, state)`` lists the matrix elements of
+    ``gen`` on ``state`` as (state', (nums, den)) pairs."""
+    for state, (nums, den) in vec.items():
+        if coeff != 1:
+            nums = tuple(coeff * x for x in nums)
+        for target, element in targets(gen, state):
+            value = int_poly_mul((nums, den), element)
+            if target in out:
+                value = int_poly_add(out[target], value)
+            if value[0]:
+                out[target] = value
+            else:
+                del out[target]
+    return out
+
+
 def _corner_scalar(total, corner, d: ChordDiagram, module: str):
-    """The corner component of ``total``, the vector of integer polynomials
-    (nums, den) that the weight of ``d`` makes of the ``corner`` state.
+    """The corner component of ``total``, the vector {state: (nums, den)}
+    that the walk of :func:`_transfer_walk` makes of the ``corner`` state.
 
     Every other component must cancel (its numerators empty: a pair is
     truthy), or InternalConsistencyError names the diagram, the module and
@@ -338,30 +355,16 @@ def _integer_terms(t: InfinitesimalRMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _sl2_step(vec, gen, coeff, out):
-    """Add coeff * gen(vec) into ``out``.
-
-    States are descent depths j >= 0 and values integer coefficient tuples
-    of polynomials in z; E, F and H act with the factors j, 2z - j and
-    z - j.
-    """
-    for j, nums in vec.items():
-        if gen == "E":
-            if not j:
-                continue
-            key, value = j - 1, tuple(coeff * j * x for x in nums)
-        elif gen == "F":
-            key, value = j + 1, int_coeffs_times_linear(nums, -coeff * j, 2 * coeff)
-        elif gen == "H":
-            key, value = j, int_coeffs_times_linear(nums, -coeff * j, coeff)
-        else:
-            raise ValueError(f"unknown sl2 generator {gen!r}")
-        value = int_coeffs_add(out.get(key, ()), value)
-        if value:
-            out[key] = value
-        else:
-            out.pop(key, None)
-    return out
+@memoized
+def _sl2_targets(gen: str, j: int):
+    """The matrix elements of ``gen`` on depth ``j``, as ((j', (nums, 1)),)."""
+    if gen == "E":
+        return ((j - 1, ((j,), 1)),) if j else ()
+    if gen == "F":
+        return ((j + 1, ((-j, 2), 1)),)
+    if gen == "H":
+        return ((j, ((-j, 1), 1)),)
+    raise ValueError(f"unknown sl2 generator {gen!r}")
 
 
 @memoized
@@ -369,9 +372,8 @@ def _lambda_z_literal(d: ChordDiagram, t: InfinitesimalRMatrix, start: int):
     """The corner value of the walk, before the per-chord sign, as an
     integer polynomial in z."""
     terms, den = _integer_terms(t)
-    total = _transfer_walk(terms, d, start, {0: (1,)}, _sl2_step)
-    pairs = {j: (nums, den**d.n) for j, nums in total.items()}
-    return _corner_scalar(pairs, 0, d, f"spin-z module from basepoint {start}")
+    total = _transfer_walk(terms, d, start, {0: ((1,), den**d.n)}, _sl2_targets)
+    return _corner_scalar(total, 0, d, f"spin-z module from basepoint {start}")
 
 
 def lambda_z_sl2(d, t: InfinitesimalRMatrix = T_JONES_SL2, start: int = 0):
@@ -395,14 +397,15 @@ def sl2_quadratic_eigenvalue(t: InfinitesimalRMatrix = T_JONES_SL2):
 
 
 @memoized
-def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
-    """The matrix elements of the real-basis ``gen`` on f'(alpha, k), as
-    ((alpha', k'), (nums, den)) pairs.
+def _lorentz_targets(gen: str, state, m: int):
+    """The matrix elements of the real-basis ``gen`` on the ``state``
+    f'(alpha, k), as ((alpha', k'), (nums, den)) pairs.
 
     Each element is an integer times 1, c_alpha^2 or -i B_alpha.  Only
     nonzero elements on states with alpha' >= |m| and |k'| <= alpha'
     appear.
     """
+    alpha, k = state
     a2 = alpha * alpha
     one = (1,), 1
     # c_alpha^2 = (alpha^2 - m^2)(p^2 - alpha^2) / (alpha^2 (4 alpha^2 - 1))
@@ -435,21 +438,12 @@ def _lorentz_targets(gen: str, alpha: int, k: int, m: int):
     return tuple(out)
 
 
-def _lorentz_step(vec, gen: str, coeff, out, m: int):
-    """Add coeff * gen(vec) into ``out``; vectors are {(alpha, k): (nums, den)}
-    in the real basis, and ``gen`` acts as the real-basis generator."""
-    for (alpha, k), (nums, den) in vec.items():
-        if coeff != 1:
-            nums = tuple(coeff * x for x in nums)
-        for state, element in _lorentz_targets(gen, alpha, k, m):
-            value = int_poly_mul((nums, den), element)
-            if state in out:
-                value = int_poly_add(out[state], value)
-            if value[0]:
-                out[state] = value
-            else:
-                del out[state]
-    return out
+def _lorentz_table(m):
+    """The targets of the minimal-spin-``m`` module for :func:`_step`.  A
+    non-int m (1.0 == 1 as a memo key) is refused before any table read."""
+    if type(m) is not int:
+        raise ValueError("the direct route supports integer minimal spin only")
+    return lambda gen, state: _lorentz_targets(gen, state, m)
 
 
 def lorentz_apply_word(word, m: int):
@@ -460,10 +454,11 @@ def lorentz_apply_word(word, m: int):
     times its real-basis form and f' = i^alpha f, so each component is
     multiplied by i^{#F + alpha - |m|}.
     """
+    targets = _lorentz_table(m)
     am = abs(m)
     vec = {(am, am): ((1,), 1)}
     for gen in word:
-        vec = _lorentz_step(vec, gen, 1, {}, m)
+        vec = _step(vec, gen, 1, {}, targets)
     turns = sum(gen[0] == "F" for gen in word) - am
     out = {}
     for (alpha, k), (nums, den) in vec.items():
@@ -476,10 +471,10 @@ def lorentz_apply_word(word, m: int):
 def _lorentz_literal(t: InfinitesimalRMatrix, d: ChordDiagram, m: int):
     """Corner value of the weight of ``d`` under ``t`` on the minimal-spin-m
     module, before the per-chord sign, as an integer polynomial in p."""
+    targets = _lorentz_table(m)
     terms, den = _integer_terms(t)
     corner = (abs(m), abs(m))
-    step = partial(_lorentz_step, m=m)
-    total = _transfer_walk(terms, d, 0, {corner: ((1,), den**d.n)}, step)
+    total = _transfer_walk(terms, d, 0, {corner: ((1,), den**d.n)}, targets)
     return _corner_scalar(total, corner, d, f"Lorentz module of minimal spin m = {m}")
 
 
@@ -525,8 +520,7 @@ def lambda_mp_direct(d, m: int) -> ParamPolynomial:
     A diagram whose estimated walk cost n * 6^w (w chords open at once)
     exceeds that of ABCDABCD raises ResourceGuardError.
     """
-    if not isinstance(m, int):
-        raise ValueError("the direct route supports integer minimal spin only")
+    _lorentz_table(m)  # refuses a non-int m before any diagram is walked
     return _character(_direct_literal, d, m)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction as F
 
 import pytest
 
@@ -130,3 +131,24 @@ def test_records_compare_hash_print_and_pickle_by_their_fields():
         b.strands = 3
     with pytest.raises(AttributeError):
         del knot.name
+
+
+@pytest.mark.parametrize(
+    "strands, letters, field",
+    [
+        (2, [(1, 1.0)] * 3, "sign"),
+        (2, [(1, True)], "sign"),
+        (2, [(1.0, 1)], "index"),
+        (3, [(1, 1), (F(2), -1)], "index"),
+        (2.0, [(1, 1)], "strands"),
+        (F(3), [], "strands"),
+    ],
+    ids=["float-sign", "bool-sign", "float-index", "fraction-index", "float-strands",
+         "fraction-strands"],
+)
+def test_braid_word_refuses_non_int_fields(strands, letters, field):
+    # A float sign or index compares equal to the int, so it would make a
+    # word equal and hash-equal to an int one that some invariants then
+    # cannot take; each field must be an int.
+    with pytest.raises(TypeError, match=f"braid {field} must be an int"):
+        BraidWord(strands, letters)

@@ -131,8 +131,9 @@ def _sl2_apply_word(word):
 def _sl2_walk(t, d, start):
     """The integer walk, each component converted to a ParamPolynomial."""
     terms, den = weights._integer_terms(t)
-    walk = weights._transfer_walk(terms, d, start, {0: (1,)}, weights._sl2_step)
-    return {j: int_poly_param((nums, den**d.n)) for j, nums in walk.items()}
+    corner = {0: ((1,), den**d.n)}
+    walk = weights._transfer_walk(terms, d, start, corner, weights._sl2_targets)
+    return {j: int_poly_param(value) for j, value in walk.items()}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -163,8 +164,8 @@ def _lorentz_walk(t, d, m):
     in its integer terms, so component (alpha, k) gains i^(alpha - |m|)."""
     terms, den = weights._integer_terms(t)
     am = abs(m)
-    step = partial(weights._lorentz_step, m=m)
-    walk = weights._transfer_walk(terms, d, 0, {(am, am): ((1,), den**d.n)}, step)
+    corner = {(am, am): ((1,), den**d.n)}
+    walk = weights._transfer_walk(terms, d, 0, corner, weights._lorentz_table(m))
     return {
         (alpha, k): int_poly_param(value) * _i_power(alpha - am)
         for (alpha, k), value in walk.items()
@@ -193,8 +194,8 @@ def test_lorentz_walk_equals_word_expansion_four_chords():
 
 # (the character, its value when the walk gives the corner the vector below,
 # the corner, an off-corner state, a walk vector, a cancelled value, the
-# module's name): the sl2 walk's values are integer tuples over D^n (D = 4
-# here), the Lorentz walk's (nums, den) pairs.
+# module's name): both walks' values are (nums, den) pairs, over D^n = 4 for
+# the sl2 walk of T_JONES_SL2 on one chord.
 CORNER_CASES = [
     (
         lambda: int_poly_param(
@@ -203,8 +204,8 @@ CORNER_CASES = [
         Z * F(1, 4),
         0,
         2,
-        (0, 1),
-        (),
+        ((0, 1), 4),
+        ((), 4),
         "spin-z module from basepoint 0",
     ),
     (
@@ -254,14 +255,19 @@ def test_cancelled_off_corner_component_is_not_reported(
         weights, "_transfer_walk", lambda *args: {corner: vector, survivor: zero}
     )
     assert evaluate() == value
+
+
 def test_clear_caches_empties_the_character_tables():
     tables = (
         weights._lambda_z_literal,
         weights._sl2_character_in_p,
         weights._lambda_mp_integer,
         weights._coproduct_table,
+        weights._sl2_targets,
+        weights._lorentz_targets,
     )
     lambda_mp_factorized(parse_diagram("ABAB"), 1)
+    lambda_mp_direct(parse_diagram("ABAB"), 1)
     assert all(table.cache_info().currsize for table in tables)
     clear_caches()
     assert not any(table.cache_info().currsize for table in tables)
@@ -298,22 +304,16 @@ def test_characters_compute_on_integers_only(monkeypatch):
         assert type(den) is int and all(type(x) is int for x in nums), p
         return p
 
-    sl2_step, lorentz_step = weights._sl2_step, weights._lorentz_step
+    step = weights._step
     mul = weights.int_poly_mul
     steps, products = [], []
 
-    def int_step(vec, gen, coeff, out):
-        assert type(coeff) is int
-        assert all(type(x) is int for nums in vec.values() for x in nums), vec
-        steps.append(gen)
-        return sl2_step(vec, gen, coeff, out)
-
-    def int_lorentz_step(vec, gen, coeff, out, m):
+    def int_step(vec, gen, coeff, out, targets):
         assert type(coeff) is int
         for value in vec.values():
             ints(value)
         steps.append(gen)
-        return lorentz_step(vec, gen, coeff, out, m)
+        return step(vec, gen, coeff, out, targets)
 
     def int_mul(p, q):
         products.append(1)
@@ -324,8 +324,7 @@ def test_characters_compute_on_integers_only(monkeypatch):
         DiagramSum([(parse_diagram("ABAB"), GR_I * F(2, 3)), (THETA, F(-1, 2))]),
     ]
     clear_caches()
-    monkeypatch.setattr(weights, "_sl2_step", int_step)
-    monkeypatch.setattr(weights, "_lorentz_step", int_lorentz_step)
+    monkeypatch.setattr(weights, "_step", int_step)
     monkeypatch.setattr(weights, "int_poly_mul", int_mul)
     for kind in (ParamPolynomial, GaussianRational):
         monkeypatch.setattr(kind, "__mul__", refuse)
@@ -555,11 +554,13 @@ def test_lorentz_module_commutation_relations(m):
     # original generators: each relation holds exactly on every state with
     # alpha <= 3.  The walk's generators are F' = -iF, so a product of
     # original generators is i^{#F} times the walk's product.
+    targets = weights._lorentz_table(m)
+
     def act(factors, state):
         """The operator product X Y ... on f'(state); the last factor acts first."""
         vec = {state: ((1,), 1)}
         for gen in reversed(factors):
-            vec = weights._lorentz_step(vec, gen, 1, {}, m)
+            vec = weights._step(vec, gen, 1, {}, targets)
         phase = _i_power(sum(gen[0] == "F" for gen in factors))
         return {s: int_poly_param(value) * phase for s, value in vec.items()}
 
@@ -569,6 +570,62 @@ def test_lorentz_module_commutation_relations(m):
             bracket = _combine([(1, act((x, y), state)), (-1, act((y, x), state))])
             expected = _combine((c, act((z,), state)) for c, z in rhs)
             assert bracket == expected, (x, y, state)
+
+
+SL2_COMMUTATORS = [
+    ("H", "E", ((1, "E"),)),
+    ("H", "F", ((-1, "F"),)),
+    ("E", "F", ((2, "H"),)),
+]
+
+
+def test_sl2_module_commutation_relations():
+    # [H,E] = E, [H,F] = -F and [E,F] = 2H hold exactly, as polynomials in
+    # z, on every depth j <= 5 of the table the sl2 walk reads.
+    def act(factors, j):
+        """The operator product X Y ... on depth j; the last factor acts first."""
+        vec = {j: ((1,), 1)}
+        for gen in reversed(factors):
+            vec = weights._step(vec, gen, 1, {}, weights._sl2_targets)
+        return {s: int_poly_param(value) for s, value in vec.items()}
+
+    for x, y, rhs in SL2_COMMUTATORS:
+        for j in range(6):
+            bracket = _combine([(1, act((x, y), j)), (-1, act((y, x), j))])
+            expected = _combine((c, act((z,), j)) for c, z in rhs)
+            assert bracket == expected, (x, y, j)
+    with pytest.raises(ValueError, match="unknown sl2 generator 'X'"):
+        weights._sl2_targets("X", 0)
+
+
+LORENTZ_ENTRY_POINTS = {
+    "weight_raw": lambda m: lorentz_weight_raw(T_LORENTZ, parse_diagram("ABAB"), m),
+    "casimir": lambda m: lorentz_quadratic_eigenvalue(CASIMIR_LEFT_TERMS, m),
+    "apply_word": lambda m: lorentz_apply_word(("H3", "F3", "F-"), m),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("m", [1.0, F(1)], ids=["float", "fraction"])
+@pytest.mark.parametrize("entry", sorted(LORENTZ_ENTRY_POINTS))
+def test_lorentz_entry_points_refuse_a_non_int_spin(entry, m, warm):
+    # 1.0 and Fraction(1) key the same memo entries as 1: on a cold table
+    # they would store entries off the integers that later int calls read,
+    # and on a warm one they would be served the int entries.  They are
+    # refused before any table read, and the int call is unchanged after.
+    call = LORENTZ_ENTRY_POINTS[entry]
+    clear_caches()
+    expected = call(1)
+    if not warm:
+        clear_caches()
+    with pytest.raises(ValueError, match="integer minimal spin only"):
+        call(m)
+    assert call(1) == expected
+    d = parse_diagram("ABAB")
+    assert lorentz_weight_raw(T_LORENTZ, d, 1) == lambda_mp_factorized(d, 1)
+    assert lambda_mp_direct(d, 1) == lambda_mp_factorized(d, 1)
+    left, _ = casimir_eigenvalues(1)
+    assert lorentz_quadratic_eigenvalue(CASIMIR_LEFT_TERMS, 1) == left
 
 
 def test_casimir_eigenvalues_reproduced_by_module_action():
